@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
     StructureValidationError,
 )
-from .extension import invariant_extension, subspace_norm, validate_problem, verify_extension
+from .extension import invariant_extension, validate_problem, verify_extension
 from .schema import (
     KIND_EXTENSION,
     KIND_FIP_CHECK,
@@ -167,7 +167,7 @@ def run_extend(pf, options) -> tuple[str, dict]:
     check = verify_extension(result, problem, options.tol)
     payload = extension_result_dict(result)
     payload["verification"] = extension_check_dict(check)
-    payload["subspace_norm"] = subspace_norm(problem)
+    payload["subspace_norm"] = check.subspace_norm
     return ("ok" if check.ok else "failed"), payload
 
 

@@ -6,9 +6,21 @@ arrays, and a polytope is the convex hull of an explicit vertex list
 operations below are pure functions, so everything here is safe to share
 between threads.
 
-Membership and intersection questions are decided by a small dense
-simplex core (:mod:`fixmk.lp`): a point is in a hull iff convex weights
-over the vertices reproduce it within tolerance.
+Every hull question is one linear program, the deviation LP, solved by
+the dense simplex core (:mod:`fixmk.lp`): given vertex sets V_1..V_J, a
+point p and a basis B (d x r), find convex weights lam_j per set and
+coordinates s minimizing the max-abs deviation t between each hull
+point V_j^T lam_j and the shared point p + B s.  Split into equalities
+with s = s+ - s- and slacks u, w >= 0, the columns are
+lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
+(upper, lower) per coordinate followed by its weight-sum row.
+
+* :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
+* :func:`feasible_point` is p = 0, B = I: do the hulls intersect?
+* the exact solver fits an affine fixed subspace against K.
+
+:func:`canonical_fit` turns a feasible instance into a reproducible,
+interior-leaning point by probing the deviation LP's extremes.
 """
 from __future__ import annotations
 
@@ -19,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidWeightsError
-from .lp import INFEASIBLE, OPTIMAL, solve_lp
+from .lp import OPTIMAL, solve_lp
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -271,36 +283,90 @@ def polytope_image(m: AffineMap, K: Polytope) -> Polytope:
     return Polytope(np.unique(mapped, axis=0))
 
 
+def _deviation_lp(vertex_sets, point, basis):
+    """Equality form of the deviation LP, plus its column offsets (s+, s-, t).
+
+    Columns: lam_1..lam_J | s+ (r) | s- (r) | t | u (J*d) | w (J*d).  Each
+    set j owns 2d + 1 rows: for every coordinate i an upper row
+    V_j[:, i] @ lam_j - B[i] @ s - t + u_ji = p_i and a lower row with
+    + t - w_ji in place of - t + u_ji, then sum(lam_j) = 1.
+    """
+    d, r = basis.shape
+    J = len(vertex_sets)
+    sp = sum(V.shape[0] for V in vertex_sets)
+    sn, t = sp + r, sp + 2 * r
+    u0, w0 = t + 1, t + 1 + J * d
+    A = np.zeros((J * (2 * d + 1), w0 + J * d))
+    b = np.zeros(A.shape[0])
+    lam0 = 0
+    for j, V in enumerate(vertex_sets):
+        block = slice(j * (2 * d + 1), (j + 1) * (2 * d + 1))
+        lam = slice(lam0, lam0 + V.shape[0])
+        rows = A[block]  # a view: writes land in A
+        up, low = rows[0:-1:2], rows[1:-1:2]
+        rows[:-1, lam] = np.repeat(V.T, 2, axis=0)
+        rows[:-1, sp:sn] -= np.repeat(basis, 2, axis=0)
+        rows[:-1, sn:t] += np.repeat(basis, 2, axis=0)
+        up[:, t] = -1.0
+        low[:, t] = 1.0
+        up[:, u0 + j * d : u0 + (j + 1) * d] += np.eye(d)
+        low[:, w0 + j * d : w0 + (j + 1) * d] -= np.eye(d)
+        rows[-1, lam] = 1.0
+        b[block] = np.append(np.repeat(point, 2), 1.0)
+        lam0 = lam.stop
+    return A, b, (sp, sn, t)
+
+
+def deviation_fit(vertex_sets, point, basis):
+    """Least max-abs deviation t between point + span(basis) and every hull.
+
+    Returns (t, point + basis @ s, weights) at the optimum, where weights
+    stacks the convex weights of all sets in order.
+    """
+    A, b, (sp, sn, t) = _deviation_lp(vertex_sets, point, basis)
+    c = np.zeros(A.shape[1])
+    c[t] = 1.0
+    res = solve_lp(c, A, b)
+    if res.status != OPTIMAL:  # the system is always feasible for large t
+        raise RuntimeError(f"deviation LP unexpectedly {res.status}")
+    return max(res.value, 0.0), point + basis @ (res.x[sp:sn] - res.x[sn:t]), res.x[:sp]
+
+
+def canonical_fit(vertex_sets, point, basis, cap):
+    """Interior-leaning point of point + span(basis) within cap of every hull.
+
+    With the deviation capped at cap, each ambient coordinate of
+    point + basis @ s is pushed to both extremes and the 2d probe
+    solutions averaged, a pick that identical inputs always reproduce.
+    """
+    A, b, (sp, sn, t) = _deviation_lp(vertex_sets, point, basis)
+    n_rows, n_cols = A.shape
+    A_probe = np.zeros((n_rows + 1, n_cols + 1))
+    A_probe[:n_rows, :n_cols] = A
+    A_probe[n_rows, [t, n_cols]] = 1.0  # t + slack = cap
+    b_probe = np.append(b, cap)
+    probes = []
+    for row in basis:
+        for sign in (-1.0, 1.0):
+            c = np.zeros(n_cols + 1)
+            c[sp:sn] = sign * row
+            c[sn:t] = -sign * row
+            res = solve_lp(c, A_probe, b_probe)
+            if res.status != OPTIMAL:
+                raise RuntimeError(f"probe LP unexpectedly {res.status}")
+            probes.append(point + basis @ (res.x[sp:sn] - res.x[sn:t]))
+    return np.mean(probes, axis=0)
+
+
 def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:
     """Best max-abs deviation between x and the hull, plus achieving weights.
 
-    Minimizes t over convex weights lam with |sum(lam_v v) - x| <= t
-    coordinate-wise.  t = 0 (up to arithmetic) iff x is in the hull.
+    The deviation LP with an empty basis: t = 0 (up to arithmetic) iff x
+    is in the hull.
     """
     point = as_vector(x, K.dim)
-    V = K.vertices
-    n_v, d = V.shape
-    # columns: lam (n_v) | t | u (d) | w (d)
-    n_cols = n_v + 1 + 2 * d
-    A = np.zeros((2 * d + 1, n_cols))
-    b = np.zeros(2 * d + 1)
-    for i in range(d):
-        A[i, :n_v] = V[:, i]
-        A[i, n_v] = -1.0
-        A[i, n_v + 1 + i] = 1.0
-        b[i] = point[i]
-        A[d + i, :n_v] = V[:, i]
-        A[d + i, n_v] = 1.0
-        A[d + i, n_v + 1 + d + i] = -1.0
-        b[d + i] = point[i]
-    A[2 * d, :n_v] = 1.0
-    b[2 * d] = 1.0
-    c = np.zeros(n_cols)
-    c[n_v] = 1.0
-    res = solve_lp(c, A, b)
-    if res.status != OPTIMAL:  # the system is always feasible for large t
-        raise RuntimeError(f"hull fit LP unexpectedly {res.status}")
-    return max(res.value, 0.0), res.x[:n_v]
+    deviation, _, weights = deviation_fit([K.vertices], point, np.zeros((K.dim, 0)))
+    return deviation, weights
 
 
 def hull_distance(K: Polytope, x) -> float:
@@ -325,57 +391,14 @@ def diameter(K: Polytope, norm: NormSpec) -> float:
     return float(diffs.sum(axis=2).max())
 
 
-def _feasibility_tableau(vertex_sets: list[np.ndarray], d: int):
-    """Constraint block for: shared x, per-set convex weights, deviation t.
-
-    Variables: lam_1..lam_J | x+ | x- | t | u (J*d) | w (J*d); for every set
-    j and coordinate i the hull point strays from x by at most t.
-    """
-    sizes = [V.shape[0] for V in vertex_sets]
-    total_lam = sum(sizes)
-    J = len(vertex_sets)
-    n_cols = total_lam + 2 * d + 1 + 2 * J * d
-    n_rows = 2 * J * d + J
-    A = np.zeros((n_rows, n_cols))
-    b = np.zeros(n_rows)
-    xp, xn = total_lam, total_lam + d
-    t_col = total_lam + 2 * d
-    u0 = t_col + 1
-    w0 = u0 + J * d
-    row = 0
-    offset = 0
-    for j, V in enumerate(vertex_sets):
-        n_v = V.shape[0]
-        for i in range(d):
-            A[row, offset : offset + n_v] = V[:, i]
-            A[row, xp + i] = -1.0
-            A[row, xn + i] = 1.0
-            A[row, t_col] = -1.0
-            A[row, u0 + j * d + i] = 1.0
-            row += 1
-            A[row, offset : offset + n_v] = V[:, i]
-            A[row, xp + i] = -1.0
-            A[row, xn + i] = 1.0
-            A[row, t_col] = 1.0
-            A[row, w0 + j * d + i] = -1.0
-            row += 1
-        A[row, offset : offset + n_v] = 1.0
-        b[row] = 1.0
-        row += 1
-        offset += n_v
-    return A, b, xp, xn, t_col, n_cols
-
-
 def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL, canonical: bool = True):
     """A point lying in every hull within tol, or None when there is none.
 
-    One linear program ties a shared point to convex weights for each
-    polytope; the hulls intersect iff the optimal deviation is <= tol.
-    By default the witness is canonical: with the deviation capped at tol,
-    each coordinate is pushed to its extremes and the probe solutions
-    averaged, an interior-leaning pick that identical inputs always
-    reproduce.  ``canonical=False`` returns the raw basic solution of the
-    first program, which is still deterministic but cheaper.
+    The deviation LP with a free shared point (origin 0, basis I); the
+    hulls intersect iff the optimal deviation is <= tol.  By default the
+    witness is the canonical fit with the deviation capped at tol.
+    ``canonical=False`` returns the raw basic solution of the first
+    program, which is still deterministic but cheaper.
     """
     sets = list(constraint_sets)
     if not sets:
@@ -384,33 +407,9 @@ def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL, canonic
     for K in sets:
         if K.dim != d:
             raise DimensionMismatchError("polytopes have mixed dims")
-    A, b, xp, xn, t_col, n_cols = _feasibility_tableau([K.vertices for K in sets], d)
-
-    c = np.zeros(n_cols)
-    c[t_col] = 1.0
-    res = solve_lp(c, A, b)
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"feasibility LP unexpectedly {res.status}")
-    if res.value > tol:
+    vertex_sets = [K.vertices for K in sets]
+    origin, basis = np.zeros(d), np.eye(d)
+    deviation, point, _ = deviation_fit(vertex_sets, origin, basis)
+    if deviation > tol:
         return None
-    if not canonical:
-        return res.x[xp : xp + d] - res.x[xn : xn + d]
-
-    # cap the deviation at tol and probe each coordinate both ways
-    cap_row = np.zeros((1, n_cols + 1))
-    cap_row[0, t_col] = 1.0
-    cap_row[0, -1] = 1.0  # slack for t <= tol
-    A_probe = np.hstack([A, np.zeros((A.shape[0], 1))])
-    A_probe = np.vstack([A_probe, cap_row])
-    b_probe = np.concatenate([b, [tol]])
-    probes = []
-    for i in range(d):
-        for sign in (-1.0, 1.0):
-            c_probe = np.zeros(n_cols + 1)
-            c_probe[xp + i] = sign
-            c_probe[xn + i] = -sign
-            r = solve_lp(c_probe, A_probe, b_probe)
-            if r.status != OPTIMAL:
-                raise RuntimeError(f"probe LP unexpectedly {r.status}")
-            probes.append(r.x[xp : xp + d] - r.x[xn : xn + d])
-    return np.mean(probes, axis=0)
+    return canonical_fit(vertex_sets, origin, basis, tol) if canonical else point

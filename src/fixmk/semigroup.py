@@ -234,6 +234,17 @@ def check_normal_factor(
     return _report(1, failures)
 
 
+def _relation_failures(node: SemigroupNode, word_budget: int, tol: float, abelian_tol: float):
+    """Height of the tree and its abelian and normal-relation failures."""
+    if isinstance(node, Leaf):
+        labeled = [(f"g{i}", g) for i, g in enumerate(node.generators)]
+        return 1, _abelian_failures(labeled, abelian_tol)
+    left_depth, left = _relation_failures(node.normal, word_budget, tol, abelian_tol)
+    right_depth, right = _relation_failures(node.quotient, word_budget, tol, abelian_tol)
+    normal = check_normal_factor(node.normal, node.quotient, word_budget, tol).failures
+    return 1 + max(left_depth, right_depth), left + right + normal
+
+
 def validate_structure(
     node: SemigroupNode,
     K: Polytope,
@@ -241,25 +252,17 @@ def validate_structure(
     tol: float = DEFAULT_RELATION_TOL,
     abelian_tol: float = DEFAULT_ABELIAN_TOL,
 ) -> ValidationReport:
-    """Recursively validate a structure tree against the polytope K.
+    """Validate a structure tree against the polytope K.
 
-    Leaves must be abelian and invariant; products additionally need the
-    normal relation between their children.  The depth field records the
-    height of the tree (1 for leaves, 1 + max child depth for products).
-    Purely deterministic: identical inputs give identical reports.
+    Leaves must be abelian and products need the normal relation between
+    their children, checked recursively.  Invariance is checked once for
+    all generators of the tree, labeled as :func:`flatten` does.  The depth
+    field records the height of the tree (1 for leaves, 1 + max child
+    depth for products).  Purely deterministic: identical inputs give
+    identical reports.
     """
-    if isinstance(node, Leaf):
-        labeled = [(f"g{i}", g) for i, g in enumerate(node.generators)]
-        failures = _abelian_failures(labeled, abelian_tol)
-        failures += _invariance_failures(labeled, K, tol)
-        return _report(1, failures)
-
-    left = validate_structure(node.normal, K, word_budget, tol, abelian_tol)
-    right = validate_structure(node.quotient, K, word_budget, tol, abelian_tol)
-    failures = list(left.failures) + list(right.failures)
-    failures += check_normal_factor(node.normal, node.quotient, word_budget, tol).failures
-    failures += _invariance_failures(flatten(node), K, tol)
-    return _report(1 + max(left.depth, right.depth), failures)
+    depth, failures = _relation_failures(node, word_budget, tol, abelian_tol)
+    return _report(depth, failures + _invariance_failures(flatten(node), K, tol))
 
 
 def commuting_combination(

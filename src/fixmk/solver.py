@@ -12,7 +12,7 @@ Two independent routes:
 
 * :func:`solve_exact` — intersect the affine fixed subspaces (A - I)x = -b
   of all generators and pick the canonical point of that subspace inside K
-  via the linear feasibility core.
+  with the deviation LP of :mod:`fixmk.geometry`.
 
 On every validated input both routes must land on points with residual
 below tolerance; when the fixed set is a single point they agree.
@@ -31,14 +31,15 @@ from .geometry import (
     Polytope,
     affine_compose,
     as_vector,
+    canonical_fit,
     cesaro_average,
     convex_combination,
+    deviation_fit,
     diameter,
     feasible_point,
     hull_distance,
     polytope_image,
 )
-from .lp import OPTIMAL, solve_lp
 from .semigroup import (
     DEFAULT_WORD_BUDGET,
     Leaf,
@@ -184,72 +185,8 @@ def common_fixed_subspace(node: SemigroupNode) -> AffineSubspace | None:
     return _affine_solution_set(M, rhs)
 
 
-def _subspace_polytope_fit(K: Polytope, sub: AffineSubspace, tol: float):
-    """Canonical point of (hull of K) ∩ (affine subspace), via deviation LPs.
-
-    Minimizes the max-abs gap between a hull point and a subspace point;
-    a gap above tol means the sets do not meet.  The subspace coordinates
-    are then probed to both extremes of every ambient coordinate and the
-    probe solutions averaged, giving a deterministic interior-leaning pick.
-    """
-    V = K.vertices
-    n_v, d = V.shape
-    B = sub.basis
-    r = B.shape[1]
-    # columns: lam (n_v) | s+ (r) | s- (r) | t | u (d) | w (d) [| cap slack]
-    n_cols = n_v + 2 * r + 1 + 2 * d
-    t_col = n_v + 2 * r
-    A = np.zeros((2 * d + 1, n_cols))
-    b = np.zeros(2 * d + 1)
-    for i in range(d):
-        A[i, :n_v] = V[:, i]
-        A[i, n_v : n_v + r] = -B[i]
-        A[i, n_v + r : n_v + 2 * r] = B[i]
-        A[i, t_col] = -1.0
-        A[i, t_col + 1 + i] = 1.0
-        b[i] = sub.point[i]
-        A[d + i, :n_v] = V[:, i]
-        A[d + i, n_v : n_v + r] = -B[i]
-        A[d + i, n_v + r : n_v + 2 * r] = B[i]
-        A[d + i, t_col] = 1.0
-        A[d + i, t_col + 1 + d + i] = -1.0
-        b[d + i] = sub.point[i]
-    A[2 * d, :n_v] = 1.0
-    b[2 * d] = 1.0
-
-    c = np.zeros(n_cols)
-    c[t_col] = 1.0
-    res = solve_lp(c, A, b)
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"fixed-set LP unexpectedly {res.status}")
-    if res.value > tol:
-        return None
-    if r == 0:
-        return sub.point.copy()
-
-    cap = max(2.0 * res.value, 1e-12)
-    A_probe = np.hstack([A, np.zeros((A.shape[0], 1))])
-    cap_row = np.zeros((1, n_cols + 1))
-    cap_row[0, t_col] = 1.0
-    cap_row[0, -1] = 1.0
-    A_probe = np.vstack([A_probe, cap_row])
-    b_probe = np.concatenate([b, [cap]])
-    points = []
-    for i in range(d):
-        for sign in (-1.0, 1.0):
-            c_probe = np.zeros(n_cols + 1)
-            c_probe[n_v : n_v + r] = sign * B[i]
-            c_probe[n_v + r : n_v + 2 * r] = -sign * B[i]
-            pr = solve_lp(c_probe, A_probe, b_probe)
-            if pr.status != OPTIMAL:
-                raise RuntimeError(f"fixed-set probe LP unexpectedly {pr.status}")
-            s = pr.x[n_v : n_v + r] - pr.x[n_v + r : n_v + 2 * r]
-            points.append(sub.point + B @ s)
-    return np.mean(points, axis=0)
-
-
 def solve_exact(node: SemigroupNode, K: Polytope, tol: float = DEFAULT_TOL) -> FixedPointResult:
-    """Fixed point via the stacked linear system plus the feasibility core.
+    """Fixed point via the stacked linear system plus the deviation LP.
 
     Raises :class:`EmptyFixedSetError` when no common fixed point exists or
     the fixed set misses K — on validated input that diagnoses a broken
@@ -261,20 +198,16 @@ def solve_exact(node: SemigroupNode, K: Polytope, tol: float = DEFAULT_TOL) -> F
             "empty-fixed-subspace",
             "the stacked fixed-point equations are inconsistent",
         )
-    if sub.dimension == 0:
-        if hull_distance(K, sub.point) > tol:
-            raise EmptyFixedSetError(
-                "fixed-set-outside-polytope",
-                "the unique fixed point lies outside the polytope",
-            )
-        point = sub.point.copy()
-    else:
-        point = _subspace_polytope_fit(K, sub, tol)
-        if point is None:
-            raise EmptyFixedSetError(
-                "fixed-set-outside-polytope",
-                "the fixed subspace does not meet the polytope",
-            )
+    gap, point, _ = deviation_fit([K.vertices], sub.point, sub.basis)
+    if gap > tol:
+        raise EmptyFixedSetError(
+            "fixed-set-outside-polytope",
+            "the unique fixed point lies outside the polytope"
+            if sub.dimension == 0
+            else "the fixed subspace does not meet the polytope",
+        )
+    if sub.dimension:
+        point = canonical_fit([K.vertices], sub.point, sub.basis, max(2.0 * gap, 1e-12))
     res = residual(point, node)
     if max(res.values()) > tol:
         raise EmptyFixedSetError(

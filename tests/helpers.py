@@ -1,7 +1,26 @@
-"""Shared builders for test geometry."""
+"""Shared builders for test geometry, and the CLI runner."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 
+import fixmk
 from fixmk import AffineMap, Leaf, Polytope, Product
+
+# the child process imports the same fixmk as the tests, however it was found
+_SRC = str(pathlib.Path(fixmk.__file__).resolve().parent.parent)
+
+
+def run_cli(*args):
+    """Run ``python -m fixmk`` with args; returns (exit code, stdout, stderr)."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixmk", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def rot90():

@@ -8,8 +8,6 @@ values match independent oracles, and the negative controls fail at the
 intended check with the documented exit codes.
 """
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -45,16 +43,10 @@ from fixmk import (
 )
 from fixmk.semigroup import commuting_combination, flatten
 from fixmk.schema import load_problem
+from helpers import run_cli
 from oracles import brute_min_dual_norm, stationary_distribution
 
 TOL = 1e-8
-
-
-def _cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixmk", *args], capture_output=True, text=True
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def _start(payload):
@@ -217,14 +209,14 @@ def test_criterion_9_negative_controls():
     report = validate_structure(pf.payload.node, pf.payload.polytope)
     assert not report.ok
     assert any(f.kind == "non-commuting-pair" for f in report.failures)
-    code, _, _ = _cli("check", str(FIXTURES / "negative" / "non_commuting_leaf.json"))
+    code, _, _ = run_cli("check", str(FIXTURES / "negative" / "non_commuting_leaf.json"))
     assert code == 1
 
     # norm-violating operator fails the extension precondition
     pf = load_problem(FIXTURES / "negative" / "norm_violating_operator.json")
     violations = validate_problem(pf.payload.problem)
     assert any(v.invariant == "operator-norm" for v in violations)
-    code, out, _ = _cli("extend", str(FIXTURES / "negative" / "norm_violating_operator.json"))
+    code, out, _ = run_cli("extend", str(FIXTURES / "negative" / "norm_violating_operator.json"))
     assert code == 1
     assert json.loads(out)["result"]["violations"][0]["invariant"] == "operator-norm"
 
@@ -234,11 +226,11 @@ def test_criterion_9_negative_controls():
     with pytest.raises(EmptyFixedSetError) as err:
         solve_exact(Leaf((translation,)), Polytope.box([0.0, 0.0], [1.0, 1.0]))
     assert err.value.reason == "empty-fixed-subspace"
-    code, out, _ = _cli("solve", str(FIXTURES / "negative" / "drifting_translation.json"))
+    code, out, _ = run_cli("solve", str(FIXTURES / "negative" / "drifting_translation.json"))
     assert code == 1
     assert json.loads(out)["result"]["error"]["kind"] == "empty-fixed-subspace"
 
     # malformed input exits with the parse code
-    code, _, _ = _cli("solve", str(FIXTURES / "negative" / "malformed.json"))
+    code, _, _ = run_cli("solve", str(FIXTURES / "negative" / "malformed.json"))
     assert code == 2
     print("\nACCEPTANCE 9 (negative controls fail at the intended checks): PASS")

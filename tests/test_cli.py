@@ -1,20 +1,11 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_paths
 from fixmk.schema import load_problem, serialize_problem
-
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixmk", *args],
-        capture_output=True, text=True,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+from helpers import run_cli
 
 
 def canonical_fixture_paths():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixmk import geometry
 from fixmk import (
     AffineMap,
     EnumerationCapError,
@@ -95,6 +96,25 @@ def test_validate_non_commuting_leaf_fails():
     report = validate_structure(Leaf((rot90(), reflect_x())), square())
     assert not report.ok
     assert any(f.kind == "non-commuting-pair" for f in report.failures)
+
+
+def test_validate_reports_invariance_once_with_tree_labels():
+    # -I keeps the square; the shift (tree label g1) does not
+    node = Product(Leaf((rot180(),)), Leaf((AffineMap.translation([0.5, 0.0]),)))
+    report = validate_structure(node, square())
+    moved = [f for f in report.failures if f.kind == "not-invariant"]
+    assert [f.witness for f in moved] == [("g1",)]
+    assert moved[0].residual == pytest.approx(0.5)
+
+
+def test_validate_fits_each_vertex_generator_pair_once(monkeypatch):
+    calls = []
+    original = geometry.hull_fit
+    monkeypatch.setattr(geometry, "hull_fit", lambda K, x: calls.append(1) or original(K, x))
+    node = Product(Product(Leaf((rot180(),)), Leaf((rot90(),))), Leaf((reflect_x(),)))
+    K = square()
+    assert validate_structure(node, K).ok
+    assert len(calls) == K.n_vertices * 3
 
 
 def test_validate_is_deterministic():
