@@ -66,6 +66,7 @@ from .semigroup import (
     check_normal_factor,
     commuting_combination,
     enumerate_elements,
+    validate_relations,
     validate_structure,
 )
 from .solver import (

@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
     StructureValidationError,
 )
-from .extension import invariant_extension, validate_problem, verify_extension
+from .extension import invariant_extension, verify_extension
 from .schema import (
     KIND_EXTENSION,
     KIND_FIP_CHECK,
@@ -148,17 +148,16 @@ def run_fip(pf, options) -> tuple[str, dict]:
 
 def run_extend(pf, options) -> tuple[str, dict]:
     problem = pf.payload.problem
-    violations = validate_problem(problem)
-    if violations:
+    try:
+        result = invariant_extension(problem, options.tol, options.word_budget)
+    except ExtensionInvariantError as exc:
         return "failed", {
             "violations": [
                 {"invariant": v.invariant, "operator": v.label, "residual": v.residual}
-                for v in violations
+                for v in exc.violations
             ]
         }
-    try:
-        result = invariant_extension(problem, options.tol, options.word_budget)
-    except (ExtensionInvariantError, StructureValidationError) as exc:
+    except StructureValidationError as exc:
         return "failed", {"error": {"kind": "extension-precondition", "detail": str(exc)}}
     except (EmptyConstraintSetError, EmptyFixedSetError) as exc:
         return "infeasible", {"error": {"kind": "infeasible", "detail": str(exc)}}

@@ -74,11 +74,20 @@ class EmptyConstraintSetError(FixmkError):
 
 
 class ExtensionInvariantError(FixmkError):
-    """An extension-problem precondition does not hold."""
+    """One or more extension-problem preconditions do not hold.
 
-    def __init__(self, invariant: str, detail: str):
-        super().__init__(f"{invariant}: {detail}")
-        self.invariant = invariant
+    ``violations`` is the nonempty list that ``validate_problem`` returned
+    (each with ``invariant``, ``label`` and ``residual``); ``invariant``
+    names the kind of the first.
+    """
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        self.invariant = self.violations[0].invariant
+        detail = "; ".join(
+            f"{v.invariant} on {v.label} (residual {v.residual:.3e})" for v in self.violations
+        )
+        super().__init__(f"{self.invariant}: {detail}")
 
 
 class SchemaError(FixmkError, ValueError):

@@ -9,7 +9,12 @@ The whole pipeline stays inside the polytope machinery: the candidate set
 {L : ||L||_dual <= 1, L = g on Y} is a polytope in dual coordinates (the
 norm menu is max-abs / sum-abs precisely so its ball and dual ball are
 polytopes), the operators act on it by transposition, and the fixed-point
-solver picks the invariant point.
+solver picks the invariant point.  Each question is asked once: the
+preconditions by :func:`validate_problem`, the norm of g on Y by one probe
+of the deviation LP of :mod:`fixmk.geometry`, and the lifted tree's
+abelian and normal relations by :func:`fixmk.semigroup.validate_relations`.
+The constraint set's invariance needs no check of its own, because the
+preconditions imply it.
 """
 from __future__ import annotations
 
@@ -27,15 +32,14 @@ from .errors import (
     StructureValidationError,
     ZeroFunctionalError,
 )
-from .geometry import AffineMap, NormKind, NormSpec, Polytope
-from .lp import OPTIMAL, solve_lp
+from .geometry import AffineMap, NormKind, NormSpec, Polytope, _capped_probes
 from .semigroup import (
     DEFAULT_WORD_BUDGET,
     Leaf,
     Product,
     SemigroupNode,
     flatten,
-    validate_structure,
+    validate_relations,
 )
 from .solver import solve_cesaro, solve_exact
 
@@ -127,10 +131,11 @@ def validate_problem(problem: ExtensionProblem, tol: float = INVARIANT_TOL) -> l
 
 
 def subspace_norm(problem: ExtensionProblem) -> float:
-    """||g|| on Y: maximize g(y) over the unit ball intersected with Y.
+    """||g|| on Y: the largest g . t over coordinates t with Y^T t in the unit ball.
 
-    Parametrized by subspace coordinates t (y = basis^T t), so the ball
-    constraints become linear rows and one LP does the job.
+    One capped probe of the deviation LP with basis Y^T: the max-abs ball
+    is {Y^T t within 1 of the point 0}, the sum-abs ball is
+    {Y^T t within 0 of conv{+-e_i}}.
     """
     Y = problem.subspace_basis
     g = problem.functional_on_subspace
@@ -139,45 +144,12 @@ def subspace_norm(problem: ExtensionProblem) -> float:
         return 0.0
     if np.linalg.matrix_rank(Y) < k:
         raise DegenerateBasisError("subspace basis is linearly dependent")
-
     if problem.norm.kind is NormKind.MAX_ABS:
-        # |(Y^T t)_i| <= 1 for every coordinate
-        n_cols = 2 * k + 2 * n
-        A = np.zeros((2 * n, n_cols))
-        b = np.ones(2 * n)
-        for i in range(n):
-            A[i, :k] = Y[:, i]
-            A[i, k : 2 * k] = -Y[:, i]
-            A[i, 2 * k + i] = 1.0
-            A[n + i, :k] = -Y[:, i]
-            A[n + i, k : 2 * k] = Y[:, i]
-            A[n + i, 2 * k + n + i] = 1.0
+        vertices, cap = np.zeros((1, n)), 1.0
     else:
-        # u_i >= |(Y^T t)_i|, sum u <= 1
-        n_cols = 2 * k + n + 2 * n + 1
-        A = np.zeros((2 * n + 1, n_cols))
-        b = np.zeros(2 * n + 1)
-        u0 = 2 * k
-        for i in range(n):
-            A[i, :k] = Y[:, i]
-            A[i, k : 2 * k] = -Y[:, i]
-            A[i, u0 + i] = -1.0
-            A[i, u0 + n + i] = 1.0
-            A[n + i, :k] = -Y[:, i]
-            A[n + i, k : 2 * k] = Y[:, i]
-            A[n + i, u0 + i] = -1.0
-            A[n + i, u0 + 2 * n + i] = 1.0
-        A[2 * n, u0 : u0 + n] = 1.0
-        A[2 * n, -1] = 1.0
-        b[2 * n] = 1.0
-
-    c = np.zeros(n_cols)
-    c[:k] = -g
-    c[k : 2 * k] = g
-    res = solve_lp(c, A, b)
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"subspace norm LP unexpectedly {res.status}")
-    return max(-res.value, 0.0)
+        vertices, cap = np.vstack([np.eye(n), -np.eye(n)]), 0.0
+    (coords,) = _capped_probes([vertices], np.zeros(n), Y.T, cap, [-g])
+    return max(float(g @ coords), 0.0)
 
 
 def normalize_problem(problem: ExtensionProblem) -> tuple[ExtensionProblem, float]:
@@ -232,10 +204,6 @@ def build_constraint_set(problem: ExtensionProblem, tol: float = INVARIANT_TOL) 
         if dual.value(sol) > 1.0 + tol:
             continue
         candidates.append(sol)
-    if need == 0:
-        sol, *_ = np.linalg.lstsq(C, d, rcond=None)
-        if np.max(np.abs(C @ sol - d), initial=0.0) <= tol and dual.value(sol) <= 1.0 + tol:
-            candidates.append(sol)
 
     vertices: list[np.ndarray] = []
     for v in candidates:
@@ -265,10 +233,6 @@ def lift_operators(node: SemigroupNode) -> SemigroupNode:
     return Product(lift_operators(node.normal), lift_operators(node.quotient))
 
 
-def _dual_coefficient_norm(norm: NormSpec, lam: np.ndarray) -> float:
-    return norm.dual().value(lam)
-
-
 def _residual_fields(problem, functional):
     invariance = {
         label: float(np.max(np.abs(op.matrix.T @ functional - functional)))
@@ -290,18 +254,15 @@ def invariant_extension(
 ) -> ExtensionResult:
     """Produce the invariant norm-preserving extension of g.
 
-    Normalizes g, builds the dual constraint polytope, lifts the operators
-    by transposition, validates (rather than assumes) the lifted tree's
-    structure and its invariance of the polytope, and hands the
+    Checks the preconditions once (raising :class:`ExtensionInvariantError`
+    with every violation), normalizes g, builds the dual constraint
+    polytope, lifts the operators by transposition, validates (rather than
+    assumes) the lifted tree's abelian and normal relations, and hands the
     fixed-point problem to the exact solver with an averaging cross-check.
     """
     violations = validate_problem(problem)
     if violations:
-        worst = violations[0]
-        raise ExtensionInvariantError(
-            worst.invariant,
-            "; ".join(f"{v.invariant} on {v.label} (residual {v.residual:.3e})" for v in violations),
-        )
+        raise ExtensionInvariantError(violations)
 
     if problem.functional_on_subspace.size == 0 or np.max(np.abs(problem.functional_on_subspace)) == 0.0:
         zeros = np.zeros(problem.dim)
@@ -312,9 +273,13 @@ def invariant_extension(
     K = build_constraint_set(normalized)
     lifted = lift_operators(problem.operators)
 
-    structure = validate_structure(lifted, K, word_budget, INVARIANT_TOL)
-    if not structure.ok:
-        raise StructureValidationError(structure)
+    # The lifted tree maps K into itself once validate_problem holds, so only
+    # its relations are checked: ||T|| <= 1 keeps the dual ball, because
+    # ||T^T L||_dual <= ||T|| ||L||_dual, and T(Y) within Y with g(T y) = g(y)
+    # keeps the slice L|Y = g, because (T^T L)(y) = L(T y) = g(T y) = g(y).
+    relations = validate_relations(lifted, word_budget, INVARIANT_TOL)
+    if not relations.ok:
+        raise StructureValidationError(relations)
 
     exact = solve_exact(lifted, K, tol)
     # independent route over the same polytope; both must certify
@@ -324,7 +289,7 @@ def invariant_extension(
     invariance, restriction = _residual_fields(problem, functional)
     return ExtensionResult(
         functional=functional,
-        dual_norm=_dual_coefficient_norm(problem.norm, functional),
+        dual_norm=problem.norm.dual().value(functional),
         invariance_residuals=invariance,
         restriction_residual=restriction,
     )
@@ -337,7 +302,7 @@ def verify_extension(
 ) -> ExtensionCheck:
     """Recompute every guarantee of the result from scratch."""
     invariance, restriction = _residual_fields(problem, result.functional)
-    dual_norm = _dual_coefficient_norm(problem.norm, result.functional)
+    dual_norm = problem.norm.dual().value(result.functional)
     reference = subspace_norm(problem)
     failures = []
     if restriction > tol:

@@ -18,9 +18,13 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
 * :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
 * :func:`feasible_point` is p = 0, B = I: do the hulls intersect?
 * the exact solver fits an affine fixed subspace against K.
+* the extension's subspace norm writes the unit ball as a deviation
+  bound on B s, with B the subspace basis: max-abs is within 1 of the
+  point 0, sum-abs within 0 of conv{+-e_i}.
 
 :func:`canonical_fit` turns a feasible instance into a reproducible,
-interior-leaning point by probing the deviation LP's extremes.
+interior-leaning point by probing the deviation LP's extremes; each
+probe is one objective over the capped program of :func:`_capped_probes`.
 """
 from __future__ import annotations
 
@@ -332,12 +336,11 @@ def deviation_fit(vertex_sets, point, basis):
     return max(res.value, 0.0), point + basis @ (res.x[sp:sn] - res.x[sn:t]), res.x[:sp]
 
 
-def canonical_fit(vertex_sets, point, basis, cap):
-    """Interior-leaning point of point + span(basis) within cap of every hull.
+def _capped_probes(vertex_sets, point, basis, cap, directions):
+    """Minimizers s of direction @ s over the deviation LP capped at t <= cap.
 
-    With the deviation capped at cap, each ambient coordinate of
-    point + basis @ s is pushed to both extremes and the 2d probe
-    solutions averaged, a pick that identical inputs always reproduce.
+    The capped program is built once; each direction (a vector of length
+    r) only changes the objective.  Returns one s per direction, in order.
     """
     A, b, (sp, sn, t) = _deviation_lp(vertex_sets, point, basis)
     n_rows, n_cols = A.shape
@@ -345,17 +348,28 @@ def canonical_fit(vertex_sets, point, basis, cap):
     A_probe[:n_rows, :n_cols] = A
     A_probe[n_rows, [t, n_cols]] = 1.0  # t + slack = cap
     b_probe = np.append(b, cap)
-    probes = []
-    for row in basis:
-        for sign in (-1.0, 1.0):
-            c = np.zeros(n_cols + 1)
-            c[sp:sn] = sign * row
-            c[sn:t] = -sign * row
-            res = solve_lp(c, A_probe, b_probe)
-            if res.status != OPTIMAL:
-                raise RuntimeError(f"probe LP unexpectedly {res.status}")
-            probes.append(point + basis @ (res.x[sp:sn] - res.x[sn:t]))
-    return np.mean(probes, axis=0)
+    solutions = []
+    for direction in directions:
+        c = np.zeros(n_cols + 1)
+        c[sp:sn] = direction
+        c[sn:t] = -direction
+        res = solve_lp(c, A_probe, b_probe)
+        if res.status != OPTIMAL:
+            raise RuntimeError(f"probe LP unexpectedly {res.status}")
+        solutions.append(res.x[sp:sn] - res.x[sn:t])
+    return solutions
+
+
+def canonical_fit(vertex_sets, point, basis, cap):
+    """Interior-leaning point of point + span(basis) within cap of every hull.
+
+    With the deviation capped at cap, each ambient coordinate of
+    point + basis @ s is pushed to both extremes and the 2d probe
+    solutions averaged, a pick that identical inputs always reproduce.
+    """
+    directions = [sign * row for row in basis for sign in (-1.0, 1.0)]
+    solutions = _capped_probes(vertex_sets, point, basis, cap, directions)
+    return np.mean([point + basis @ s for s in solutions], axis=0)
 
 
 def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:

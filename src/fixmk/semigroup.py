@@ -9,8 +9,10 @@ is what :mod:`fixmk.solver` computes.
 
 Validation is entirely numerical: commutation is checked entrywise, the
 normal relation by searching words up to a budget, and invariance by hull
-membership of mapped vertices.  Reports carry the offending generator
-labels and the worst residual so failures are actionable.
+membership of mapped vertices.  :func:`validate_relations` runs the first
+two alone, for callers that know invariance by other means.  Reports carry
+the offending generator labels and the worst residual so failures are
+actionable.
 """
 from __future__ import annotations
 
@@ -186,17 +188,6 @@ def enumerate_elements(
     return elements
 
 
-def _try_inverse(m: AffineMap) -> AffineMap | None:
-    """Inverse as an affine map, or None when the linear part is singular."""
-    try:
-        inv = np.linalg.inv(m.matrix)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(inv)) or np.max(np.abs(m.matrix @ inv - np.eye(m.dim))) > 1e-9:
-        return None
-    return AffineMap(inv, -inv @ m.offset)
-
-
 def check_normal_factor(
     normal: SemigroupNode,
     quotient: SemigroupNode,
@@ -205,9 +196,9 @@ def check_normal_factor(
 ) -> ValidationReport:
     """Resolve h.g = g.h' with h' a word in the normal generators.
 
-    For each generator pair the closed-form candidate g^-1.h.g is tried
-    first (when g is invertible) against the enumerated words; otherwise
-    the words are scanned directly for the relation.
+    For each generator pair the enumerated words are scanned for the word
+    w nearest to the relation h.g = g.w; its deviation is the residual a
+    failure reports.
     """
     if word_budget < 1:
         raise ValueError("word_budget must be >= 1")
@@ -218,31 +209,44 @@ def check_normal_factor(
     for hl, h in h_gens:
         for gl, g in g_gens:
             target = affine_compose(h, g)
-            resolved = False
-            g_inv = _try_inverse(g)
-            if g_inv is not None:
-                candidate = affine_compose(g_inv, target)
-                nearest = min(map_deviation(candidate, w) for w in words)
-                if nearest <= tol:
-                    resolved = True
-            if not resolved:
-                best = min(map_deviation(target, affine_compose(g, w)) for w in words)
-                if best <= tol:
-                    resolved = True
-                else:
-                    failures.append(Failure("normal-relation", (hl, gl), best))
+            best = min(map_deviation(target, affine_compose(g, w)) for w in words)
+            if best > tol:
+                failures.append(Failure("normal-relation", (hl, gl), best))
     return _report(1, failures)
 
 
-def _relation_failures(node: SemigroupNode, word_budget: int, tol: float, abelian_tol: float):
-    """Height of the tree and its abelian and normal-relation failures."""
+def _relation_failures(node, word_budget, tol, abelian_tol, first):
+    """Height of the tree and its abelian and normal-relation failures.
+
+    ``first`` is the tree-wide index of the subtree's first generator, so
+    abelian witnesses carry the labels of :func:`flatten`.
+    """
     if isinstance(node, Leaf):
-        labeled = [(f"g{i}", g) for i, g in enumerate(node.generators)]
+        labeled = [(f"g{first + i}", g) for i, g in enumerate(node.generators)]
         return 1, _abelian_failures(labeled, abelian_tol)
-    left_depth, left = _relation_failures(node.normal, word_budget, tol, abelian_tol)
-    right_depth, right = _relation_failures(node.quotient, word_budget, tol, abelian_tol)
+    left_depth, left = _relation_failures(node.normal, word_budget, tol, abelian_tol, first)
+    right_depth, right = _relation_failures(
+        node.quotient, word_budget, tol, abelian_tol, first + len(flatten(node.normal))
+    )
     normal = check_normal_factor(node.normal, node.quotient, word_budget, tol).failures
     return 1 + max(left_depth, right_depth), left + right + normal
+
+
+def validate_relations(
+    node: SemigroupNode,
+    word_budget: int = DEFAULT_WORD_BUDGET,
+    tol: float = DEFAULT_RELATION_TOL,
+    abelian_tol: float = DEFAULT_ABELIAN_TOL,
+) -> ValidationReport:
+    """Check the tree's algebra alone: abelian leaves and normal relations.
+
+    Leaves must be abelian and products need the normal relation between
+    their children, checked recursively.  Abelian witnesses are labeled as
+    :func:`flatten` does; the depth field records the height of the tree
+    (1 for leaves, 1 + max child depth for products).
+    """
+    depth, failures = _relation_failures(node, word_budget, tol, abelian_tol, 0)
+    return _report(depth, failures)
 
 
 def validate_structure(
@@ -254,15 +258,14 @@ def validate_structure(
 ) -> ValidationReport:
     """Validate a structure tree against the polytope K.
 
-    Leaves must be abelian and products need the normal relation between
-    their children, checked recursively.  Invariance is checked once for
-    all generators of the tree, labeled as :func:`flatten` does.  The depth
-    field records the height of the tree (1 for leaves, 1 + max child
-    depth for products).  Purely deterministic: identical inputs give
+    The relation checks of :func:`validate_relations`, then invariance of
+    K, checked once for all generators of the tree and labeled as
+    :func:`flatten` does.  Purely deterministic: identical inputs give
     identical reports.
     """
-    depth, failures = _relation_failures(node, word_budget, tol, abelian_tol)
-    return _report(depth, failures + _invariance_failures(flatten(node), K, tol))
+    relations = validate_relations(node, word_budget, tol, abelian_tol)
+    invariance = _invariance_failures(flatten(node), K, tol)
+    return _report(relations.depth, relations.failures + invariance)
 
 
 def commuting_combination(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_paths
+from fixmk import cli, extension
 from fixmk.schema import load_problem, serialize_problem
 from helpers import run_cli
 
@@ -129,6 +130,21 @@ def test_extend_swap():
     report = json.loads(out)
     np.testing.assert_allclose(report["result"]["functional"], [0.5, 0.5], atol=1e-8)
     assert report["result"]["dual_norm"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_extend_validates_problem_once(monkeypatch, tmp_path):
+    calls = []
+    original = extension.validate_problem
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_problem", counted, raising=False)
+    monkeypatch.setattr(extension, "validate_problem", counted)
+    path = FIXTURES / "extension" / "swap_extension.json"
+    assert cli.main(["extend", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_solve_markov_anchor():

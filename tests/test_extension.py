@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fixmk import geometry
 from fixmk import (
     AffineMap,
     DegenerateBasisError,
+    ExtensionInvariantError,
     ExtensionProblem,
     Leaf,
     NonlinearOperatorError,
@@ -69,6 +71,30 @@ def test_subspace_norm_degenerate_basis():
     )
     with pytest.raises(DegenerateBasisError):
         subspace_norm(prob)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_subspace_norm_is_min_extension_norm(kind):
+    # Hahn-Banach: with no operator constraint, the least dual norm of an
+    # extension of g (HiGHS) equals the norm of g on Y
+    checked = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        if seed % 2:  # small integers: ties and degenerate vertices
+            Y = rng.integers(-2, 3, size=(k, n)).astype(float)
+            g = rng.integers(-3, 4, size=k).astype(float)
+        else:
+            Y = rng.standard_normal((k, n))
+            g = rng.standard_normal(k)
+        if np.linalg.matrix_rank(Y) < k:
+            continue
+        prob = ExtensionProblem(n, NormSpec(kind, n), Y, g, Leaf((AffineMap.identity(n),)))
+        best_norm, _ = brute_min_dual_norm(prob)
+        assert subspace_norm(prob) == pytest.approx(best_norm, rel=1e-9, abs=1e-12), seed
+        checked += 1
+    assert checked >= 50
 
 
 def test_normalize_unit_norm_unchanged():
@@ -241,6 +267,28 @@ def test_extension_rescales_back():
     result = invariant_extension(swap_problem(5.0))
     np.testing.assert_allclose(result.functional, [2.5, 2.5], atol=1e-7)
     assert result.dual_norm == pytest.approx(5.0, abs=1e-7)
+
+
+def test_extension_fits_no_constraint_set_vertex(monkeypatch):
+    # validate_problem implies the lifted tree keeps K, so the only hull fit
+    # left is the Cesaro route's membership check of its start point
+    calls = []
+    original = geometry.hull_fit
+    monkeypatch.setattr(geometry, "hull_fit", lambda K, x: calls.append(1) or original(K, x))
+    invariant_extension(s3_problem())
+    assert len(calls) == 1
+
+
+def test_extension_raises_every_violation():
+    scale_up = AffineMap.linear([[2.0, 0.0], [0.0, 2.0]])
+    prob = ExtensionProblem(2, LINF2, [[1.0, 0.0]], [1.0], Leaf((scale_up,)))
+    with pytest.raises(ExtensionInvariantError) as info:
+        invariant_extension(prob)
+    expected = validate_problem(prob)
+    assert [(v.invariant, v.label) for v in info.value.violations] == [
+        (v.invariant, v.label) for v in expected
+    ]
+    assert info.value.invariant == "operator-norm"
 
 
 # --- verify_extension ----------------------------------------------------------------

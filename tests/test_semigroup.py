@@ -107,6 +107,15 @@ def test_validate_reports_invariance_once_with_tree_labels():
     assert moved[0].residual == pytest.approx(0.5)
 
 
+def test_validate_labels_abelian_witnesses_tree_wide():
+    # tree-wide, -I is g0 and the non-commuting pair in the quotient is (g1, g2)
+    node = Product(Leaf((rot180(),)), Leaf((rot90(), reflect_x())))
+    report = validate_structure(node, square())
+    assert [(f.kind, f.witness) for f in report.failures] == [
+        ("non-commuting-pair", ("g1", "g2"))
+    ]
+
+
 def test_validate_fits_each_vertex_generator_pair_once(monkeypatch):
     calls = []
     original = geometry.hull_fit
