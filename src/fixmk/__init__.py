@@ -52,6 +52,7 @@ from .geometry import (
     diameter,
     feasible_point,
     hull_distance,
+    hull_gap,
     map_deviation,
     polytope_image,
 )

@@ -6,8 +6,9 @@ validation), ``fip`` (sampled image-intersection check), ``extend``
 :mod:`fixmk.schema`; reports are JSON with stable key order.
 
 Exit codes: 0 on success, 1 when a solver or check fails, 2 on parse or
-schema errors.  Set ``FIXMK_LOG=debug`` (or any logging level name) for
-verbose logging on stderr.
+schema errors, out-of-range options (file or flag) included.  Set
+``FIXMK_LOG=debug`` (or any logging level name) for verbose logging on
+stderr.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .schema import (
     KIND_FIXED_POINT,
     KIND_STRUCTURE_CHECK,
     MODES,
+    OPTION_NAMES,
     certificate_dict,
     dumps_canonical,
     extension_check_dict,
@@ -43,6 +45,7 @@ from .schema import (
     fip_dict,
     fixed_point_dict,
     load_problem,
+    option_value,
     validation_report_dict,
 )
 from .semigroup import validate_structure
@@ -56,16 +59,14 @@ EXIT_PARSE = 2
 
 
 def _merge_options(options, args):
-    if args.tol is not None:
-        options.tol = args.tol
-    if args.n_max is not None:
-        options.n_max = args.n_max
-    if args.word_budget is not None:
-        options.word_budget = args.word_budget
-    if args.seed is not None:
-        options.seed = args.seed
-    if getattr(args, "mode", None) is not None:
-        options.mode = args.mode
+    """Apply the flags over the file's options, range-checked like the file."""
+    for name in OPTION_NAMES:
+        value = getattr(args, name, None)
+        if value is not None:
+            flag = "--" + name.replace("_", "-")
+            setattr(options, name, option_value(name, value, flag))
+    if getattr(args, "fip", None) is not None and args.fip < 2:
+        raise SchemaError("--fip: expected an integer >= 2")
     return options
 
 

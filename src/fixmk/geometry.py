@@ -16,6 +16,9 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
 (upper, lower) per coordinate followed by its weight-sum row.
 
 * :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
+  Membership within a tolerance goes through :func:`hull_gap`, which
+  matches p against the vertex list first and needs no LP when a vertex
+  lies within the tolerance, as images under permutations do.
 * :func:`feasible_point` is p = 0, B = I: do the hulls intersect?
 * the exact solver fits an affine fixed subspace against K.
 * the extension's subspace norm writes the unit ball as a deviation
@@ -387,11 +390,28 @@ def hull_distance(K: Polytope, x) -> float:
     return hull_fit(K, x)[0]
 
 
+def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
+    """Max-abs gap from x to the hull, exact wherever it exceeds tol.
+
+    First x is matched against the vertex list: when some vertex lies
+    within tol of x (max-abs), that gap is returned and no LP is solved.
+    It bounds the hull distance from above, so x is within tol of K.
+    Otherwise the gap is :func:`hull_distance`.  Either way gap <= tol iff
+    the hull distance is, and a gap above tol is the hull distance itself.
+    Returns (gap, matched), matched True when the vertex match settled it.
+    """
+    point = as_vector(x, K.dim)
+    nearest = float(np.abs(K.vertices - point).max(axis=1).min())
+    if nearest <= tol:
+        return nearest, True
+    return hull_distance(K, point), False
+
+
 def contains(K: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """True iff convex weights over the vertices reproduce x within tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return hull_distance(K, x) <= tol
+    return hull_gap(K, x, tol)[0] <= tol
 
 
 def diameter(K: Polytope, norm: NormSpec) -> float:

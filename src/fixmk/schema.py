@@ -27,6 +27,7 @@ KIND_EXTENSION = "extension"
 KINDS = (KIND_FIXED_POINT, KIND_STRUCTURE_CHECK, KIND_FIP_CHECK, KIND_EXTENSION)
 
 MODES = ("exact", "cesaro", "cross-check")
+OPTION_NAMES = ("tol", "n_max", "word_budget", "seed", "mode")
 FAMILIES = ("cof", "coh-coq")
 
 _NORM_NAMES = {"max-abs": NormKind.MAX_ABS, "sum-abs": NormKind.SUM_ABS}
@@ -152,23 +153,39 @@ def _norm(value, path, dim) -> NormSpec:
     return NormSpec(_NORM_NAMES[value], dim)
 
 
+def _at_least(value, low, path) -> int:
+    if _integer(value, path) < low:
+        raise SchemaError(f"{path}: expected an integer >= {low}")
+    return value
+
+
+def option_value(name: str, value, path: str):
+    """Type- and range-check one option; problem files and CLI flags share it.
+
+    tol is a finite number > 0, n_max and word_budget are integers >= 1, the
+    seed is an integer >= 0 (numpy's seeding needs that) and mode one of
+    MODES.  Raises :class:`SchemaError` naming path.
+    """
+    if name == "tol":
+        tol = _number(value, path)
+        if not (np.isfinite(tol) and tol > 0):
+            raise SchemaError(f"{path}: expected a finite number > 0")
+        return tol
+    if name == "mode":
+        if value not in MODES:
+            raise SchemaError(f"{path}: expected one of {MODES}")
+        return value
+    return _at_least(value, 0 if name == "seed" else 1, path)
+
+
 def _options(value, path) -> Options:
     opts = Options()
     if value is None:
         return opts
-    _check_keys(value, path, required=(), optional=("tol", "n_max", "word_budget", "seed", "mode"))
-    if "tol" in value:
-        opts.tol = _number(value["tol"], f"{path}.tol")
-    if "n_max" in value:
-        opts.n_max = _integer(value["n_max"], f"{path}.n_max")
-    if "word_budget" in value:
-        opts.word_budget = _integer(value["word_budget"], f"{path}.word_budget")
-    if "seed" in value:
-        opts.seed = _integer(value["seed"], f"{path}.seed")
-    if "mode" in value:
-        if value["mode"] not in MODES:
-            raise SchemaError(f"{path}.mode: expected one of {MODES}")
-        opts.mode = value["mode"]
+    _check_keys(value, path, required=(), optional=OPTION_NAMES)
+    for name in OPTION_NAMES:
+        if name in value:
+            setattr(opts, name, option_value(name, value[name], f"{path}.{name}"))
     return opts
 
 
@@ -204,7 +221,7 @@ def parse_problem(data) -> ProblemFile:
             _tree(payload["semigroup"], "$.payload.semigroup"),
             _polytope(payload["polytope"], "$.payload.polytope"),
             family,
-            _integer(payload["sample_count"], "$.payload.sample_count"),
+            _at_least(payload["sample_count"], 2, "$.payload.sample_count"),
         )
     else:
         _check_keys(

@@ -37,7 +37,7 @@ from .geometry import (
     deviation_fit,
     diameter,
     feasible_point,
-    hull_distance,
+    hull_gap,
     polytope_image,
 )
 from .semigroup import (
@@ -136,7 +136,8 @@ def solve_cesaro(
     a missing fixed point.
     """
     start = as_vector(x0, node.dim)
-    if hull_distance(K, start) > max(tol, 1e-9):
+    slack = max(tol, 1e-9)
+    if hull_gap(K, start, slack)[0] > slack:
         raise ValueError("start point is not inside the polytope")
     diam = diameter(K, NormSpec(NormKind.MAX_ABS, K.dim))
     residual_history: list[tuple[int, float]] = []

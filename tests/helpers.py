@@ -23,6 +23,14 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so each call appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
 def rot90():
     return AffineMap.linear([[0.0, -1.0], [1.0, 0.0]])
 

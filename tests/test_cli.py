@@ -147,6 +147,65 @@ def test_extend_validates_problem_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+# --- option ranges --------------------------------------------------------------
+
+BAD_FLAGS = [
+    ("check", "rotation_square", ["--fip", "1"], "--fip"),
+    ("check", "rotation_square", ["--fip", "0"], "--fip"),
+    ("solve", "dihedral_square", ["--word-budget", "0"], "--word-budget"),
+    ("solve", "rotation_square", ["--n-max", "0"], "--n-max"),
+    ("check", "rotation_square", ["--tol", "-1"], "--tol"),
+    ("check", "rotation_square", ["--tol", "0"], "--tol"),
+    ("solve", "rotation_square", ["--tol", "nan"], "--tol"),
+    ("solve", "rotation_square", ["--tol", "inf"], "--tol"),
+    ("check", "rotation_square", ["--fip", "3", "--seed", "-1"], "--seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fixture, flags, named", BAD_FLAGS, ids=[" ".join(case[2]) for case in BAD_FLAGS]
+)
+def test_out_of_range_flag_exits_two(command, fixture, flags, named, capsys):
+    path = FIXTURES / "solve" / f"{fixture}.json"
+    assert cli.main([command, str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}: expected")
+
+
+BAD_OPTIONS = [
+    ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("n_max", 0), ("word_budget", 0), ("seed", -1),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_OPTIONS)
+def test_out_of_range_file_option_exits_two(name, value, tmp_path, capsys):
+    data = json.loads((FIXTURES / "solve" / "dihedral_square.json").read_text())
+    data["options"][name] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", str(path)]) == 2
+    assert f"$.options.{name}: expected" in capsys.readouterr().err
+
+
+def test_fip_sample_count_below_two_exits_two(tmp_path, capsys):
+    data = json.loads((FIXTURES / "fip" / "rotation_square_fip.json").read_text())
+    data["payload"]["sample_count"] = 1
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["fip", str(path)]) == 2
+    assert "$.payload.sample_count: expected an integer >= 2" in capsys.readouterr().err
+
+
+def test_smallest_in_range_flags_run(tmp_path):
+    path = FIXTURES / "solve" / "dihedral_square.json"
+    out = tmp_path / "out.json"
+    flags = ["--fip", "2", "--word-budget", "3", "--n-max", "1", "--seed", "0", "--tol", "1e-8"]
+    assert cli.main(["check", str(path), *flags, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["fip"]["sample_count"] == 2
+
+
 def test_solve_markov_anchor():
     code, out, _ = run_cli("solve", str(FIXTURES / "solve" / "markov_two_state.json"))
     assert code == 0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fixmk import geometry
 from fixmk import (
     AffineMap,
     DimensionMismatchError,
@@ -19,10 +20,11 @@ from fixmk import (
     diameter,
     feasible_point,
     hull_distance,
+    hull_gap,
     map_deviation,
     polytope_image,
 )
-from helpers import rot90, rot180, square, unit_square
+from helpers import count_calls, rot90, rot180, square, unit_square
 
 entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -234,6 +236,30 @@ def test_contains_rejects_outside_point():
 
 def test_hull_distance_outside():
     assert hull_distance(unit_square(), [2.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hull_gap_matches_vertices_without_lp(monkeypatch):
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    assert hull_gap(square(), [1.0, -1.0], 1e-9) == (0.0, True)
+    assert hull_gap(square(), [1.0 + 1e-10, -1.0], 1e-9) == (pytest.approx(1e-10), True)
+    assert contains(square(), [-1.0, 1.0], 1e-9)
+    assert calls == []
+
+
+def test_hull_gap_falls_back_to_hull_distance(monkeypatch):
+    K = square()
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    for x in ([0.0, 0.0], [1.0 + 1e-6, 1.0], [2.0, 0.5]):
+        expected = hull_distance(K, x)
+        calls.clear()
+        assert hull_gap(K, x, 1e-9) == (expected, False)
+        assert len(calls) == 1
+
+
+def test_contains_just_outside_runs_the_lp(monkeypatch):
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    assert not contains(square(), [1.0 + 1e-6, 1.0], 1e-9)
+    assert len(calls) == 1
 
 
 def test_feasible_point_single_polytope():

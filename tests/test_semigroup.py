@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from fixmk import (
     map_deviation,
     validate_structure,
 )
-from helpers import dihedral_node, reflect_x, rot90, rot180, square, unit_square
+from helpers import count_calls, dihedral_node, reflect_x, rot90, rot180, square, unit_square
 
 
 # --- check_abelian ---------------------------------------------------------
@@ -117,13 +119,60 @@ def test_validate_labels_abelian_witnesses_tree_wide():
 
 
 def test_validate_fits_each_vertex_generator_pair_once(monkeypatch):
-    calls = []
-    original = geometry.hull_fit
-    monkeypatch.setattr(geometry, "hull_fit", lambda K, x: calls.append(1) or original(K, x))
-    node = Product(Product(Leaf((rot180(),)), Leaf((rot90(),))), Leaf((reflect_x(),)))
+    # commuting contractions: no image of a vertex is a vertex, so every
+    # pair needs its hull fit, and none needs two
+    calls = count_calls(monkeypatch, geometry, "hull_fit")
+    node = Product(
+        Product(
+            Leaf((AffineMap.linear(0.5 * np.eye(2)),)),
+            Leaf((AffineMap.linear(-0.5 * np.eye(2)),)),
+        ),
+        Leaf((AffineMap.linear(0.5 * rot90().matrix),)),
+    )
     K = square()
     assert validate_structure(node, K).ok
     assert len(calls) == K.n_vertices * 3
+
+
+def test_validate_vertex_permuting_tree_solves_no_lp(monkeypatch):
+    # coordinate reversal on [-1,1]^8 permutes the 256 vertices
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    K = Polytope.box(-np.ones(8), np.ones(8))
+    reversal = AffineMap.linear(np.eye(8)[::-1])
+    assert validate_structure(Leaf((reversal,)), K).ok
+    assert calls == []
+
+
+def test_invariance_matches_rounded_rotation_without_fit(monkeypatch):
+    # cos/sin rot90 lands about 1e-16 off the vertices
+    calls = count_calls(monkeypatch, geometry, "hull_fit")
+    c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
+    rotation = AffineMap.linear([[c, -s], [s, c]])
+    assert np.abs(rotation.matrix - rot90().matrix).max() > 0
+    assert check_invariance([rotation], square(), 1e-9).ok
+    assert calls == []
+
+
+def test_invariance_near_miss_still_fits_and_reports_hull_distance(monkeypatch):
+    # scaling by 1 + 1e-7 leaves every image 1e-7 from its vertex, over tol
+    g = AffineMap.linear((1.0 + 1e-7) * np.eye(2))
+    K = square()
+    expected = max(geometry.hull_distance(K, g(v)) for v in K.vertices)
+    calls = count_calls(monkeypatch, geometry, "hull_fit")
+    report = check_invariance([g], K, 1e-9)
+    assert len(calls) == K.n_vertices
+    assert [(f.kind, f.residual) for f in report.failures] == [("not-invariant", expected)]
+    assert expected == pytest.approx(1e-7, rel=1e-6)
+
+
+def test_invariance_pass_logs_match_and_lp_counts(caplog):
+    node = Leaf((rot90(), AffineMap.linear(0.5 * np.eye(2))))
+    with caplog.at_level(logging.DEBUG, logger="fixmk"):
+        assert validate_structure(node, square()).ok
+    records = [r for r in caplog.records if r.name.startswith("fixmk")]
+    assert [r.getMessage() for r in records] == [
+        "invariance pass: 8 vertex-generator pairs, 4 settled by vertex match, 4 by LP"
+    ]
 
 
 def test_validate_is_deterministic():

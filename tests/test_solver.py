@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixmk import geometry
 from fixmk import (
     AffineMap,
     EmptyFixedSetError,
@@ -26,7 +27,7 @@ from fixmk import (
     solve_exact,
     validate_structure,
 )
-from helpers import dihedral_node, markov_node, reflect_x, rot90, square
+from helpers import count_calls, dihedral_node, markov_node, reflect_x, rot90, square
 from oracles import stationary_distribution
 
 
@@ -70,6 +71,16 @@ def test_cesaro_rotation_to_origin():
 def test_cesaro_requires_start_inside():
     with pytest.raises(ValueError):
         solve_cesaro(Leaf((rot90(),)), square(), [3.0, 0.0])
+
+
+def test_cesaro_start_check_at_vertex_and_just_outside(monkeypatch):
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    result = solve_cesaro(Leaf((rot90(),)), square(), [1.0, -1.0])
+    np.testing.assert_allclose(result.point, [0.0, 0.0], atol=1e-12)
+    assert calls == []  # the vertex match settles the start point
+    with pytest.raises(ValueError):
+        solve_cesaro(Leaf((rot90(),)), square(), [1.0 + 1e-6, 1.0])
+    assert len(calls) == 1
 
 
 def test_cesaro_residual_bound_history():
