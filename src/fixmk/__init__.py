@@ -22,6 +22,7 @@ from .errors import (
     InvalidWeightsError,
     NonlinearOperatorError,
     NotConvergedError,
+    NumericalError,
     SchemaError,
     StructureValidationError,
     ZeroFunctionalError,

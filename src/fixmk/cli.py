@@ -51,8 +51,6 @@ from .schema import (
 from .semigroup import validate_structure
 from .solver import fip_check, solve_cesaro, solve_exact
 
-logger = logging.getLogger("fixmk")
-
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_PARSE = 2

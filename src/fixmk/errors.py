@@ -92,3 +92,12 @@ class ExtensionInvariantError(FixmkError):
 
 class SchemaError(FixmkError, ValueError):
     """A problem file does not match the documented JSON schema."""
+
+
+class NumericalError(FixmkError, RuntimeError):
+    """The LP core failed in floating point, so no answer can be trusted.
+
+    Raised at the simplex iteration limit, on an unbounded phase 1, and
+    when a deviation or probe LP, feasible by construction, is reported
+    infeasible or unbounded.
+    """

@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidWeightsError
+from .errors import DimensionMismatchError, InvalidWeightsError, NumericalError
 from .lp import OPTIMAL, solve_lp
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
@@ -283,11 +283,18 @@ def affine_power(m: AffineMap, n: int) -> AffineMap:
 
 
 def polytope_image(m: AffineMap, K: Polytope) -> Polytope:
-    """Hull of the mapped vertices; affine maps carry hulls to hulls."""
+    """Hull of the mapped vertices; affine maps carry hulls to hulls.
+
+    The images are sorted lexicographically and repeats dropped, the rows
+    np.unique(axis=0) gives, without its first-call import of numpy.ma
+    (about 20 ms and 1.2 MB in a fresh process).
+    """
     if m.dim != K.dim:
         raise DimensionMismatchError(f"map dim {m.dim} vs polytope dim {K.dim}")
     mapped = K.vertices @ m.matrix.T + m.offset
-    return Polytope(np.unique(mapped, axis=0))
+    mapped = mapped[np.lexsort(mapped.T[::-1])]
+    distinct = np.append(True, np.any(mapped[1:] != mapped[:-1], axis=1))
+    return Polytope(mapped[distinct])
 
 
 def _deviation_lp(vertex_sets, point, basis):
@@ -335,7 +342,7 @@ def deviation_fit(vertex_sets, point, basis):
     c[t] = 1.0
     res = solve_lp(c, A, b)
     if res.status != OPTIMAL:  # the system is always feasible for large t
-        raise RuntimeError(f"deviation LP unexpectedly {res.status}")
+        raise NumericalError(f"deviation LP unexpectedly {res.status}")
     return max(res.value, 0.0), point + basis @ (res.x[sp:sn] - res.x[sn:t]), res.x[:sp]
 
 
@@ -358,7 +365,7 @@ def _capped_probes(vertex_sets, point, basis, cap, directions):
         c[sn:t] = -direction
         res = solve_lp(c, A_probe, b_probe)
         if res.status != OPTIMAL:
-            raise RuntimeError(f"probe LP unexpectedly {res.status}")
+            raise NumericalError(f"probe LP unexpectedly {res.status}")
         solutions.append(res.x[sp:sn] - res.x[sn:t])
     return solutions
 
@@ -432,7 +439,9 @@ def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL, canonic
     hulls intersect iff the optimal deviation is <= tol.  By default the
     witness is the canonical fit with the deviation capped at tol.
     ``canonical=False`` returns the raw basic solution of the first
-    program, which is still deterministic but cheaper.
+    program, which is still deterministic but cheaper; which vertex of the
+    intersection it is depends on the simplex's pivot rules, so it may
+    move when those change.
     """
     sets = list(constraint_sets)
     if not sets:

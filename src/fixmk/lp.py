@@ -1,11 +1,25 @@
 """Dense two-phase simplex for small linear programs.
 
 Solves  minimize c @ x  subject to  A @ x = b,  x >= 0  on dense arrays.
-Pivot selection uses Bland's rule (lowest eligible index enters, ties on
-the ratio test break toward the lowest basis index), which is anti-cycling
-and makes every solve deterministic.  Artificial variables never re-enter
-the basis.  Intended for desk-scale problems (hundreds of columns), where
-a self-contained deterministic core beats calling out to a big solver.
+
+* Crash basis: a column that is a positive unit vector in row i (after
+  scaling row i, or negating it when b_i = 0) starts basic in that row,
+  so slack-like columns need no artificial variable.  Only the rows left
+  without one get an artificial, and phase 1 minimizes the sum of those.
+* Pricing: Dantzig's rule, the most negative reduced cost enters (lowest
+  index on ties).  After ``_BLAND_AFTER`` degenerate pivots in a row
+  (step <= tol) the entering rule falls back to Bland's (lowest eligible
+  index) until a pivot makes progress.  The objective falls at every
+  nondegenerate pivot and Bland's rule cannot cycle through degenerate
+  ones, so every solve terminates.  Ties in the ratio test break toward
+  the lowest basis index.
+* Artificial variables never re-enter the basis.
+
+No step draws on randomness or on the order of a hash, so every solve is
+deterministic.  Intended for desk-scale problems (hundreds of columns),
+where a self-contained deterministic core beats calling out to a big
+solver.  Numerical trouble (the iteration limit, an unbounded phase 1)
+raises :class:`fixmk.errors.NumericalError`.
 """
 from __future__ import annotations
 
@@ -13,11 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_ITER = 50_000
+_BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
 
 
 @dataclass
@@ -40,11 +57,16 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> str:
     """Run simplex pivots until optimal or unbounded."""
     m = T.shape[0] - 1
+    stalled = 0  # degenerate pivots in a row
     for _ in range(_MAX_ITER):
-        negative = np.where(T[m, :n_enterable] < -tol)[0]
+        costs = T[m, :n_enterable]
+        negative = np.flatnonzero(costs < -tol)
         if negative.size == 0:
             return OPTIMAL
-        col = int(negative[0])  # Bland: smallest index enters
+        if stalled < _BLAND_AFTER:  # Dantzig: most negative, lowest index on ties
+            col = int(negative[np.argmin(costs[negative])])
+        else:  # Bland: smallest index enters
+            col = int(negative[0])
         positive = np.where(T[:m, col] > tol)[0]
         if positive.size == 0:
             if T[m, col] < -1e3 * tol:
@@ -56,9 +78,10 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> 
         ratios = T[positive, -1] / T[positive, col]
         best = ratios.min()
         ties = positive[ratios <= best + 1e-9 * (1.0 + abs(best))]
-        row = int(ties[np.argmin(basis[ties])])  # Bland: smallest basis index leaves
+        row = int(ties[np.argmin(basis[ties])])  # smallest basis index leaves
+        stalled = stalled + 1 if best <= tol else 0
         _pivot(T, basis, row, col)
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise NumericalError("simplex iteration limit exceeded")
 
 
 def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
@@ -81,18 +104,35 @@ def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    # phase 1: minimize the sum of one artificial variable per row
-    T = np.zeros((m + 1, n + m + 1))
+    # crash basis: a column whose one nonzero is positive, or lies in a row
+    # with b = 0 (which may be negated), starts basic in that row once the
+    # row is scaled to make it 1; the first such column per row wins
+    nonzero = A != 0.0
+    unit = nonzero & (nonzero.sum(axis=0) == 1) & ((A > 0.0) | (b == 0.0)[:, None])
+    rows, cols = np.nonzero(unit)  # row-major: each row's first column leads
+    first = np.diff(rows, prepend=-1) > 0
+    rows, cols = rows[first], cols[first]
+    scale = A[rows, cols]
+    A[rows] /= scale[:, None]
+    b[rows] /= scale
+    basis = np.full(m, -1)
+    basis[rows] = cols
+
+    # phase 1: minimize the sum of one artificial variable per row left
+    # without a basic column
+    bare = np.flatnonzero(basis < 0)
+    artificial = n + np.arange(bare.size)
+    T = np.zeros((m + 1, n + bare.size + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    T[bare, artificial] = 1.0
     T[:m, -1] = b
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-    basis = np.arange(n, n + m)
+    T[m, :n] = -A[bare].sum(axis=0)
+    T[m, -1] = -b[bare].sum()
+    basis[bare] = artificial
 
     status = _iterate(T, basis, n, tol)
     if status == UNBOUNDED:  # sum of artificials is bounded below by 0
-        raise RuntimeError("phase-1 objective reported unbounded")
+        raise NumericalError("phase-1 objective reported unbounded")
     if -T[m, -1] > tol:
         return LPResult(INFEASIBLE)
 

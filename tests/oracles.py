@@ -62,3 +62,23 @@ def brute_min_dual_norm(problem):
     if not res.success:
         raise RuntimeError(f"brute extension LP failed: {res.message}")
     return res.fun, res.x[:n]
+
+
+def hull_distance(V, x):
+    """Max-abs distance from x to the hull of the rows of V, by HiGHS.
+
+    Variables (lam, t): minimize t  s.t.  -t <= V^T lam - x <= t,
+    sum(lam) = 1, lam >= 0.
+    """
+    V = np.asarray(V, dtype=float)
+    k, d = V.shape
+    c = np.append(np.zeros(k), 1.0)
+    ones = np.ones((d, 1))
+    A_ub = np.block([[V.T, -ones], [-V.T, -ones]])
+    b_ub = np.concatenate([x, -np.asarray(x, dtype=float)])
+    A_eq = np.append(np.ones(k), 0.0)[None, :]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (k + 1), method="highs")
+    if not res.success:
+        raise RuntimeError(f"hull distance LP failed: {res.message}")
+    return res.fun

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_paths
-from fixmk import cli, extension
+from fixmk import cli, extension, lp
 from fixmk.schema import load_problem, serialize_problem
 from helpers import run_cli
 
@@ -253,3 +253,22 @@ def test_reports_are_deterministic_minus_timing():
     assert r1 == r2
     # stable key order straight off the wire
     assert out1.index('"result"') < out1.index('"status"') < out1.index('"timing_ms"')
+
+
+def test_numerical_failure_exits_one_with_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(lp, "_MAX_ITER", 1)
+    path = FIXTURES / "fip" / "dihedral_square_fip.json"
+    assert cli.main(["fip", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: simplex iteration limit exceeded")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_fip_run_imports_no_masked_arrays(monkeypatch):
+    # np.unique(axis=0) imported numpy.ma on its first call: ~20 ms and 1.2 MB a run
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    code, _, err = run_cli("fip", str(FIXTURES / "fip" / "dihedral_square_fip.json"))
+    imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+    assert code == 0 and "numpy" in imported
+    assert "numpy.ma" not in imported

@@ -11,6 +11,7 @@ from fixmk import (
     InvalidWeightsError,
     NormKind,
     NormSpec,
+    NumericalError,
     Polytope,
     affine_apply,
     affine_compose,
@@ -24,6 +25,7 @@ from fixmk import (
     map_deviation,
     polytope_image,
 )
+from fixmk.lp import INFEASIBLE, LPResult
 from helpers import count_calls, rot90, rot180, square, unit_square
 
 entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -210,6 +212,16 @@ def test_image_rotation_of_square_is_square():
     )
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_image_rows_match_numpy_unique(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    V = rng.integers(-2, 3, size=(int(rng.integers(1, 10)), d)) * 0.5
+    m = AffineMap(rng.integers(-1, 2, size=(d, d)) * 1.0, rng.integers(-1, 2, size=d) * 0.25)
+    expected = np.unique(V @ m.matrix.T + m.offset, axis=0)  # maps may repeat images
+    np.testing.assert_array_equal(polytope_image(m, Polytope(V)).vertices, expected)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(maps(count=1), st.integers(min_value=0, max_value=10**6))
 def test_image_contains_mapped_points(single, wseed):
@@ -283,6 +295,17 @@ def test_feasible_point_disjoint_segments():
 def test_feasible_point_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         feasible_point([square(), Polytope(np.array([[0.0]]))], 1e-9)
+
+
+def test_impossible_lp_status_is_a_numerical_error(monkeypatch):
+    # the deviation LP is feasible for a large enough t, and the probes run
+    # only at a cap that was met, so "infeasible" is the LP core failing
+    monkeypatch.setattr(geometry, "solve_lp", lambda *a: LPResult(INFEASIBLE))
+    vertex_sets, origin, basis = [square().vertices], np.zeros(2), np.eye(2)
+    with pytest.raises(NumericalError, match="deviation LP unexpectedly infeasible"):
+        geometry.deviation_fit(vertex_sets, origin, basis)
+    with pytest.raises(NumericalError, match="probe LP unexpectedly infeasible"):
+        geometry.canonical_fit(vertex_sets, origin, basis, 1e-9)
 
 
 # --- diameter / norms -----------------------------------------------------

@@ -3,11 +3,13 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import fixture_paths
+from fixmk import AffineMap, Leaf, NumericalError, Polytope, lp
 from fixmk.geometry import _deviation_lp, polytope_image
 from fixmk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
 from fixmk.solver import _sample_family, common_fixed_subspace
+from helpers import count_calls
 
 
 def test_simple_optimum():
@@ -65,9 +67,18 @@ def test_degenerate_does_not_cycle():
         ]
     )
     b = np.array([0.0, 0.0, 1.0])
-    res = solve_lp(c, A, b)  # Beale's cycling example; Bland terminates
+    res = solve_lp(c, A, b)  # Beale's cycling example; the Bland fallback terminates
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-0.05)
+
+
+def test_iteration_limit_raises_numerical_error(monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_ITER", 1)
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+    with pytest.raises(NumericalError, match="iteration limit") as info:
+        solve_lp(c, A, np.array([4.0, 6.0]))
+    assert isinstance(info.value, RuntimeError)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -123,9 +134,25 @@ def _fip_programs():
             yield _deviation_lp(images, np.zeros(p.polytope.dim), np.eye(p.polytope.dim))
 
 
+def _cyclic_fip_programs(dims=range(4, 13), seeds=range(10)):
+    """fip_check's LP for the cyclic shift C_d on the standard simplex.
+
+    Five sampled cof images, word budget 2, as one J-set LP; at d >= 6
+    Bland's rule from an all-artificial basis pivoted thousands of times
+    here and ended on wrong answers.
+    """
+    for d in dims:
+        node = Leaf((AffineMap.linear(np.roll(np.eye(d), 1, axis=0)),))
+        K = Polytope.standard_simplex(d)
+        for seed in seeds:
+            maps = _sample_family(node, "cof", 5, np.random.default_rng(seed), 2)
+            images = [polytope_image(m, K).vertices for m in maps]
+            yield _deviation_lp(images, np.zeros(d), np.eye(d))
+
+
 @pytest.mark.parametrize(
-    "programs", [_hull_fit_programs, _subspace_fit_programs, _fip_programs],
-    ids=["hull-fit", "subspace-fit", "fip-images"],
+    "programs", [_hull_fit_programs, _subspace_fit_programs, _fip_programs, _cyclic_fip_programs],
+    ids=["hull-fit", "subspace-fit", "fip-images", "cyclic-fip"],
 )
 def test_deviation_lp_matches_highs_on_corpus_shapes(programs):
     count = 0
@@ -139,3 +166,13 @@ def test_deviation_lp_matches_highs_on_corpus_shapes(programs):
         np.testing.assert_allclose(A @ ours.x, b, atol=1e-9)
         count += 1
     assert count > 0
+
+
+def test_cyclic_fip_programs_stay_within_pivot_budget(monkeypatch):
+    pivots = count_calls(monkeypatch, lp, "_pivot")
+    programs = list(_cyclic_fip_programs(dims=(8,)))
+    for A, b, (_, _, t) in programs:
+        c = np.zeros(A.shape[1])
+        c[t] = 1.0
+        assert solve_lp(c, A, b).status == OPTIMAL
+    assert len(pivots) / len(programs) <= 300

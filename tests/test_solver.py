@@ -27,7 +27,9 @@ from fixmk import (
     solve_exact,
     validate_structure,
 )
+from fixmk.solver import DEFAULT_TOL, _sample_family
 from helpers import count_calls, dihedral_node, markov_node, reflect_x, rot90, square
+from oracles import hull_distance
 from oracles import stationary_distribution
 
 
@@ -220,6 +222,20 @@ def test_fip_adversarial_non_semigroup_is_infeasible():
     pull_b = AffineMap(np.zeros((2, 2)), np.array([10.0, 10.0]))
     report = fip_check(Leaf((pull_a, pull_b)), square(), 4, "cof", seed=0, word_budget=2)
     assert not report.feasible and report.witness is None
+
+
+@pytest.mark.parametrize("seed", [0, 9, 25])
+def test_fip_cyclic_shift_d6_has_a_witness_in_every_image(seed):
+    # the theorem promises a common point; with Bland's rule from an
+    # all-artificial basis these seeds came back infeasible (0, 9) or hit
+    # the iteration limit (25)
+    d = 6
+    node = Leaf((AffineMap.linear(np.roll(np.eye(d), 1, axis=0)),))
+    K = Polytope.standard_simplex(d)
+    report = fip_check(node, K, 5, "cof", seed=seed, word_budget=2)
+    assert report.feasible
+    for m in _sample_family(node, "cof", 5, np.random.default_rng(seed), 2):
+        assert hull_distance(polytope_image(m, K).vertices, report.witness) <= DEFAULT_TOL
 
 
 def test_fip_deterministic_per_seed():
