@@ -3,7 +3,7 @@
 Subcommands: ``solve`` (common fixed point), ``check`` (structure
 validation), ``fip`` (sampled image-intersection check), ``extend``
 (invariant functional extension).  Problem files are JSON per
-:mod:`fixmk.schema`; reports are JSON with stable key order.
+:mod:`fixmk.schema`; a report is the result dataclasses as canonical JSON.
 
 Exit codes: 0 on success, 1 when a solver or check fails, 2 on parse or
 schema errors, out-of-range options (file or flag) included.  Set
@@ -13,10 +13,12 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,15 +40,9 @@ from .schema import (
     KIND_STRUCTURE_CHECK,
     MODES,
     OPTION_NAMES,
-    certificate_dict,
     dumps_canonical,
-    extension_check_dict,
-    extension_result_dict,
-    fip_dict,
-    fixed_point_dict,
     load_problem,
     option_value,
-    validation_report_dict,
 )
 from .semigroup import validate_structure
 from .solver import fip_check, solve_cesaro, solve_exact
@@ -79,7 +75,7 @@ def run_solve(pf, options) -> tuple[str, dict]:
     payload = pf.payload
     report = validate_structure(payload.node, payload.polytope, options.word_budget, options.tol)
     if not report.ok:
-        return "failed", {"validation": validation_report_dict(report)}
+        return "failed", {"validation": asdict(report)}
     start = payload.start if payload.start is not None else payload.polytope.centroid()
     result: dict = {"validation": {"ok": True, "depth": report.depth}}
     try:
@@ -94,9 +90,9 @@ def run_solve(pf, options) -> tuple[str, dict]:
             cesaro = solve_cesaro(
                 payload.node, payload.polytope, start, options.tol, options.n_max
             )
-            result.update(fixed_point_dict(exact))
+            result.update(asdict(exact))
             result["method"] = "cross-check"
-            result["certificate"] = certificate_dict(cesaro.certificate)
+            result["certificate"] = asdict(cesaro.certificate)
             result["disagreement"] = float(np.max(np.abs(exact.point - cesaro.point)))
             return "ok", result
     except EmptyFixedSetError as exc:
@@ -104,18 +100,18 @@ def run_solve(pf, options) -> tuple[str, dict]:
         return "infeasible", result
     except NotConvergedError as exc:
         result["error"] = {"kind": "not-converged", "detail": str(exc)}
-        result["best_point"] = [float(x) for x in exc.point]
-        result["best_residuals"] = {k: float(v) for k, v in exc.residuals.items()}
-        result["certificate"] = certificate_dict(exc.certificate)
+        result["best_point"] = exc.point
+        result["best_residuals"] = exc.residuals
+        result["certificate"] = asdict(exc.certificate)
         return "not-converged", result
-    result.update(fixed_point_dict(solved))
+    result.update(asdict(solved))
     return "ok", result
 
 
 def run_check(pf, options, fip_samples=None) -> tuple[str, dict]:
     payload = pf.payload
     report = validate_structure(payload.node, payload.polytope, options.word_budget, options.tol)
-    result = {"validation": validation_report_dict(report)}
+    result = {"validation": asdict(report)}
     if not report.ok:
         return "failed", result
     if fip_samples:
@@ -124,7 +120,7 @@ def run_check(pf, options, fip_samples=None) -> tuple[str, dict]:
             family="cof", seed=options.seed,
             word_budget=options.word_budget, tol=options.tol,
         )
-        result["fip"] = fip_dict(fip)
+        result["fip"] = asdict(fip)
         if not fip.feasible:
             return "infeasible", result
     return "ok", result
@@ -133,7 +129,7 @@ def run_check(pf, options, fip_samples=None) -> tuple[str, dict]:
 def run_fip(pf, options) -> tuple[str, dict]:
     payload = pf.payload
     report = validate_structure(payload.node, payload.polytope, options.word_budget, options.tol)
-    result = {"validation": validation_report_dict(report)}
+    result = {"validation": asdict(report)}
     if not report.ok:
         return "failed", result
     fip = fip_check(
@@ -141,7 +137,7 @@ def run_fip(pf, options) -> tuple[str, dict]:
         family=payload.family, seed=options.seed,
         word_budget=options.word_budget, tol=options.tol,
     )
-    result["fip"] = fip_dict(fip)
+    result["fip"] = asdict(fip)
     return ("ok", result) if fip.feasible else ("infeasible", result)
 
 
@@ -163,8 +159,8 @@ def run_extend(pf, options) -> tuple[str, dict]:
     except NotConvergedError as exc:
         return "not-converged", {"error": {"kind": "not-converged", "detail": str(exc)}}
     check = verify_extension(result, problem, options.tol)
-    payload = extension_result_dict(result)
-    payload["verification"] = extension_check_dict(check)
+    payload = asdict(result)
+    payload["verification"] = asdict(check)
     payload["subspace_norm"] = check.subspace_norm
     return ("ok" if check.ok else "failed"), payload
 
@@ -186,7 +182,10 @@ def _render_text(report: dict) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    text = dumps_canonical(report) if args.format == "json" else _render_text(report)
+    text = dumps_canonical(report)
+    if args.format == "text":
+        # rendered from the JSON form, so arrays and tuples print as lists
+        text = _render_text(json.loads(text))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -167,14 +167,6 @@ def normalize_problem(problem: ExtensionProblem) -> tuple[ExtensionProblem, floa
     return scaled, scale
 
 
-def _ball_facets(kind: NormKind, dim: int) -> np.ndarray:
-    """Outward facet normals a with facets {x : a.x <= 1} of the unit ball."""
-    if kind is NormKind.MAX_ABS:
-        eye = np.eye(dim)
-        return np.vstack([eye, -eye])
-    return np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
-
-
 def build_constraint_set(problem: ExtensionProblem, tol: float = INVARIANT_TOL) -> Polytope:
     """Vertices of {L in dual ball : L(y_i) = g(y_i)} for a normalized problem.
 
@@ -189,16 +181,18 @@ def build_constraint_set(problem: ExtensionProblem, tol: float = INVARIANT_TOL) 
     C = problem.subspace_basis
     d = problem.functional_on_subspace
     rank = np.linalg.matrix_rank(C) if C.shape[0] else 0
-    facets = _ball_facets(dual.kind, n)
+    # polar duality: the dual ball's facets {L : a.L <= 1} are the ball's vertices a
+    facets = problem.norm.unit_ball().vertices
     need = n - rank
 
     candidates = []
     for combo in itertools.combinations(range(len(facets)), need):
         M = np.vstack([C, facets[list(combo)]]) if C.shape[0] else facets[list(combo)]
         rhs = np.concatenate([d, np.ones(need)])
-        if np.linalg.matrix_rank(M) < n:
+        # lstsq's rank uses matrix_rank's cutoff, so one SVD decides both
+        sol, _, rank_M, _ = np.linalg.lstsq(M, rhs, rcond=None)
+        if rank_M < n:
             continue
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
         if np.max(np.abs(M @ sol - rhs)) > tol:
             continue
         if dual.value(sol) > 1.0 + tol:

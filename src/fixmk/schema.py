@@ -6,19 +6,26 @@ arrays of rows, semigroup trees are nested ``{"leaf": [...]}`` /
 are rejected so typos fail loudly.  Serialization is canonical (sorted
 keys, two-space indent, trailing newline): parsing a canonical file and
 serializing it back is byte-identical, which keeps fixtures diffable.
+
+There is one encoding rule.  A report is the library's result dataclass
+through :func:`dataclasses.asdict`, so its keys are the field names, and
+:func:`dumps_canonical` writes numpy arrays as nested lists and numpy
+scalars as plain numbers.  Problem files follow the same rule for
+``Options``, ``Polytope`` and ``AffineMap``; only the tree encoding and the
+payload key names are written by hand.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import SchemaError
-from .extension import ExtensionCheck, ExtensionProblem, ExtensionResult
+from .extension import ExtensionProblem
 from .geometry import AffineMap, NormKind, NormSpec, Polytope
-from .semigroup import Leaf, Product, SemigroupNode, ValidationReport
-from .solver import ConvergenceCertificate, FipReport, FixedPointResult
+from .semigroup import DEFAULT_WORD_BUDGET, Leaf, Product, SemigroupNode
+from .solver import DEFAULT_N_MAX, DEFAULT_TOL
 
 KIND_FIXED_POINT = "fixed-point"
 KIND_STRUCTURE_CHECK = "structure-check"
@@ -35,9 +42,9 @@ _NORM_NAMES = {"max-abs": NormKind.MAX_ABS, "sum-abs": NormKind.SUM_ABS}
 
 @dataclass
 class Options:
-    tol: float = 1e-8
-    n_max: int = 1048576
-    word_budget: int = 6
+    tol: float = DEFAULT_TOL
+    n_max: int = DEFAULT_N_MAX
+    word_budget: int = DEFAULT_WORD_BUDGET
     seed: int = 0
     mode: str = "cross-check"
 
@@ -259,127 +266,44 @@ def load_problem(path) -> ProblemFile:
 # serialization
 
 
-def _vec_out(v) -> list:
-    return [float(x) for x in np.asarray(v)]
-
-
-def _mat_out(m) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m)]
-
-
-def _map_out(m: AffineMap) -> dict:
-    return {"matrix": _mat_out(m.matrix), "offset": _vec_out(m.offset)}
-
-
 def _tree_out(node: SemigroupNode) -> dict:
     if isinstance(node, Leaf):
-        return {"leaf": [_map_out(g) for g in node.generators]}
+        return {"leaf": [asdict(g) for g in node.generators]}
     return {"product": {"normal": _tree_out(node.normal), "quotient": _tree_out(node.quotient)}}
 
 
-def _norm_out(norm: NormSpec) -> str:
-    return norm.kind.value
-
-
 def problem_to_dict(pf: ProblemFile) -> dict:
-    opts = {
-        "tol": pf.options.tol,
-        "n_max": pf.options.n_max,
-        "word_budget": pf.options.word_budget,
-        "seed": pf.options.seed,
-        "mode": pf.options.mode,
-    }
     p = pf.payload
-    if isinstance(p, SolvePayload):
-        payload = {"semigroup": _tree_out(p.node), "polytope": {"vertices": _mat_out(p.polytope.vertices)}}
-        if p.start is not None:
-            payload["start"] = _vec_out(p.start)
-    elif isinstance(p, CheckPayload):
-        payload = {"semigroup": _tree_out(p.node), "polytope": {"vertices": _mat_out(p.polytope.vertices)}}
-    elif isinstance(p, FipPayload):
-        payload = {
-            "semigroup": _tree_out(p.node),
-            "polytope": {"vertices": _mat_out(p.polytope.vertices)},
-            "family": p.family,
-            "sample_count": p.sample_count,
-        }
-    else:
+    if isinstance(p, ExtensionPayload):
         prob = p.problem
         payload = {
             "dim": prob.dim,
-            "norm": _norm_out(prob.norm),
-            "subspace_basis": _mat_out(prob.subspace_basis),
-            "functional_on_subspace": _vec_out(prob.functional_on_subspace),
+            "norm": prob.norm.kind.value,
+            "subspace_basis": prob.subspace_basis,
+            "functional_on_subspace": prob.functional_on_subspace,
             "operators": _tree_out(prob.operators),
         }
-    return {"kind": pf.kind, "payload": payload, "options": opts}
+    else:
+        payload = {"semigroup": _tree_out(p.node), "polytope": asdict(p.polytope)}
+        if isinstance(p, FipPayload):
+            payload.update(family=p.family, sample_count=p.sample_count)
+        elif isinstance(p, SolvePayload) and p.start is not None:
+            payload["start"] = p.start
+    return {"kind": pf.kind, "payload": payload, "options": asdict(pf.options)}
+
+
+def _plain(obj):
+    """JSON form of the numpy values that dataclass fields hold."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_canonical(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def serialize_problem(pf: ProblemFile) -> str:
     return dumps_canonical(problem_to_dict(pf))
-
-
-# ---------------------------------------------------------------------------
-# report payloads
-
-
-def validation_report_dict(report: ValidationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "depth": report.depth,
-        "failures": [
-            {"kind": f.kind, "witness": list(f.witness), "residual": f.residual}
-            for f in report.failures
-        ],
-    }
-
-
-def certificate_dict(cert: ConvergenceCertificate) -> dict:
-    return {
-        "n_final": cert.n_final,
-        "residual_history": [[n, r] for n, r in cert.residual_history],
-        "bound_history": [[n, b] for n, b in cert.bound_history],
-    }
-
-
-def fixed_point_dict(result: FixedPointResult) -> dict:
-    return {
-        "point": _vec_out(result.point),
-        "residuals": {k: float(v) for k, v in result.residuals.items()},
-        "method": result.method,
-        "certificate": certificate_dict(result.certificate) if result.certificate else None,
-    }
-
-
-def fip_dict(report: FipReport) -> dict:
-    return {
-        "feasible": report.feasible,
-        "witness": _vec_out(report.witness) if report.witness is not None else None,
-        "family": report.family,
-        "sample_count": report.sample_count,
-        "seed": report.seed,
-    }
-
-
-def extension_result_dict(result: ExtensionResult) -> dict:
-    return {
-        "functional": _vec_out(result.functional),
-        "dual_norm": result.dual_norm,
-        "invariance_residuals": {k: float(v) for k, v in result.invariance_residuals.items()},
-        "restriction_residual": result.restriction_residual,
-    }
-
-
-def extension_check_dict(check: ExtensionCheck) -> dict:
-    return {
-        "ok": check.ok,
-        "restriction_residual": check.restriction_residual,
-        "dual_norm": check.dual_norm,
-        "subspace_norm": check.subspace_norm,
-        "invariance_residuals": {k: float(v) for k, v in check.invariance_residuals.items()},
-        "failures": list(check.failures),
-    }

@@ -84,8 +84,8 @@ class Product:
 SemigroupNode = Union[Leaf, Product]
 
 
-def flatten(node: SemigroupNode) -> list[tuple[str, AffineMap]]:
-    """All generators of the tree, normal-first, labeled g0..gN."""
+def flatten(node: SemigroupNode, first: int = 0) -> list[tuple[str, AffineMap]]:
+    """All generators of the tree, normal-first, labeled g<first>, g<first+1>, ..."""
     maps: list[AffineMap] = []
 
     def walk(n):
@@ -96,7 +96,7 @@ def flatten(node: SemigroupNode) -> list[tuple[str, AffineMap]]:
             walk(n.quotient)
 
     walk(node)
-    return [(f"g{i}", m) for i, m in enumerate(maps)]
+    return [(f"g{first + i}", m) for i, m in enumerate(maps)]
 
 
 @dataclass
@@ -211,18 +211,23 @@ def check_normal_factor(
     quotient: SemigroupNode,
     word_budget: int = DEFAULT_WORD_BUDGET,
     tol: float = DEFAULT_RELATION_TOL,
+    first: int = 0,
 ) -> ValidationReport:
     """Resolve h.g = g.h' with h' a word in the normal generators.
 
     For each generator pair the enumerated words are scanned for the word
     w nearest to the relation h.g = g.w; its deviation is the residual a
-    failure reports.
+    failure reports.  Witnesses are labeled as :func:`flatten` labels
+    ``Product(normal, quotient)``, prefixed ``normal:`` or ``quotient:``:
+    the normal generators are g<first>, ..., and the quotient's follow
+    them.  ``first`` is the index of the normal factor's first generator in
+    an enclosing tree (0 for a tree of its own).
     """
     if word_budget < 1:
         raise ValueError("word_budget must be >= 1")
     words = enumerate_elements(normal, word_budget)
-    h_gens = [(f"normal:{l}", m) for l, m in flatten(normal)]
-    g_gens = [(f"quotient:{l}", m) for l, m in flatten(quotient)]
+    h_gens = [(f"normal:{l}", m) for l, m in flatten(normal, first)]
+    g_gens = [(f"quotient:{l}", m) for l, m in flatten(quotient, first + len(h_gens))]
     failures = []
     for hl, h in h_gens:
         for gl, g in g_gens:
@@ -237,16 +242,15 @@ def _relation_failures(node, word_budget, tol, abelian_tol, first):
     """Height of the tree and its abelian and normal-relation failures.
 
     ``first`` is the tree-wide index of the subtree's first generator, so
-    abelian witnesses carry the labels of :func:`flatten`.
+    abelian and normal-relation witnesses carry the labels of :func:`flatten`.
     """
     if isinstance(node, Leaf):
-        labeled = [(f"g{first + i}", g) for i, g in enumerate(node.generators)]
-        return 1, _abelian_failures(labeled, abelian_tol)
+        return 1, _abelian_failures(flatten(node, first), abelian_tol)
     left_depth, left = _relation_failures(node.normal, word_budget, tol, abelian_tol, first)
     right_depth, right = _relation_failures(
         node.quotient, word_budget, tol, abelian_tol, first + len(flatten(node.normal))
     )
-    normal = check_normal_factor(node.normal, node.quotient, word_budget, tol).failures
+    normal = check_normal_factor(node.normal, node.quotient, word_budget, tol, first).failures
     return 1 + max(left_depth, right_depth), left + right + normal
 
 
@@ -259,8 +263,8 @@ def validate_relations(
     """Check the tree's algebra alone: abelian leaves and normal relations.
 
     Leaves must be abelian and products need the normal relation between
-    their children, checked recursively.  Abelian witnesses are labeled as
-    :func:`flatten` does; the depth field records the height of the tree
+    their children, checked recursively.  Abelian and normal-relation
+    witnesses are labeled as :func:`flatten` does; the depth field records the height of the tree
     (1 for leaves, 1 + max child depth for products).
     """
     depth, failures = _relation_failures(node, word_budget, tol, abelian_tol, 0)

@@ -18,6 +18,7 @@ from fixmk import (
     convex_combination,
     enumerate_elements,
     map_deviation,
+    validate_relations,
     validate_structure,
 )
 from helpers import count_calls, dihedral_node, reflect_x, rot90, rot180, square, unit_square
@@ -116,6 +117,24 @@ def test_validate_labels_abelian_witnesses_tree_wide():
     assert [(f.kind, f.witness) for f in report.failures] == [
         ("non-commuting-pair", ("g1", "g2"))
     ]
+
+
+def test_validate_labels_normal_relation_witnesses_tree_wide():
+    # tree-wide, 0.5*I is g1 and the shear, which rot90 fails to normalize, is g2
+    shear = AffineMap.linear([[1.0, 1.0], [0.0, 1.0]])
+    half = AffineMap.linear(0.5 * np.eye(2))
+    node = Product(Leaf((rot90(),)), Product(Leaf((half,)), Leaf((shear,))))
+    report = validate_relations(node)
+    assert [(f.kind, f.witness) for f in report.failures] == [
+        ("normal-relation", ("normal:g0", "quotient:g2"))
+    ]
+
+
+def test_normal_factor_labels_follow_the_product():
+    # on its own, check_normal_factor labels Product(normal, quotient) as flatten does
+    shear = AffineMap.linear([[1.0, 1.0], [0.0, 1.0]])
+    report = check_normal_factor(Leaf((rot180(), rot90())), Leaf((shear,)), word_budget=3)
+    assert [f.witness for f in report.failures] == [("normal:g1", "quotient:g2")]
 
 
 def test_validate_fits_each_vertex_generator_pair_once(monkeypatch):

@@ -19,3 +19,16 @@ def test_gen_fixtures_reproduces_the_committed_corpus(tmp_path, monkeypatch):
     assert sorted(written) == sorted(committed)
     for rel, data in committed.items():
         assert written[rel] == data, f"{rel} differs from its generator's output"
+
+
+def test_report_snapshot_masks_timing_and_fixture_root():
+    script = FIXTURES.parent / "tools" / "report_snapshot.py"
+    spec = importlib.util.spec_from_file_location("report_snapshot", script)
+    snap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snap)
+    stdout = '{\n  "status": "ok",\n  "timing_ms": 12.5e-1,\n}\nstatus: ok  (3.25 ms, v0.1.0)\n'
+    stderr = f"error: {FIXTURES / 'negative' / 'malformed.json'}: invalid JSON\n"
+    assert snap.mask(stdout, stderr) == (
+        '{\n  "status": "ok",\n  "timing_ms": <masked>,\n}\nstatus: ok  (<masked> ms, v0.1.0)\n',
+        "error: <fixtures>/negative/malformed.json: invalid JSON\n",
+    )
