@@ -27,7 +27,8 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
 
 :func:`canonical_fit` turns a feasible instance into a reproducible,
 interior-leaning point by probing the deviation LP's extremes; each
-probe is one objective over the capped program of :func:`_capped_probes`.
+probe is one objective over the capped program of :func:`_capped_probes`,
+which runs phase 1 once for all of them.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidWeightsError, NumericalError
-from .lp import OPTIMAL, solve_lp
+from .lp import OPTIMAL, solve_lp, solve_lps
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
@@ -349,8 +350,12 @@ def deviation_fit(vertex_sets, point, basis):
 def _capped_probes(vertex_sets, point, basis, cap, directions):
     """Minimizers s of direction @ s over the deviation LP capped at t <= cap.
 
-    The capped program is built once; each direction (a vector of length
-    r) only changes the objective.  Returns one s per direction, in order.
+    The capped program is built once, and each direction (a vector of
+    length r) only changes the objective, so all of them go to
+    :func:`fixmk.lp.solve_lps` together: phase 1 runs once per program,
+    and each probe's phase 2 starts from its basis, so every s is the one
+    a standalone solve of that probe gives.  Returns one s per direction,
+    in order.
     """
     A, b, (sp, sn, t) = _deviation_lp(vertex_sets, point, basis)
     n_rows, n_cols = A.shape
@@ -358,12 +363,12 @@ def _capped_probes(vertex_sets, point, basis, cap, directions):
     A_probe[:n_rows, :n_cols] = A
     A_probe[n_rows, [t, n_cols]] = 1.0  # t + slack = cap
     b_probe = np.append(b, cap)
-    solutions = []
-    for direction in directions:
-        c = np.zeros(n_cols + 1)
+    objectives = np.zeros((len(directions), n_cols + 1))
+    for c, direction in zip(objectives, directions):
         c[sp:sn] = direction
         c[sn:t] = -direction
-        res = solve_lp(c, A_probe, b_probe)
+    solutions = []
+    for res in solve_lps(objectives, A_probe, b_probe):
         if res.status != OPTIMAL:
             raise NumericalError(f"probe LP unexpectedly {res.status}")
         solutions.append(res.x[sp:sn] - res.x[sn:t])
@@ -376,6 +381,8 @@ def canonical_fit(vertex_sets, point, basis, cap):
     With the deviation capped at cap, each ambient coordinate of
     point + basis @ s is pushed to both extremes and the 2d probe
     solutions averaged, a pick that identical inputs always reproduce.
+    The 2d probes are one capped program with 2d objectives, so phase 1
+    runs once, not once per probe (see :func:`_capped_probes`).
     """
     directions = [sign * row for row in basis for sign in (-1.0, 1.0)]
     solutions = _capped_probes(vertex_sets, point, basis, cap, directions)
@@ -422,14 +429,18 @@ def contains(K: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
 
 
 def diameter(K: Polytope, norm: NormSpec) -> float:
-    """Max distance between vertex pairs; attained at vertices by convexity."""
+    """Max distance between vertex pairs; attained at vertices by convexity.
+
+    For max-abs that is the widest coordinate spread, max minus min; for
+    sum-abs each vertex's distances to all vertices are one row at a time,
+    so no n_v x n_v x d array is built.
+    """
     if norm.dim != K.dim:
         raise DimensionMismatchError(f"norm dim {norm.dim} vs polytope dim {K.dim}")
     V = K.vertices
-    diffs = np.abs(V[:, None, :] - V[None, :, :])
     if norm.kind is NormKind.MAX_ABS:
-        return float(diffs.max(axis=2).max())
-    return float(diffs.sum(axis=2).max())
+        return float((V.max(axis=0) - V.min(axis=0)).max())
+    return float(max(np.abs(V - v).sum(axis=1).max() for v in V))
 
 
 def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL, canonical: bool = True):

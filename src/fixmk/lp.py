@@ -14,6 +14,13 @@ Solves  minimize c @ x  subject to  A @ x = b,  x >= 0  on dense arrays.
   ones, so every solve terminates.  Ties in the ratio test break toward
   the lowest basis index.
 * Artificial variables never re-enter the basis.
+* Shared phase 1: :func:`solve_lps` takes several objectives over one
+  (A, b).  A cost change leaves a feasible basis feasible, so the crash
+  basis, phase 1 and the artificial drive-out run once, and each
+  objective gets its own phase 2 on a copy of that tableau (the last one
+  in place).  Every phase 2 starts from the phase-1 basis, never from an
+  earlier objective's optimum, so each result is bit for bit what
+  :func:`solve_lp`, the one-objective case, gives alone.
 
 No step draws on randomness or on the order of a hash, so every solve is
 deterministic.  Intended for desk-scale problems (hundreds of columns),
@@ -23,11 +30,14 @@ raises :class:`fixmk.errors.NumericalError`.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+
+logger = logging.getLogger(__name__)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -54,15 +64,16 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> str:
-    """Run simplex pivots until optimal or unbounded."""
+def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> tuple[str, int]:
+    """Run simplex pivots until optimal or unbounded; returns (status, pivots)."""
     m = T.shape[0] - 1
     stalled = 0  # degenerate pivots in a row
+    pivots = 0
     for _ in range(_MAX_ITER):
         costs = T[m, :n_enterable]
         negative = np.flatnonzero(costs < -tol)
         if negative.size == 0:
-            return OPTIMAL
+            return OPTIMAL, pivots
         if stalled < _BLAND_AFTER:  # Dantzig: most negative, lowest index on ties
             col = int(negative[np.argmin(costs[negative])])
         else:  # Bland: smallest index enters
@@ -70,7 +81,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> 
         positive = np.where(T[:m, col] > tol)[0]
         if positive.size == 0:
             if T[m, col] < -1e3 * tol:
-                return UNBOUNDED
+                return UNBOUNDED, pivots
             # cost this close to zero on a pivotless column is round-off
             # noise at the optimality boundary, not an unbounded ray
             T[m, col] = 0.0
@@ -81,25 +92,19 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> 
         row = int(ties[np.argmin(basis[ties])])  # smallest basis index leaves
         stalled = stalled + 1 if best <= tol else 0
         _pivot(T, basis, row, col)
+        pivots += 1
     raise NumericalError("simplex iteration limit exceeded")
 
 
-def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
-    """Minimize ``c @ x`` over ``A @ x = b, x >= 0``.
+def _phase1(A: np.ndarray, b: np.ndarray, tol: float):
+    """Crash basis, phase 1 and artificial drive-out for ``A @ x = b, x >= 0``.
 
-    Returns an :class:`LPResult`; ``x`` is a basic solution when the status
-    is ``optimal``.  Infeasibility is decided by the phase-1 objective
-    exceeding ``tol``.
+    Works on A and b in place.  Returns (T, basis, pivots): T is the
+    tableau of a feasible basis with redundant rows and the artificial
+    columns dropped, its last row free for an objective, or None when the
+    program is infeasible; pivots counts the drive-out's pivots too.
     """
-    A = np.array(A, dtype=float, copy=True)
-    if A.ndim != 2:
-        raise ValueError("A must be a 2-D array")
-    b = np.array(b, dtype=float, copy=True)
-    c = np.asarray(c, dtype=float)
     m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("c, A, b shapes are inconsistent")
-
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
@@ -130,11 +135,11 @@ def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
     T[m, -1] = -b[bare].sum()
     basis[bare] = artificial
 
-    status = _iterate(T, basis, n, tol)
+    status, pivots = _iterate(T, basis, n, tol)
     if status == UNBOUNDED:  # sum of artificials is bounded below by 0
         raise NumericalError("phase-1 objective reported unbounded")
     if -T[m, -1] > tol:
-        return LPResult(INFEASIBLE)
+        return None, basis, pivots
 
     # drive remaining artificials out of the basis; drop redundant rows
     keep = []
@@ -147,15 +152,18 @@ def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
         candidates = np.where(np.abs(T[i, :n]) > tol)[0]
         if candidates.size:
             _pivot(T, basis, i, int(candidates[0]))
+            pivots += 1
             keep.append(i)
         # else: the row is 0 = 0, redundant
     if len(keep) < m:
         T = np.vstack([T[keep], T[-1:]])
         basis = basis[keep]
-        m = len(keep)
+    return np.hstack([T[:, :n], T[:, -1:]]), basis, pivots
 
-    # phase 2 on the original objective, artificial columns dropped
-    T = np.hstack([T[:, :n], T[:, -1:]])
+
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> tuple[LPResult, int]:
+    """Minimize ``c @ x`` from the feasible basis of :func:`_phase1`, in place."""
+    m, n = T.shape[0] - 1, T.shape[1] - 1
     T[m, :n] = c
     T[m, -1] = 0.0
     for i in range(m):
@@ -163,9 +171,61 @@ def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
         if coeff != 0.0:
             T[m, :] -= coeff * T[i, :]
 
-    status = _iterate(T, basis, n, tol)
+    status, pivots = _iterate(T, basis, n, tol)
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+        return LPResult(UNBOUNDED), pivots
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
-    return LPResult(OPTIMAL, x, float(c @ x))
+    return LPResult(OPTIMAL, x, float(c @ x)), pivots
+
+
+def _solve(objectives, A, b, tol: float):
+    """Yield one result per objective; return (shape of A, phase-1 and phase-2 pivots)."""
+    A = np.array(A, dtype=float, copy=True)
+    if A.ndim != 2:
+        raise ValueError("A must be a 2-D array")
+    b = np.array(b, dtype=float, copy=True)
+    cs = [np.asarray(c, dtype=float) for c in objectives]
+    if b.shape != A.shape[:1] or any(c.shape != A.shape[1:] for c in cs):
+        raise ValueError("c, A, b shapes are inconsistent")
+
+    T, basis, phase1 = _phase1(A, b, tol)
+    phase2 = 0
+    for k, c in enumerate(cs):
+        if T is None:
+            yield LPResult(INFEASIBLE)
+            continue
+        last = k == len(cs) - 1  # the last objective may use up the tableau
+        result, pivots = _phase2(T if last else T.copy(), basis if last else basis.copy(), c, tol)
+        phase2 += pivots
+        yield result
+    return A.shape, phase1, phase2
+
+
+def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
+    """Minimize ``c @ x`` over ``A @ x = b, x >= 0``.
+
+    Returns an :class:`LPResult`; ``x`` is a basic solution when the status
+    is ``optimal``.  Infeasibility is decided by the phase-1 objective
+    exceeding ``tol``.
+    """
+    (result,) = _solve([c], A, b, tol)
+    return result
+
+
+def solve_lps(objectives, A, b, *, tol: float = 1e-9):
+    """Minimize each ``c`` of ``objectives`` over one ``A @ x = b, x >= 0``.
+
+    Yields one :class:`LPResult` per objective, in order, each equal bit
+    for bit to ``solve_lp(c, A, b)``: phase 1 runs once, and every phase 2
+    starts from its basis.  Logs one debug record per program to the
+    ``fixmk.lp`` logger; :func:`solve_lp` logs nothing, so that the
+    thousands of single hull fits of a validation do not bury the
+    invariance pass's own record of them.
+    """
+    objectives = list(objectives)
+    (m, n), phase1, phase2 = yield from _solve(objectives, A, b, tol)
+    logger.debug(
+        "program: %d rows, %d columns, %d objectives, %d phase-1 pivots, %d phase-2 pivots",
+        m, n, len(objectives), phase1, phase2,
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,7 @@ def test_impossible_lp_status_is_a_numerical_error(monkeypatch):
     # the deviation LP is feasible for a large enough t, and the probes run
     # only at a cap that was met, so "infeasible" is the LP core failing
     monkeypatch.setattr(geometry, "solve_lp", lambda *a: LPResult(INFEASIBLE))
+    monkeypatch.setattr(geometry, "solve_lps", lambda cs, *a: (LPResult(INFEASIBLE) for _ in cs))
     vertex_sets, origin, basis = [square().vertices], np.zeros(2), np.eye(2)
     with pytest.raises(NumericalError, match="deviation LP unexpectedly infeasible"):
         geometry.deviation_fit(vertex_sets, origin, basis)
@@ -316,6 +319,34 @@ def test_diameter_point_square_segment():
     assert diameter(square(), NormSpec(NormKind.MAX_ABS, 2)) == 2.0
     seg = Polytope(np.array([[0.0, 0.0], [3.0, 4.0]]))
     assert diameter(seg, NormSpec(NormKind.SUM_ABS, 2)) == 7.0
+
+
+def _pairwise_diameter(K, norm):
+    diffs = np.abs(K.vertices[:, None, :] - K.vertices[None, :, :])
+    return float(diffs.max(axis=2).max() if norm.kind is NormKind.MAX_ABS else diffs.sum(axis=2).max())
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_diameter_equals_the_pairwise_formula(kind):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n_v, dim = rng.integers(1, 40), rng.integers(1, 9)
+        K = Polytope(rng.normal(scale=rng.uniform(0.1, 10.0), size=(n_v, dim)))
+        norm = NormSpec(kind, dim)
+        assert diameter(K, norm) == _pairwise_diameter(K, norm)
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_diameter_builds_no_pairwise_array(kind):
+    # the pairwise |V_a - V_b| array of [-1,1]^8 alone is 256 * 256 * 8 * 8 B = 4 MiB
+    K = Polytope.box(-np.ones(8), np.ones(8))
+    tracemalloc.start()
+    try:
+        assert diameter(K, NormSpec(kind, 8)) == (2.0 if kind is NormKind.MAX_ABS else 16.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_norm_duality_and_unit_balls():

@@ -1,6 +1,11 @@
 import importlib.util
+import json
+
+import numpy as np
 
 from conftest import FIXTURES
+from fixmk.schema import load_problem
+from fixmk.semigroup import flatten
 
 
 def test_gen_fixtures_reproduces_the_committed_corpus(tmp_path, monkeypatch):
@@ -32,3 +37,19 @@ def test_report_snapshot_masks_timing_and_fixture_root():
         '{\n  "status": "ok",\n  "timing_ms": <masked>,\n}\nstatus: ok  (<masked> ms, v0.1.0)\n',
         "error: <fixtures>/negative/malformed.json: invalid JSON\n",
     )
+
+
+def test_report_snapshot_generates_the_cyclic_shift_family(tmp_path):
+    script = FIXTURES.parent / "tools" / "report_snapshot.py"
+    spec = importlib.util.spec_from_file_location("report_snapshot", script)
+    snap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snap)
+    for d in snap.GENERATED_DIMS:
+        path = tmp_path / f"shift{d}.json"
+        path.write_text(json.dumps(snap.cyclic_shift_problem(d)), encoding="utf-8")
+        p = load_problem(path).payload
+        ((_, shift),) = flatten(p.node)
+        np.testing.assert_array_equal(shift.matrix, np.roll(np.eye(d), 1, axis=0))
+        np.testing.assert_array_equal(p.polytope.vertices, np.eye(d))
+        np.testing.assert_array_equal(p.start, np.eye(d)[0])
+    assert snap.mask("", f"error: {tmp_path / 'x.json'}\n", tmp_path) == ("", "error: <generated>/x.json\n")

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Snapshot every CLI report on the fixture corpus, for byte-level comparison.
 
-Runs ``python -m fixmk`` for each subcommand variant on each fixture file
-and writes one canonical JSON list of {args, exit, stdout, stderr}.  The
-report's ``timing_ms`` is masked (in JSON and in the text format's status
-line) and the fixture directory in stderr is replaced by ``<fixtures>``, so
-two checkouts give equal snapshots exactly when their reports agree:
+Runs ``python -m fixmk`` for each subcommand variant on each fixture file,
+then ``solve`` (default mode and ``--mode exact``) on a generated family,
+the cyclic shift on the standard simplex at d = 8, 16 and 24, and writes
+one canonical JSON list of {args, exit, stdout, stderr}.  The family's
+problem files go to a temporary directory, so the fixture corpus stays as
+committed.  The report's ``timing_ms`` is masked (in JSON and in the text
+format's status line) and the fixture and family directories in stderr are
+replaced by ``<fixtures>`` and ``<generated>``, so two checkouts give equal
+snapshots exactly when their reports agree:
 
     python tools/report_snapshot.py --out before.json --src ../old/src
     python tools/report_snapshot.py --out after.json
@@ -23,6 +27,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -39,13 +44,43 @@ VARIANTS = (
     ("extend",),
 )
 
+GENERATED_DIMS = (8, 16, 24)
+GENERATED_VARIANTS = (("solve",), ("solve", "--mode", "exact"))
+
 _JSON_TIMING = re.compile(r'("timing_ms": )[-0-9.eE+]+')
 _TEXT_TIMING = re.compile(r"^(status: \S+  \()[-0-9.eE+]+( ms)", re.MULTILINE)
 
 
-def mask(stdout: str, stderr: str) -> tuple[str, str]:
+def mask(stdout: str, stderr: str, generated: pathlib.Path | None = None) -> tuple[str, str]:
     stdout = _TEXT_TIMING.sub(r"\1<masked>\2", _JSON_TIMING.sub(r"\1<masked>", stdout))
-    return stdout, stderr.replace(str(FIXTURES), "<fixtures>")
+    stderr = stderr.replace(str(FIXTURES), "<fixtures>")
+    if generated is not None:
+        stderr = stderr.replace(str(generated), "<generated>")
+    return stdout, stderr
+
+
+def cyclic_shift_problem(d: int) -> dict:
+    """Solve problem: the cyclic shift C_d on the standard simplex, from e_1."""
+    eye = [[float(i == j) for j in range(d)] for i in range(d)]
+    shift = [eye[i - 1] for i in range(d)]  # e_j -> e_(j+1 mod d)
+    return {
+        "kind": "fixed-point",
+        "options": {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6},
+        "payload": {
+            "polytope": {"vertices": eye},
+            "semigroup": {"leaf": [{"matrix": shift, "offset": [0.0] * d}]},
+            "start": eye[0],
+        },
+    }
+
+
+def _run(env, argv, shown, generated=None) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixmk", *argv],
+        capture_output=True, text=True, env=env, cwd=REPO,
+    )
+    stdout, stderr = mask(proc.stdout, proc.stderr, generated)
+    return {"args": shown, "exit": proc.returncode, "stdout": stdout, "stderr": stderr}
 
 
 def snapshot(src: pathlib.Path) -> list[dict]:
@@ -54,17 +89,17 @@ def snapshot(src: pathlib.Path) -> list[dict]:
     for path in sorted(FIXTURES.rglob("*.json")):
         for variant in VARIANTS:
             argv = [variant[0], str(path), *variant[1:]]
-            proc = subprocess.run(
-                [sys.executable, "-m", "fixmk", *argv],
-                capture_output=True, text=True, env=env, cwd=REPO,
-            )
-            stdout, stderr = mask(proc.stdout, proc.stderr)
-            runs.append({
-                "args": [variant[0], str(path.relative_to(FIXTURES)), *variant[1:]],
-                "exit": proc.returncode,
-                "stdout": stdout,
-                "stderr": stderr,
-            })
+            shown = [variant[0], str(path.relative_to(FIXTURES)), *variant[1:]]
+            runs.append(_run(env, argv, shown))
+    with tempfile.TemporaryDirectory() as tmp:
+        generated = pathlib.Path(tmp)
+        for d in GENERATED_DIMS:
+            path = generated / f"cyclic_shift_simplex_{d}.json"
+            path.write_text(json.dumps(cyclic_shift_problem(d), indent=2), encoding="utf-8")
+            for variant in GENERATED_VARIANTS:
+                argv = [variant[0], str(path), *variant[1:]]
+                shown = [variant[0], f"<generated>/{path.name}", *variant[1:]]
+                runs.append(_run(env, argv, shown, generated))
     return runs
 
 
