@@ -97,7 +97,8 @@ class SchemaError(FixmkError, ValueError):
 class NumericalError(FixmkError, RuntimeError):
     """The LP core failed in floating point, so no answer can be trusted.
 
-    Raised at the simplex iteration limit, on an unbounded phase 1, and
-    when a deviation or probe LP, feasible by construction, is reported
-    infeasible or unbounded.
+    Raised at the simplex iteration limit, on an unbounded phase 1, on LP
+    data or an LP solution that is not finite, and when a deviation or
+    probe LP, feasible by construction, is reported infeasible or
+    unbounded.
     """

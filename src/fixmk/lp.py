@@ -7,12 +7,14 @@ Solves  minimize c @ x  subject to  A @ x = b,  x >= 0  on dense arrays.
   so slack-like columns need no artificial variable.  Only the rows left
   without one get an artificial, and phase 1 minimizes the sum of those.
 * Pricing: Dantzig's rule, the most negative reduced cost enters (lowest
-  index on ties).  After ``_BLAND_AFTER`` degenerate pivots in a row
-  (step <= tol) the entering rule falls back to Bland's (lowest eligible
-  index) until a pivot makes progress.  The objective falls at every
+  index on ties), found by one ``argmin`` over the cost row per step.
+  After ``_BLAND_AFTER`` degenerate pivots in a row (step <= tol), and
+  only then, the entering rule scans for Bland's (lowest eligible index)
+  until a pivot makes progress.  The objective falls at every
   nondegenerate pivot and Bland's rule cannot cycle through degenerate
   ones, so every solve terminates.  Ties in the ratio test break toward
-  the lowest basis index.
+  the lowest basis index.  Each pivot updates the tableau with one
+  broadcast rank-1 subtraction.
 * Artificial variables never re-enter the basis.
 * Shared phase 1: :func:`solve_lps` takes several objectives over one
   (A, b).  A cost change leaves a feasible basis feasible, so the crash
@@ -25,8 +27,10 @@ Solves  minimize c @ x  subject to  A @ x = b,  x >= 0  on dense arrays.
 No step draws on randomness or on the order of a hash, so every solve is
 deterministic.  Intended for desk-scale problems (hundreds of columns),
 where a self-contained deterministic core beats calling out to a big
-solver.  Numerical trouble (the iteration limit, an unbounded phase 1)
-raises :class:`fixmk.errors.NumericalError`.
+solver.  Numerical trouble raises :class:`fixmk.errors.NumericalError`:
+the iteration limit, an unbounded phase 1, a NaN or infinity in c, A or
+b (``argmin`` would take a NaN reduced cost for optimal), and an optimal
+``x`` or value that is not finite.
 """
 from __future__ import annotations
 
@@ -55,10 +59,10 @@ class LPResult:
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row, :] /= T[row, col]
+    T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row, :])
+    T -= factors[:, None] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -67,29 +71,29 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> tuple[str, int]:
     """Run simplex pivots until optimal or unbounded; returns (status, pivots)."""
     m = T.shape[0] - 1
+    costs, rhs = T[m, :n_enterable], T[:m, -1]  # views: pivots update them in place
     stalled = 0  # degenerate pivots in a row
     pivots = 0
     for _ in range(_MAX_ITER):
-        costs = T[m, :n_enterable]
-        negative = np.flatnonzero(costs < -tol)
-        if negative.size == 0:
+        col = int(costs.argmin())  # Dantzig: most negative, lowest index on ties
+        if not costs[col] < -tol:
             return OPTIMAL, pivots
-        if stalled < _BLAND_AFTER:  # Dantzig: most negative, lowest index on ties
-            col = int(negative[np.argmin(costs[negative])])
-        else:  # Bland: smallest index enters
-            col = int(negative[0])
-        positive = np.where(T[:m, col] > tol)[0]
+        if stalled >= _BLAND_AFTER:  # Bland: smallest eligible index enters
+            col = int((costs < -tol).argmax())
+        column = T[:m, col]
+        positive = (column > tol).nonzero()[0]
         if positive.size == 0:
-            if T[m, col] < -1e3 * tol:
+            if costs[col] < -1e3 * tol:
                 return UNBOUNDED, pivots
             # cost this close to zero on a pivotless column is round-off
             # noise at the optimality boundary, not an unbounded ray
-            T[m, col] = 0.0
+            costs[col] = 0.0
             continue
-        ratios = T[positive, -1] / T[positive, col]
+        ratios = rhs[positive] / column[positive]
         best = ratios.min()
         ties = positive[ratios <= best + 1e-9 * (1.0 + abs(best))]
-        row = int(ties[np.argmin(basis[ties])])  # smallest basis index leaves
+        # smallest basis index leaves
+        row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
         stalled = stalled + 1 if best <= tol else 0
         _pivot(T, basis, row, col)
         pivots += 1
@@ -142,22 +146,18 @@ def _phase1(A: np.ndarray, b: np.ndarray, tol: float):
         return None, basis, pivots
 
     # drive remaining artificials out of the basis; drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
+    keep = np.ones(m + 1, dtype=bool)
+    for i in np.flatnonzero(basis >= n):
         if abs(T[i, -1]) <= tol:
             T[i, -1] = 0.0
-        candidates = np.where(np.abs(T[i, :n]) > tol)[0]
+        candidates = np.flatnonzero(np.abs(T[i, :n]) > tol)
         if candidates.size:
             _pivot(T, basis, i, int(candidates[0]))
             pivots += 1
-            keep.append(i)
-        # else: the row is 0 = 0, redundant
-    if len(keep) < m:
-        T = np.vstack([T[keep], T[-1:]])
-        basis = basis[keep]
+        else:  # the row is 0 = 0, redundant
+            keep[i] = False
+    if not keep.all():
+        T, basis = T[keep], basis[keep[:m]]
     return np.hstack([T[:, :n], T[:, -1:]]), basis, pivots
 
 
@@ -166,17 +166,21 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> tupl
     m, n = T.shape[0] - 1, T.shape[1] - 1
     T[m, :n] = c
     T[m, -1] = 0.0
-    for i in range(m):
-        coeff = T[m, basis[i]]
-        if coeff != 0.0:
-            T[m, :] -= coeff * T[i, :]
+    # basic columns are exact unit vectors, so pricing out one row leaves
+    # every other basic cost as it was: read them all up front
+    coeffs = c[basis]
+    for i in np.flatnonzero(coeffs):
+        T[m] -= coeffs[i] * T[i]
 
     status, pivots = _iterate(T, basis, n, tol)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED), pivots
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
-    return LPResult(OPTIMAL, x, float(c @ x)), pivots
+    value = float(c @ x)
+    if not (np.isfinite(x).all() and np.isfinite(value)):
+        raise NumericalError("LP solution has non-finite entries")
+    return LPResult(OPTIMAL, x, value), pivots
 
 
 def _solve(objectives, A, b, tol: float):
@@ -188,6 +192,10 @@ def _solve(objectives, A, b, tol: float):
     cs = [np.asarray(c, dtype=float) for c in objectives]
     if b.shape != A.shape[:1] or any(c.shape != A.shape[1:] for c in cs):
         raise ValueError("c, A, b shapes are inconsistent")
+    # argmin pricing would read a NaN reduced cost as optimal
+    for name, data in (("A", A), ("b", b), *(("c", c) for c in cs)):
+        if not np.isfinite(data).all():
+            raise NumericalError(f"LP data {name} has non-finite entries")
 
     T, basis, phase1 = _phase1(A, b, tol)
     phase2 = 0

@@ -17,6 +17,7 @@ payload key names are written by hand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -100,7 +101,13 @@ def _check_keys(obj, path, required, optional=()):
 def _number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # also JSON NaN, Infinity and -Infinity
+        raise SchemaError(f"{path}: expected a finite number")
+    return number
 
 
 def _integer(value, path) -> int:
@@ -175,7 +182,7 @@ def option_value(name: str, value, path: str):
     """
     if name == "tol":
         tol = _number(value, path)
-        if not (np.isfinite(tol) and tol > 0):
+        if not tol > 0:
             raise SchemaError(f"{path}: expected a finite number > 0")
         return tol
     if name == "mode":

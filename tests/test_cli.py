@@ -198,6 +198,38 @@ def test_fip_sample_count_below_two_exits_two(tmp_path, capsys):
     assert "$.payload.sample_count: expected an integer >= 2" in capsys.readouterr().err
 
 
+NON_FINITE_FIELDS = [
+    ("solve", "solve/contraction_interval.json",
+     ("semigroup", "leaf", 0, "matrix", 0, 0), float("nan")),
+    ("solve", "solve/contraction_interval.json",
+     ("semigroup", "leaf", 0, "offset", 0), float("inf")),
+    ("solve", "solve/contraction_interval.json", ("polytope", "vertices", 1, 0), float("-inf")),
+    ("solve", "solve/contraction_interval.json", ("start", 0), 10**400),  # beyond float range
+    ("extend", "extension/swap_extension.json", ("subspace_basis", 0, 1), float("nan")),
+    ("extend", "extension/swap_extension.json", ("functional_on_subspace", 0), float("inf")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fixture, field, value", NON_FINITE_FIELDS,
+    ids=[[key for key in case[2] if isinstance(key, str)][-1] for case in NON_FINITE_FIELDS],
+)
+def test_non_finite_payload_number_exits_two(command, fixture, field, value, tmp_path, capsys):
+    data = json.loads((FIXTURES / fixture).read_text())
+    *parents, last = field
+    target = data["payload"]
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))  # writes NaN, Infinity and -Infinity as JSON allows
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    named = "$.payload." + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in field)[1:]
+    assert captured.err == f"error: {path}: {named}: expected a finite number\n"
+    assert captured.out == ""
+
+
 def test_smallest_in_range_flags_run(tmp_path):
     path = FIXTURES / "solve" / "dihedral_square.json"
     out = tmp_path / "out.json"

@@ -59,20 +59,94 @@ def test_redundant_rows_dropped():
     assert res.value == pytest.approx(0.0)
 
 
-def test_degenerate_does_not_cycle():
-    # classic degeneracy: duplicate constraints meeting at a vertex
-    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    A = np.array(
+BEALE = (
+    np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]),
+    np.array(
         [
             [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
             [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
         ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    res = solve_lp(c, A, b)  # Beale's cycling example; the Bland fallback terminates
+    ),
+    np.array([0.0, 0.0, 1.0]),
+)
+
+
+def test_degenerate_does_not_cycle():
+    res = solve_lp(*BEALE)  # Beale's cycling example; the Bland fallback terminates
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-0.05)
+
+
+def test_non_finite_lp_data_raises_numerical_error():
+    c, A, b = BEALE
+    for name in ("c", "A", "b"):
+        data = {"c": c.copy(), "A": A.copy(), "b": b.copy()}
+        data[name].flat[1] = np.nan
+        with pytest.raises(NumericalError, match=f"LP data {name} has non-finite entries"):
+            solve_lp(data["c"], data["A"], data["b"])
+        with pytest.raises(NumericalError, match=f"LP data {name} has non-finite entries"):
+            list(solve_lps([c, data["c"]], data["A"], data["b"]))
+
+
+def test_non_finite_solution_raises_numerical_error():
+    # x = (1e308, 1e308) is finite, but its value c @ x overflows
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="LP solution has non-finite"):
+        solve_lp(np.ones(2), np.eye(2), np.full(2, 1e308))
+
+
+def _expected_pivot(T, basis, state):
+    """The (row, col) the pricing rules pick on T, recomputed one entry at a time."""
+    m, tol = T.shape[0] - 1, state["tol"]
+    eligible = [j for j in range(state["n"]) if T[m, j] < -tol]
+    if state["stalled"] < lp._BLAND_AFTER:  # Dantzig: most negative, lowest index on ties
+        col = min(eligible, key=lambda j: (T[m, j], j))
+    else:  # Bland: first eligible
+        col = eligible[0]
+        state["bland"] += 1
+    ratios = {i: T[i, -1] / T[i, col] for i in range(m) if T[i, col] > tol}
+    best = min(ratios.values())
+    ties = [i for i, r in ratios.items() if r <= best + 1e-9 * (1.0 + abs(best))]
+    state["stalled"] = state["stalled"] + 1 if best <= tol else 0
+    return min(ties, key=lambda i: basis[i]), col
+
+
+def check_pivot_rules(monkeypatch):
+    """Assert, before each pricing pivot, that lp chose the pivot the rules give."""
+    state = {"n": None, "tol": None, "stalled": 0, "checked": 0, "bland": 0}
+    iterate, pivot = lp._iterate, lp._pivot
+
+    def checked_iterate(T, basis, n_enterable, tol):
+        state.update(n=n_enterable, tol=tol, stalled=0)
+        try:
+            return iterate(T, basis, n_enterable, tol)
+        finally:
+            state["n"] = None
+
+    def checked_pivot(T, basis, row, col):
+        if state["n"] is not None:  # the artificial drive-out follows no pricing rule
+            assert (row, col) == _expected_pivot(T, basis, state)
+            state["checked"] += 1
+        pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp, "_iterate", checked_iterate)
+    monkeypatch.setattr(lp, "_pivot", checked_pivot)
+    return state
+
+
+@pytest.mark.parametrize("case", ["beale", "hull-fit", "cyclic-fip"])
+def test_pivots_follow_the_pricing_rules(case, monkeypatch):
+    state = check_pivot_rules(monkeypatch)
+    if case == "beale":
+        assert solve_lp(*BEALE).status == OPTIMAL
+        assert state["bland"] > 0
+    else:
+        programs = _hull_fit_programs() if case == "hull-fit" else _cyclic_fip_programs(dims=(6, 8))
+        for A, b, (_, _, t) in programs:
+            c = np.zeros(A.shape[1])
+            c[t] = 1.0
+            assert solve_lp(c, A, b).status == OPTIMAL
+    assert state["checked"] > 0
 
 
 def test_iteration_limit_raises_numerical_error(monkeypatch):

@@ -44,12 +44,22 @@ def test_report_snapshot_generates_the_cyclic_shift_family(tmp_path):
     spec = importlib.util.spec_from_file_location("report_snapshot", script)
     snap = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snap)
-    for d in snap.GENERATED_DIMS:
-        path = tmp_path / f"shift{d}.json"
-        path.write_text(json.dumps(snap.cyclic_shift_problem(d)), encoding="utf-8")
-        p = load_problem(path).payload
+    runs = {"fixed-point": [], "fip-check": []}
+    for name, problem, _ in snap.generated_family():
+        path = tmp_path / name
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        pf = load_problem(path)
+        p = pf.payload
         ((_, shift),) = flatten(p.node)
+        d = p.polytope.dim
         np.testing.assert_array_equal(shift.matrix, np.roll(np.eye(d), 1, axis=0))
         np.testing.assert_array_equal(p.polytope.vertices, np.eye(d))
-        np.testing.assert_array_equal(p.start, np.eye(d)[0])
+        if pf.kind == "fip-check":
+            assert (p.family, p.sample_count, pf.options.word_budget) == ("cof", 5, 2)
+            runs[pf.kind].append((d, pf.options.seed))
+        else:
+            np.testing.assert_array_equal(p.start, np.eye(d)[0])
+            runs[pf.kind].append(d)
+    assert runs["fixed-point"] == [8, 16, 24]
+    assert runs["fip-check"] == [(6, 0), (6, 1), (8, 0), (8, 1)]
     assert snap.mask("", f"error: {tmp_path / 'x.json'}\n", tmp_path) == ("", "error: <generated>/x.json\n")

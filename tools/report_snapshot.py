@@ -2,14 +2,17 @@
 """Snapshot every CLI report on the fixture corpus, for byte-level comparison.
 
 Runs ``python -m fixmk`` for each subcommand variant on each fixture file,
-then ``solve`` (default mode and ``--mode exact``) on a generated family,
-the cyclic shift on the standard simplex at d = 8, 16 and 24, and writes
-one canonical JSON list of {args, exit, stdout, stderr}.  The family's
-problem files go to a temporary directory, so the fixture corpus stays as
-committed.  The report's ``timing_ms`` is masked (in JSON and in the text
-format's status line) and the fixture and family directories in stderr are
-replaced by ``<fixtures>`` and ``<generated>``, so two checkouts give equal
-snapshots exactly when their reports agree:
+then on a generated family of the cyclic shift on the standard simplex:
+``solve`` (default mode and ``--mode exact``) at d = 8, 16 and 24, and
+``fip`` on five sampled cof images (word budget 2) at d = 6 and 8, seeds
+0 and 1.  A fip witness is a raw basic solution of one stacked LP, so a
+change in any pivot shows.  It writes one canonical JSON list of {args,
+exit, stdout, stderr}.  The family's problem files go to a temporary
+directory, so the fixture corpus stays as committed.  The report's
+``timing_ms`` is masked (in JSON and in the text format's status line)
+and the fixture and family directories in stderr are replaced by
+``<fixtures>`` and ``<generated>``, so two checkouts give equal snapshots
+exactly when their reports agree:
 
     python tools/report_snapshot.py --out before.json --src ../old/src
     python tools/report_snapshot.py --out after.json
@@ -46,6 +49,8 @@ VARIANTS = (
 
 GENERATED_DIMS = (8, 16, 24)
 GENERATED_VARIANTS = (("solve",), ("solve", "--mode", "exact"))
+FIP_DIMS = (6, 8)
+FIP_SEEDS = (0, 1)
 
 _JSON_TIMING = re.compile(r'("timing_ms": )[-0-9.eE+]+')
 _TEXT_TIMING = re.compile(r"^(status: \S+  \()[-0-9.eE+]+( ms)", re.MULTILINE)
@@ -59,19 +64,42 @@ def mask(stdout: str, stderr: str, generated: pathlib.Path | None = None) -> tup
     return stdout, stderr
 
 
-def cyclic_shift_problem(d: int) -> dict:
-    """Solve problem: the cyclic shift C_d on the standard simplex, from e_1."""
+def _cyclic_shift(d: int) -> dict:
+    """Payload fields of the cyclic shift C_d on the standard simplex."""
     eye = [[float(i == j) for j in range(d)] for i in range(d)]
     shift = [eye[i - 1] for i in range(d)]  # e_j -> e_(j+1 mod d)
     return {
+        "polytope": {"vertices": eye},
+        "semigroup": {"leaf": [{"matrix": shift, "offset": [0.0] * d}]},
+    }
+
+
+def cyclic_shift_problem(d: int) -> dict:
+    """Solve problem: the cyclic shift C_d on the standard simplex, from e_1."""
+    payload = _cyclic_shift(d)
+    return {
         "kind": "fixed-point",
         "options": {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6},
-        "payload": {
-            "polytope": {"vertices": eye},
-            "semigroup": {"leaf": [{"matrix": shift, "offset": [0.0] * d}]},
-            "start": eye[0],
-        },
+        "payload": {**payload, "start": payload["polytope"]["vertices"][0]},
     }
+
+
+def cyclic_shift_fip_problem(d: int, seed: int) -> dict:
+    """Fip problem: five sampled cof images of C_d on the standard simplex."""
+    return {
+        "kind": "fip-check",
+        "options": {"mode": "cross-check", "n_max": 2**40, "seed": seed, "tol": 1e-8, "word_budget": 2},
+        "payload": {**_cyclic_shift(d), "family": "cof", "sample_count": 5},
+    }
+
+
+def generated_family():
+    """(file name, problem, variants) of each generated problem, in snapshot order."""
+    for d in GENERATED_DIMS:
+        yield f"cyclic_shift_simplex_{d}.json", cyclic_shift_problem(d), GENERATED_VARIANTS
+    for d in FIP_DIMS:
+        for seed in FIP_SEEDS:
+            yield f"cyclic_shift_fip_{d}_seed{seed}.json", cyclic_shift_fip_problem(d, seed), (("fip",),)
 
 
 def _run(env, argv, shown, generated=None) -> dict:
@@ -93,10 +121,10 @@ def snapshot(src: pathlib.Path) -> list[dict]:
             runs.append(_run(env, argv, shown))
     with tempfile.TemporaryDirectory() as tmp:
         generated = pathlib.Path(tmp)
-        for d in GENERATED_DIMS:
-            path = generated / f"cyclic_shift_simplex_{d}.json"
-            path.write_text(json.dumps(cyclic_shift_problem(d), indent=2), encoding="utf-8")
-            for variant in GENERATED_VARIANTS:
+        for name, problem, variants in generated_family():
+            path = generated / name
+            path.write_text(json.dumps(problem, indent=2), encoding="utf-8")
+            for variant in variants:
                 argv = [variant[0], str(path), *variant[1:]]
                 shown = [variant[0], f"<generated>/{path.name}", *variant[1:]]
                 runs.append(_run(env, argv, shown, generated))
