@@ -24,6 +24,7 @@ from .errors import (
     NotConvergedError,
     NumericalError,
     SchemaError,
+    StartOutsidePolytopeError,
     StructureValidationError,
     ZeroFunctionalError,
 )

@@ -5,10 +5,14 @@ validation), ``fip`` (sampled image-intersection check), ``extend``
 (invariant functional extension).  Problem files are JSON per
 :mod:`fixmk.schema`; a report is the result dataclasses as canonical JSON.
 
-Exit codes: 0 on success, 1 when a solver or check fails, 2 on parse or
-schema errors, out-of-range options (file or flag) included.  Set
-``FIXMK_LOG=debug`` (or any logging level name) for verbose logging on
-stderr.
+Exit codes: 0 when the report's status is ``ok``.  1 when a solver or
+check fails: in the report's status, or with an ``error:`` line and no
+report when a library error stops the run, such as a numerical failure
+of the LP core or a ``start`` point outside the polytope.  2, with an
+``error:`` line, on an unreadable or malformed problem file, a schema
+error, an out-of-range option (file or flag), or an ``--output`` path that
+cannot be written.  Set ``FIXMK_LOG=debug`` (or any logging level name)
+for verbose logging on stderr.
 """
 from __future__ import annotations
 
@@ -108,7 +112,8 @@ def run_solve(pf, options) -> tuple[str, dict]:
     return "ok", result
 
 
-def run_check(pf, options, fip_samples=None) -> tuple[str, dict]:
+def run_check(pf, options, fip_samples, family) -> tuple[str, dict]:
+    """Validate the tree, then sample ``fip_samples`` elements of ``family`` (if any)."""
     payload = pf.payload
     report = validate_structure(payload.node, payload.polytope, options.word_budget, options.tol)
     result = {"validation": asdict(report)}
@@ -117,28 +122,13 @@ def run_check(pf, options, fip_samples=None) -> tuple[str, dict]:
     if fip_samples:
         fip = fip_check(
             payload.node, payload.polytope, fip_samples,
-            family="cof", seed=options.seed,
+            family=family, seed=options.seed,
             word_budget=options.word_budget, tol=options.tol,
         )
         result["fip"] = asdict(fip)
         if not fip.feasible:
             return "infeasible", result
     return "ok", result
-
-
-def run_fip(pf, options) -> tuple[str, dict]:
-    payload = pf.payload
-    report = validate_structure(payload.node, payload.polytope, options.word_budget, options.tol)
-    result = {"validation": asdict(report)}
-    if not report.ok:
-        return "failed", result
-    fip = fip_check(
-        payload.node, payload.polytope, payload.sample_count,
-        family=payload.family, seed=options.seed,
-        word_budget=options.word_budget, tol=options.tol,
-    )
-    result["fip"] = asdict(fip)
-    return ("ok", result) if fip.feasible else ("infeasible", result)
 
 
 def run_extend(pf, options) -> tuple[str, dict]:
@@ -241,30 +231,26 @@ def main(argv=None) -> int:
             status, result = run_solve(pf, options)
         elif args.command == "check":
             _expect_kind(pf, (KIND_STRUCTURE_CHECK, KIND_FIXED_POINT), "check")
-            status, result = run_check(pf, options, fip_samples=args.fip)
+            status, result = run_check(pf, options, args.fip, "cof")
         elif args.command == "fip":
             _expect_kind(pf, (KIND_FIP_CHECK,), "fip")
-            status, result = run_fip(pf, options)
+            status, result = run_check(pf, options, pf.payload.sample_count, pf.payload.family)
         else:
             _expect_kind(pf, (KIND_EXTENSION,), "extend")
             status, result = run_extend(pf, options)
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except OSError as exc:
+        report = {
+            "status": status,
+            "result": result,
+            "timing_ms": (time.perf_counter() - started) * 1000.0,
+            "tool_version": __version__,
+        }
+        _emit(report, args)
+    except (SchemaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except FixmkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAILED
-
-    report = {
-        "status": status,
-        "result": result,
-        "timing_ms": (time.perf_counter() - started) * 1000.0,
-        "tool_version": __version__,
-    }
-    _emit(report, args)
     return EXIT_OK if status == "ok" else EXIT_FAILED
 
 

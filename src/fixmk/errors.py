@@ -9,6 +9,10 @@ class DimensionMismatchError(FixmkError, ValueError):
     """Operands live in different ambient dimensions."""
 
 
+class StartOutsidePolytopeError(FixmkError, ValueError):
+    """An averaging start point lies outside the polytope."""
+
+
 class InvalidWeightsError(FixmkError, ValueError):
     """Convex-combination weights are negative or do not sum to one."""
 

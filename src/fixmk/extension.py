@@ -100,11 +100,11 @@ class ExtensionCheck:
     failures: list[str] = field(default_factory=list)
 
 
-def validate_problem(problem: ExtensionProblem, tol: float = INVARIANT_TOL) -> list[Violation]:
+def validate_problem(problem: ExtensionProblem) -> list[Violation]:
     """Check the operator preconditions; empty list means all hold.
 
     Per operator T: zero offset, T maps Y into Y, induced norm at most 1,
-    and g(T y) = g(y) on the basis.
+    and g(T y) = g(y) on the basis, each within ``INVARIANT_TOL``.
     """
     violations = []
     Y = problem.subspace_basis
@@ -115,17 +115,17 @@ def validate_problem(problem: ExtensionProblem, tol: float = INVARIANT_TOL) -> l
             violations.append(Violation("nonzero-offset", label, off))
             continue
         norm_T = problem.norm.operator_norm(op.matrix)
-        if norm_T > 1.0 + tol:
+        if norm_T > 1.0 + INVARIANT_TOL:
             violations.append(Violation("operator-norm", label, norm_T - 1.0))
         for i, y in enumerate(Y):
             image = op.matrix @ y
             coeffs, *_ = np.linalg.lstsq(Y.T, image, rcond=None)
             stray = float(np.max(np.abs(Y.T @ coeffs - image), initial=0.0))
-            if stray > tol:
+            if stray > INVARIANT_TOL:
                 violations.append(Violation("subspace-not-invariant", label, stray))
                 continue
             drift = abs(float(coeffs @ g) - float(g[i]))
-            if drift > tol:
+            if drift > INVARIANT_TOL:
                 violations.append(Violation("functional-not-invariant", label, drift))
     return violations
 
@@ -167,7 +167,7 @@ def normalize_problem(problem: ExtensionProblem) -> tuple[ExtensionProblem, floa
     return scaled, scale
 
 
-def build_constraint_set(problem: ExtensionProblem, tol: float = INVARIANT_TOL) -> Polytope:
+def build_constraint_set(problem: ExtensionProblem) -> Polytope:
     """Vertices of {L in dual ball : L(y_i) = g(y_i)} for a normalized problem.
 
     Brute facet-combination probing: every vertex is pinned by the equality
@@ -193,15 +193,15 @@ def build_constraint_set(problem: ExtensionProblem, tol: float = INVARIANT_TOL) 
         sol, _, rank_M, _ = np.linalg.lstsq(M, rhs, rcond=None)
         if rank_M < n:
             continue
-        if np.max(np.abs(M @ sol - rhs)) > tol:
+        if np.max(np.abs(M @ sol - rhs)) > INVARIANT_TOL:
             continue
-        if dual.value(sol) > 1.0 + tol:
+        if dual.value(sol) > 1.0 + INVARIANT_TOL:
             continue
         candidates.append(sol)
 
     vertices: list[np.ndarray] = []
     for v in candidates:
-        if all(np.max(np.abs(v - u)) > tol for u in vertices):
+        if all(np.max(np.abs(v - u)) > INVARIANT_TOL for u in vertices):
             vertices.append(v)
     if not vertices:
         raise EmptyConstraintSetError(
@@ -271,7 +271,7 @@ def invariant_extension(
     # its relations are checked: ||T|| <= 1 keeps the dual ball, because
     # ||T^T L||_dual <= ||T|| ||L||_dual, and T(Y) within Y with g(T y) = g(y)
     # keeps the slice L|Y = g, because (T^T L)(y) = L(T y) = g(T y) = g(y).
-    relations = validate_relations(lifted, word_budget, INVARIANT_TOL)
+    relations = validate_relations(lifted, word_budget)
     if not relations.ok:
         raise StructureValidationError(relations)
 

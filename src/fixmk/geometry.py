@@ -42,6 +42,7 @@ from .errors import DimensionMismatchError, InvalidWeightsError, NumericalError
 from .lp import OPTIMAL, solve_lp, solve_lps
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
+_WEIGHT_TOL = 1e-9  # round-off allowed in convex weights: sign and sum
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -222,15 +223,15 @@ def flatten_map(m: AffineMap) -> np.ndarray:
     return np.concatenate([m.matrix.ravel(), m.offset])
 
 
-def convex_combination(maps, weights, *, weight_tol: float = 1e-9) -> AffineMap:
+def convex_combination(maps, weights) -> AffineMap:
     """Entrywise weighted mixture of affine maps with convex weights."""
     maps = list(maps)
     w = np.asarray(weights, dtype=float)
     if len(maps) == 0 or w.shape != (len(maps),):
         raise InvalidWeightsError("need one weight per map, at least one map")
-    if np.any(w < -weight_tol):
+    if np.any(w < -_WEIGHT_TOL):
         raise InvalidWeightsError(f"negative weight {w.min():.3e}")
-    if abs(w.sum() - 1.0) > weight_tol:
+    if abs(w.sum() - 1.0) > _WEIGHT_TOL:
         raise InvalidWeightsError(f"weights sum to {w.sum():.12f}, expected 1")
     dim = maps[0].dim
     matrix = np.zeros((dim, dim))

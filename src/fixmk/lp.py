@@ -8,7 +8,7 @@ Solves  minimize c @ x  subject to  A @ x = b,  x >= 0  on dense arrays.
   without one get an artificial, and phase 1 minimizes the sum of those.
 * Pricing: Dantzig's rule, the most negative reduced cost enters (lowest
   index on ties), found by one ``argmin`` over the cost row per step.
-  After ``_BLAND_AFTER`` degenerate pivots in a row (step <= tol), and
+  After ``_BLAND_AFTER`` degenerate pivots in a row (step <= ``_TOL``), and
   only then, the entering rule scans for Bland's (lowest eligible index)
   until a pivot makes progress.  The objective falls at every
   nondegenerate pivot and Bland's rule cannot cycle through degenerate
@@ -24,6 +24,8 @@ Solves  minimize c @ x  subject to  A @ x = b,  x >= 0  on dense arrays.
   earlier objective's optimum, so each result is bit for bit what
   :func:`solve_lp`, the one-objective case, gives alone.
 
+One absolute tolerance, ``_TOL`` = 1e-9, bounds entering costs, pivot
+entries, degenerate steps and the phase-1 optimum of a feasible program.
 No step draws on randomness or on the order of a hash, so every solve is
 deterministic.  Intended for desk-scale problems (hundreds of columns),
 where a self-contained deterministic core beats calling out to a big
@@ -49,6 +51,7 @@ UNBOUNDED = "unbounded"
 
 _MAX_ITER = 50_000
 _BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
+_TOL = 1e-9  # pivot, ratio-step and phase-1 feasibility tolerance
 
 
 @dataclass
@@ -68,7 +71,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> tuple[str, int]:
+def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> tuple[str, int]:
     """Run simplex pivots until optimal or unbounded; returns (status, pivots)."""
     m = T.shape[0] - 1
     costs, rhs = T[m, :n_enterable], T[:m, -1]  # views: pivots update them in place
@@ -76,14 +79,14 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> 
     pivots = 0
     for _ in range(_MAX_ITER):
         col = int(costs.argmin())  # Dantzig: most negative, lowest index on ties
-        if not costs[col] < -tol:
+        if not costs[col] < -_TOL:
             return OPTIMAL, pivots
         if stalled >= _BLAND_AFTER:  # Bland: smallest eligible index enters
-            col = int((costs < -tol).argmax())
+            col = int((costs < -_TOL).argmax())
         column = T[:m, col]
-        positive = (column > tol).nonzero()[0]
+        positive = (column > _TOL).nonzero()[0]
         if positive.size == 0:
-            if costs[col] < -1e3 * tol:
+            if costs[col] < -1e3 * _TOL:
                 return UNBOUNDED, pivots
             # cost this close to zero on a pivotless column is round-off
             # noise at the optimality boundary, not an unbounded ray
@@ -94,13 +97,13 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, tol: float) -> 
         ties = positive[ratios <= best + 1e-9 * (1.0 + abs(best))]
         # smallest basis index leaves
         row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
-        stalled = stalled + 1 if best <= tol else 0
+        stalled = stalled + 1 if best <= _TOL else 0
         _pivot(T, basis, row, col)
         pivots += 1
     raise NumericalError("simplex iteration limit exceeded")
 
 
-def _phase1(A: np.ndarray, b: np.ndarray, tol: float):
+def _phase1(A: np.ndarray, b: np.ndarray):
     """Crash basis, phase 1 and artificial drive-out for ``A @ x = b, x >= 0``.
 
     Works on A and b in place.  Returns (T, basis, pivots): T is the
@@ -139,18 +142,18 @@ def _phase1(A: np.ndarray, b: np.ndarray, tol: float):
     T[m, -1] = -b[bare].sum()
     basis[bare] = artificial
 
-    status, pivots = _iterate(T, basis, n, tol)
+    status, pivots = _iterate(T, basis, n)
     if status == UNBOUNDED:  # sum of artificials is bounded below by 0
         raise NumericalError("phase-1 objective reported unbounded")
-    if -T[m, -1] > tol:
+    if -T[m, -1] > _TOL:
         return None, basis, pivots
 
     # drive remaining artificials out of the basis; drop redundant rows
     keep = np.ones(m + 1, dtype=bool)
     for i in np.flatnonzero(basis >= n):
-        if abs(T[i, -1]) <= tol:
+        if abs(T[i, -1]) <= _TOL:
             T[i, -1] = 0.0
-        candidates = np.flatnonzero(np.abs(T[i, :n]) > tol)
+        candidates = np.flatnonzero(np.abs(T[i, :n]) > _TOL)
         if candidates.size:
             _pivot(T, basis, i, int(candidates[0]))
             pivots += 1
@@ -161,7 +164,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, tol: float):
     return np.hstack([T[:, :n], T[:, -1:]]), basis, pivots
 
 
-def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> tuple[LPResult, int]:
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> tuple[LPResult, int]:
     """Minimize ``c @ x`` from the feasible basis of :func:`_phase1`, in place."""
     m, n = T.shape[0] - 1, T.shape[1] - 1
     T[m, :n] = c
@@ -172,7 +175,7 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> tupl
     for i in np.flatnonzero(coeffs):
         T[m] -= coeffs[i] * T[i]
 
-    status, pivots = _iterate(T, basis, n, tol)
+    status, pivots = _iterate(T, basis, n)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED), pivots
     x = np.zeros(n)
@@ -183,8 +186,8 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray, tol: float) -> tupl
     return LPResult(OPTIMAL, x, value), pivots
 
 
-def _solve(objectives, A, b, tol: float):
-    """Yield one result per objective; return (shape of A, phase-1 and phase-2 pivots)."""
+def _solve(objectives, A, b) -> tuple[list[LPResult], int, int]:
+    """One result per objective, in order, with the phase-1 and phase-2 pivot counts."""
     A = np.array(A, dtype=float, copy=True)
     if A.ndim != 2:
         raise ValueError("A must be a 2-D array")
@@ -197,34 +200,33 @@ def _solve(objectives, A, b, tol: float):
         if not np.isfinite(data).all():
             raise NumericalError(f"LP data {name} has non-finite entries")
 
-    T, basis, phase1 = _phase1(A, b, tol)
-    phase2 = 0
+    T, basis, phase1 = _phase1(A, b)
+    if T is None:
+        return [LPResult(INFEASIBLE) for _ in cs], phase1, 0
+    results, phase2 = [], 0
     for k, c in enumerate(cs):
-        if T is None:
-            yield LPResult(INFEASIBLE)
-            continue
         last = k == len(cs) - 1  # the last objective may use up the tableau
-        result, pivots = _phase2(T if last else T.copy(), basis if last else basis.copy(), c, tol)
+        result, pivots = _phase2(T if last else T.copy(), basis if last else basis.copy(), c)
+        results.append(result)
         phase2 += pivots
-        yield result
-    return A.shape, phase1, phase2
+    return results, phase1, phase2
 
 
-def solve_lp(c, A, b, *, tol: float = 1e-9) -> LPResult:
+def solve_lp(c, A, b) -> LPResult:
     """Minimize ``c @ x`` over ``A @ x = b, x >= 0``.
 
     Returns an :class:`LPResult`; ``x`` is a basic solution when the status
     is ``optimal``.  Infeasibility is decided by the phase-1 objective
-    exceeding ``tol``.
+    exceeding ``_TOL``.
     """
-    (result,) = _solve([c], A, b, tol)
+    (result,), _, _ = _solve([c], A, b)
     return result
 
 
-def solve_lps(objectives, A, b, *, tol: float = 1e-9):
+def solve_lps(objectives, A, b) -> list[LPResult]:
     """Minimize each ``c`` of ``objectives`` over one ``A @ x = b, x >= 0``.
 
-    Yields one :class:`LPResult` per objective, in order, each equal bit
+    Returns one :class:`LPResult` per objective, in order, each equal bit
     for bit to ``solve_lp(c, A, b)``: phase 1 runs once, and every phase 2
     starts from its basis.  Logs one debug record per program to the
     ``fixmk.lp`` logger; :func:`solve_lp` logs nothing, so that the
@@ -232,8 +234,10 @@ def solve_lps(objectives, A, b, *, tol: float = 1e-9):
     invariance pass's own record of them.
     """
     objectives = list(objectives)
-    (m, n), phase1, phase2 = yield from _solve(objectives, A, b, tol)
+    results, phase1, phase2 = _solve(objectives, A, b)
+    m, n = np.shape(A)
     logger.debug(
         "program: %d rows, %d columns, %d objectives, %d phase-1 pivots, %d phase-2 pivots",
         m, n, len(objectives), phase1, phase2,
     )
+    return results

@@ -231,8 +231,11 @@ def parse_problem(data) -> ProblemFile:
         family = payload["family"]
         if family not in FAMILIES:
             raise SchemaError(f"$.payload.family: expected one of {FAMILIES}")
+        node = _tree(payload["semigroup"], "$.payload.semigroup")
+        if family == "coh-coq" and isinstance(node, Leaf):
+            raise SchemaError("$.payload.family: 'coh-coq' needs a product semigroup")
         parsed = FipPayload(
-            _tree(payload["semigroup"], "$.payload.semigroup"),
+            node,
             _polytope(payload["polytope"], "$.payload.polytope"),
             family,
             _at_least(payload["sample_count"], 2, "$.payload.sample_count"),
@@ -242,11 +245,15 @@ def parse_problem(data) -> ProblemFile:
             payload, "$.payload",
             required=("dim", "norm", "subspace_basis", "functional_on_subspace", "operators"),
         )
-        dim = _integer(payload["dim"], "$.payload.dim")
+        dim = _at_least(payload["dim"], 1, "$.payload.dim")
+        norm = _norm(payload["norm"], "$.payload.norm", dim)
+        basis = _matrix(payload["subspace_basis"], "$.payload.subspace_basis")
+        if basis.shape[1] != dim:
+            raise SchemaError(f"$.payload.subspace_basis: expected rows of length {dim}")
         problem = ExtensionProblem(
             dim=dim,
-            norm=_norm(payload["norm"], "$.payload.norm", dim),
-            subspace_basis=_matrix(payload["subspace_basis"], "$.payload.subspace_basis"),
+            norm=norm,
+            subspace_basis=basis,
             functional_on_subspace=_vector(
                 payload["functional_on_subspace"], "$.payload.functional_on_subspace"
             ),

@@ -117,23 +117,23 @@ def _report(depth: int, failures: list[Failure]) -> ValidationReport:
     return ValidationReport(ok=not failures, depth=depth, failures=failures)
 
 
-def _abelian_failures(labeled, tol: float) -> list[Failure]:
+def _abelian_failures(labeled) -> list[Failure]:
     failures = []
     for i in range(len(labeled)):
         for j in range(i + 1, len(labeled)):
             (la, a), (lb, b) = labeled[i], labeled[j]
             dev = map_deviation(affine_compose(a, b), affine_compose(b, a))
-            if dev > tol:
+            if dev > DEFAULT_ABELIAN_TOL:
                 failures.append(Failure("non-commuting-pair", (la, lb), dev))
     return failures
 
 
-def check_abelian(generators, tol: float = DEFAULT_ABELIAN_TOL) -> ValidationReport:
-    """Every pair of generators must commute entrywise within tol."""
+def check_abelian(generators) -> ValidationReport:
+    """Every pair of generators must commute entrywise within DEFAULT_ABELIAN_TOL."""
     labeled = [(f"g{i}", g) for i, g in enumerate(generators)]
     if not labeled:
         raise ValueError("need at least one generator")
-    return _report(1, _abelian_failures(labeled, tol))
+    return _report(1, _abelian_failures(labeled))
 
 
 def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
@@ -168,16 +168,13 @@ def check_invariance(generators, K: Polytope, tol: float) -> ValidationReport:
     return _report(1, _invariance_failures(labeled, K, tol))
 
 
-def enumerate_elements(
-    node: SemigroupNode,
-    max_word_length: int,
-    cap: int = DEFAULT_ELEMENT_CAP,
-) -> list[AffineMap]:
+def enumerate_elements(node: SemigroupNode, max_word_length: int) -> list[AffineMap]:
     """Distinct products of generators up to the word length, identity included.
 
     Deduplication is entrywise within 1e-10, far below round-off growth at
-    this scale.  Raises :class:`EnumerationCapError` past ``cap`` elements,
-    which guards against free semigroups that never close up.
+    this scale.  Raises :class:`EnumerationCapError` past
+    ``DEFAULT_ELEMENT_CAP`` elements, which guards against free semigroups
+    that never close up.
     """
     if max_word_length < 1:
         raise ValueError("max_word_length must be >= 1")
@@ -195,8 +192,8 @@ def enumerate_elements(
                 known = np.abs(np.asarray(flat) - fc).max(axis=1).min()
                 if known <= _DEDUP_TOL:
                     continue
-                if len(elements) >= cap:
-                    raise EnumerationCapError(cap)
+                if len(elements) >= DEFAULT_ELEMENT_CAP:
+                    raise EnumerationCapError(DEFAULT_ELEMENT_CAP)
                 elements.append(cand)
                 flat.append(fc)
                 fresh.append(cand)
@@ -238,17 +235,17 @@ def check_normal_factor(
     return _report(1, failures)
 
 
-def _relation_failures(node, word_budget, tol, abelian_tol, first):
+def _relation_failures(node, word_budget, tol, first):
     """Height of the tree and its abelian and normal-relation failures.
 
     ``first`` is the tree-wide index of the subtree's first generator, so
     abelian and normal-relation witnesses carry the labels of :func:`flatten`.
     """
     if isinstance(node, Leaf):
-        return 1, _abelian_failures(flatten(node, first), abelian_tol)
-    left_depth, left = _relation_failures(node.normal, word_budget, tol, abelian_tol, first)
+        return 1, _abelian_failures(flatten(node, first))
+    left_depth, left = _relation_failures(node.normal, word_budget, tol, first)
     right_depth, right = _relation_failures(
-        node.quotient, word_budget, tol, abelian_tol, first + len(flatten(node.normal))
+        node.quotient, word_budget, tol, first + len(flatten(node.normal))
     )
     normal = check_normal_factor(node.normal, node.quotient, word_budget, tol, first).failures
     return 1 + max(left_depth, right_depth), left + right + normal
@@ -258,7 +255,6 @@ def validate_relations(
     node: SemigroupNode,
     word_budget: int = DEFAULT_WORD_BUDGET,
     tol: float = DEFAULT_RELATION_TOL,
-    abelian_tol: float = DEFAULT_ABELIAN_TOL,
 ) -> ValidationReport:
     """Check the tree's algebra alone: abelian leaves and normal relations.
 
@@ -267,7 +263,7 @@ def validate_relations(
     witnesses are labeled as :func:`flatten` does; the depth field records the height of the tree
     (1 for leaves, 1 + max child depth for products).
     """
-    depth, failures = _relation_failures(node, word_budget, tol, abelian_tol, 0)
+    depth, failures = _relation_failures(node, word_budget, tol, 0)
     return _report(depth, failures)
 
 
@@ -276,7 +272,6 @@ def validate_structure(
     K: Polytope,
     word_budget: int = DEFAULT_WORD_BUDGET,
     tol: float = DEFAULT_RELATION_TOL,
-    abelian_tol: float = DEFAULT_ABELIAN_TOL,
 ) -> ValidationReport:
     """Validate a structure tree against the polytope K.
 
@@ -285,7 +280,7 @@ def validate_structure(
     :func:`flatten` does.  Purely deterministic: identical inputs give
     identical reports.
     """
-    relations = validate_relations(node, word_budget, tol, abelian_tol)
+    relations = validate_relations(node, word_budget, tol)
     invariance = _invariance_failures(flatten(node), K, tol)
     return _report(relations.depth, relations.failures + invariance)
 

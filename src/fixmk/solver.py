@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFixedSetError, NotConvergedError
+from .errors import EmptyFixedSetError, NotConvergedError, StartOutsidePolytopeError
 from .geometry import (
     AffineMap,
     NormKind,
@@ -131,14 +131,15 @@ def solve_cesaro(
     """Iterate the averaging operator over a doubling depth schedule.
 
     Returns the first iterate whose worst generator residual is <= tol.
-    Raises :class:`NotConvergedError` with the best iterate when n_max is
+    Raises :class:`StartOutsidePolytopeError` when x0 is not in K, and
+    :class:`NotConvergedError` with the best iterate when n_max is
     exhausted; on a validated tree that signals a tol/n_max mismatch, not
     a missing fixed point.
     """
     start = as_vector(x0, node.dim)
     slack = max(tol, 1e-9)
     if hull_gap(K, start, slack)[0] > slack:
-        raise ValueError("start point is not inside the polytope")
+        raise StartOutsidePolytopeError("start point is not inside the polytope")
     diam = diameter(K, NormSpec(NormKind.MAX_ABS, K.dim))
     residual_history: list[tuple[int, float]] = []
     bound_history: list[tuple[int, float]] = []

@@ -304,3 +304,73 @@ def test_fip_run_imports_no_masked_arrays(monkeypatch):
                 if line.startswith("import time:")}
     assert code == 0 and "numpy" in imported
     assert "numpy.ma" not in imported
+
+
+# --- malformed inputs end in an error line, never a traceback ---------------------
+
+# fixture, payload field, value: each once escaped main as a raw traceback
+MALFORMED = {
+    "coh_coq_leaf": ("fip/rotation_square_fip.json", ("family",), "coh-coq"),
+    "extension_dim_zero": ("extension/swap_extension.json", ("dim",), 0),
+    "extension_short_row": ("extension/swap_extension.json", ("subspace_basis", 0), [1.0]),
+    "extension_long_row": ("extension/swap_extension.json", ("subspace_basis", 0), [1.0] * 3),
+    "start_outside": ("solve/rotation_square.json", ("start",), [5.0, 5.0]),
+}
+
+
+def write_malformed(tmp_path, name):
+    """Write the MALFORMED variant ``name`` of its fixture to tmp_path."""
+    fixture, (*parents, last), value = MALFORMED[name]
+    data = json.loads((FIXTURES / fixture).read_text())
+    target = data["payload"]
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    path = FIXTURES / "solve" / "rotation_square.json"
+    target = tmp_path / "missing" / "out.json"
+    assert cli.main(["check", str(path), "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.out == ""
+
+
+SCHEMA_CASES = [
+    ("fip", "coh_coq_leaf", "$.payload.family: 'coh-coq' needs a product semigroup"),
+    ("extend", "extension_dim_zero", "$.payload.dim: expected an integer >= 1"),
+    ("extend", "extension_short_row", "$.payload.subspace_basis: expected rows of length 2"),
+    ("extend", "extension_long_row", "$.payload.subspace_basis: expected rows of length 2"),
+]
+
+
+@pytest.mark.parametrize("command, name, message", SCHEMA_CASES, ids=[c[1] for c in SCHEMA_CASES])
+def test_payload_constraint_exits_two(command, name, message, tmp_path, capsys):
+    path = write_malformed(tmp_path, name)
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["cross-check", "cesaro"])
+def test_start_outside_polytope_exits_one(mode, tmp_path, capsys):
+    path = write_malformed(tmp_path, "start_outside")
+    assert cli.main(["solve", str(path), "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: start point is not inside the polytope\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "fip", "extend"])
+def test_no_input_escapes_main(command, tmp_path, capsys):
+    paths = fixture_paths("negative") + [write_malformed(tmp_path, name) for name in MALFORMED]
+    unwritable = str(tmp_path / "missing" / "out.json")
+    for path in paths:
+        for output in ([], ["--output", unwritable]):
+            assert cli.main([command, str(path), *output]) in (0, 1, 2), path.name
+            assert "Traceback" not in capsys.readouterr().err

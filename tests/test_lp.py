@@ -116,10 +116,10 @@ def check_pivot_rules(monkeypatch):
     state = {"n": None, "tol": None, "stalled": 0, "checked": 0, "bland": 0}
     iterate, pivot = lp._iterate, lp._pivot
 
-    def checked_iterate(T, basis, n_enterable, tol):
-        state.update(n=n_enterable, tol=tol, stalled=0)
+    def checked_iterate(T, basis, n_enterable):
+        state.update(n=n_enterable, tol=lp._TOL, stalled=0)
         try:
-            return iterate(T, basis, n_enterable, tol)
+            return iterate(T, basis, n_enterable)
         finally:
             state["n"] = None
 
@@ -316,7 +316,7 @@ def test_solve_lps_matches_solve_lp_on_infeasible_and_unbounded():
     objectives = [np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, -1.0])]
     assert [r.status for r in solve_lps(objectives, A, b)] == [UNBOUNDED, OPTIMAL, UNBOUNDED]
     for c in objectives:
-        assert solve_lp(c, A, b).status == next(solve_lps([c], A, b)).status
+        assert solve_lp(c, A, b).status == solve_lps([c], A, b)[0].status
     empty = solve_lps([np.ones(1), -np.ones(1)], np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
     assert [r.status for r in empty] == [INFEASIBLE] * 2
 

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from fixmk import geometry
+from fixmk import geometry, semigroup
 from fixmk import (
     AffineMap,
     EnumerationCapError,
@@ -224,10 +224,11 @@ def test_enumerate_dihedral_counts():
     assert len(enumerate_elements(dihedral_node(), 6)) == 8
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setattr(semigroup, "DEFAULT_ELEMENT_CAP", 4)
     halving = AffineMap(np.array([[0.5]]), np.zeros(1))
     with pytest.raises(EnumerationCapError) as err:
-        enumerate_elements(Leaf((halving,)), 10, cap=4)
+        enumerate_elements(Leaf((halving,)), 10)
     assert err.value.cap == 4
 
 
