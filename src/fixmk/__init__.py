@@ -45,7 +45,6 @@ from .geometry import (
     NormKind,
     NormSpec,
     Polytope,
-    affine_apply,
     affine_compose,
     affine_power,
     cesaro_average,
@@ -53,7 +52,6 @@ from .geometry import (
     convex_combination,
     diameter,
     feasible_point,
-    hull_distance,
     hull_gap,
     map_deviation,
     polytope_image,
@@ -64,7 +62,6 @@ from .semigroup import (
     Product,
     SemigroupNode,
     ValidationReport,
-    check_abelian,
     check_invariance,
     check_normal_factor,
     commuting_combination,
@@ -80,7 +77,6 @@ from .solver import (
     averaging_operator,
     common_fixed_subspace,
     fip_check,
-    fixed_subspace,
     residual,
     solve_cesaro,
     solve_exact,

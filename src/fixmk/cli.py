@@ -10,9 +10,10 @@ check fails: in the report's status, or with an ``error:`` line and no
 report when a library error stops the run, such as a numerical failure
 of the LP core or a ``start`` point outside the polytope.  2, with an
 ``error:`` line, on an unreadable or malformed problem file, a schema
-error, an out-of-range option (file or flag), or an ``--output`` path that
-cannot be written.  Set ``FIXMK_LOG=debug`` (or any logging level name)
-for verbose logging on stderr.
+error (fields whose shapes disagree included), an out-of-range option
+(file or flag), an ``--output`` path that cannot be written, or a bad
+``FIXMK_LOG``.  Set ``FIXMK_LOG=debug`` (or any logging level name) for
+verbose logging on stderr.
 """
 from __future__ import annotations
 
@@ -217,13 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("FIXMK_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
     args = build_parser().parse_args(argv)
 
     started = time.perf_counter()
     try:
+        name = os.environ.get("FIXMK_LOG")
+        if name:
+            level = logging.getLevelName(name.upper())  # an int only for a level name
+            if not isinstance(level, int):
+                raise SchemaError(f"FIXMK_LOG: expected a logging level name, got {name!r}")
+            logging.basicConfig(level=level)
         pf = load_problem(args.path)
         options = _merge_options(pf.options, args)
         if args.command == "solve":

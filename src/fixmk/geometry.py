@@ -19,16 +19,17 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
   Membership within a tolerance goes through :func:`hull_gap`, which
   matches p against the vertex list first and needs no LP when a vertex
   lies within the tolerance, as images under permutations do.
-* :func:`feasible_point` is p = 0, B = I: do the hulls intersect?
+* :func:`feasible_point` is p = 0, B = I: do the hulls intersect?  Its
+  witness is the raw basic solution.
 * the exact solver fits an affine fixed subspace against K.
 * the extension's subspace norm writes the unit ball as a deviation
   bound on B s, with B the subspace basis: max-abs is within 1 of the
   point 0, sum-abs within 0 of conv{+-e_i}.
 
-:func:`canonical_fit` turns a feasible instance into a reproducible,
-interior-leaning point by probing the deviation LP's extremes; each
-probe is one objective over the capped program of :func:`_capped_probes`,
-which runs phase 1 once for all of them.
+The exact solver alone uses :func:`canonical_fit`, which turns a feasible
+instance into a reproducible, interior-leaning point by probing the
+deviation LP's extremes; each probe is one objective over the capped
+program of :func:`_capped_probes`, which runs phase 1 once for all of them.
 """
 from __future__ import annotations
 
@@ -103,7 +104,8 @@ class AffineMap:
         return cls(np.eye(b.shape[0]), b)
 
     def __call__(self, x) -> np.ndarray:
-        return affine_apply(self, x)
+        v = as_vector(x, self.dim)
+        return self.matrix @ v + self.offset
 
     def __repr__(self):
         return f"AffineMap(dim={self.dim})"
@@ -194,11 +196,6 @@ class NormSpec:
 
 # ---------------------------------------------------------------------------
 # affine-map algebra
-
-
-def affine_apply(m: AffineMap, x) -> np.ndarray:
-    v = as_vector(x, m.dim)
-    return m.matrix @ v + m.offset
 
 
 def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -401,25 +398,22 @@ def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:
     return deviation, weights
 
 
-def hull_distance(K: Polytope, x) -> float:
-    return hull_fit(K, x)[0]
-
-
 def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
     """Max-abs gap from x to the hull, exact wherever it exceeds tol.
 
     First x is matched against the vertex list: when some vertex lies
     within tol of x (max-abs), that gap is returned and no LP is solved.
     It bounds the hull distance from above, so x is within tol of K.
-    Otherwise the gap is :func:`hull_distance`.  Either way gap <= tol iff
-    the hull distance is, and a gap above tol is the hull distance itself.
+    Otherwise the gap is the hull distance from :func:`hull_fit`.  Either
+    way gap <= tol iff the hull distance is, and a gap above tol is the
+    hull distance itself.
     Returns (gap, matched), matched True when the vertex match settled it.
     """
     point = as_vector(x, K.dim)
     nearest = float(np.abs(K.vertices - point).max(axis=1).min())
     if nearest <= tol:
         return nearest, True
-    return hull_distance(K, point), False
+    return hull_fit(K, point)[0], False
 
 
 def contains(K: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
@@ -429,31 +423,20 @@ def contains(K: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     return hull_gap(K, x, tol)[0] <= tol
 
 
-def diameter(K: Polytope, norm: NormSpec) -> float:
-    """Max distance between vertex pairs; attained at vertices by convexity.
-
-    For max-abs that is the widest coordinate spread, max minus min; for
-    sum-abs each vertex's distances to all vertices are one row at a time,
-    so no n_v x n_v x d array is built.
-    """
-    if norm.dim != K.dim:
-        raise DimensionMismatchError(f"norm dim {norm.dim} vs polytope dim {K.dim}")
+def diameter(K: Polytope) -> float:
+    """Max-abs diameter: the widest coordinate spread, computed without a pairwise array."""
     V = K.vertices
-    if norm.kind is NormKind.MAX_ABS:
-        return float((V.max(axis=0) - V.min(axis=0)).max())
-    return float(max(np.abs(V - v).sum(axis=1).max() for v in V))
+    return float((V.max(axis=0) - V.min(axis=0)).max())
 
 
-def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL, canonical: bool = True):
+def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL):
     """A point lying in every hull within tol, or None when there is none.
 
     The deviation LP with a free shared point (origin 0, basis I); the
-    hulls intersect iff the optimal deviation is <= tol.  By default the
-    witness is the canonical fit with the deviation capped at tol.
-    ``canonical=False`` returns the raw basic solution of the first
-    program, which is still deterministic but cheaper; which vertex of the
-    intersection it is depends on the simplex's pivot rules, so it may
-    move when those change.
+    hulls intersect iff the optimal deviation is <= tol.  The witness is
+    the raw basic solution of that one program: deterministic, but which
+    point of the intersection it is depends on the simplex's pivot rules,
+    so it may move when those change.
     """
     sets = list(constraint_sets)
     if not sets:
@@ -462,9 +445,5 @@ def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL, canonic
     for K in sets:
         if K.dim != d:
             raise DimensionMismatchError("polytopes have mixed dims")
-    vertex_sets = [K.vertices for K in sets]
-    origin, basis = np.zeros(d), np.eye(d)
-    deviation, point, _ = deviation_fit(vertex_sets, origin, basis)
-    if deviation > tol:
-        return None
-    return canonical_fit(vertex_sets, origin, basis, tol) if canonical else point
+    deviation, point, _ = deviation_fit([K.vertices for K in sets], np.zeros(d), np.eye(d))
+    return None if deviation > tol else point

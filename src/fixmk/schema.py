@@ -13,18 +13,22 @@ through :func:`dataclasses.asdict`, so its keys are the field names, and
 scalars as plain numbers.  Problem files follow the same rule for
 ``Options``, ``Polytope`` and ``AffineMap``; only the tree encoding and the
 payload key names are written by hand.
+
+Parsing also checks that the fields agree in shape (matrices, offsets,
+leaves, products, polytope, start, functional values, operators), and a
+mismatch is a :class:`SchemaError` naming the field.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import DimensionMismatchError, SchemaError
 from .extension import ExtensionProblem
-from .geometry import AffineMap, NormKind, NormSpec, Polytope
+from .geometry import AffineMap, NormKind, NormSpec, Polytope, as_matrix, as_vector
 from .semigroup import DEFAULT_WORD_BUDGET, Leaf, Product, SemigroupNode
 from .solver import DEFAULT_N_MAX, DEFAULT_TOL
 
@@ -35,7 +39,6 @@ KIND_EXTENSION = "extension"
 KINDS = (KIND_FIXED_POINT, KIND_STRUCTURE_CHECK, KIND_FIP_CHECK, KIND_EXTENSION)
 
 MODES = ("exact", "cesaro", "cross-check")
-OPTION_NAMES = ("tol", "n_max", "word_budget", "seed", "mode")
 FAMILIES = ("cof", "coh-coq")
 
 _NORM_NAMES = {"max-abs": NormKind.MAX_ABS, "sum-abs": NormKind.SUM_ABS}
@@ -48,6 +51,9 @@ class Options:
     word_budget: int = DEFAULT_WORD_BUDGET
     seed: int = 0
     mode: str = "cross-check"
+
+
+OPTION_NAMES = tuple(f.name for f in fields(Options))
 
 
 @dataclass
@@ -132,10 +138,18 @@ def _matrix(value, path) -> np.ndarray:
     return np.array(rows)
 
 
+def _shaped(path, build, *args, **kwargs):
+    """build(...), with its DimensionMismatchError as a SchemaError naming path."""
+    try:
+        return build(*args, **kwargs)
+    except DimensionMismatchError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def _affine_map(value, path) -> AffineMap:
     _check_keys(value, path, required=("matrix", "offset"))
-    return AffineMap(_matrix(value["matrix"], f"{path}.matrix"),
-                     _vector(value["offset"], f"{path}.offset"))
+    matrix = _shaped(f"{path}.matrix", as_matrix, _matrix(value["matrix"], f"{path}.matrix"))
+    return _shaped(f"{path}.offset", AffineMap, matrix, _vector(value["offset"], f"{path}.offset"))
 
 
 def _tree(value, path) -> SemigroupNode:
@@ -145,20 +159,25 @@ def _tree(value, path) -> SemigroupNode:
         gens = value["leaf"]
         if not isinstance(gens, list) or not gens:
             raise SchemaError(f"{path}.leaf: expected a nonempty array of maps")
-        return Leaf(tuple(_affine_map(g, f"{path}.leaf[{i}]") for i, g in enumerate(gens)))
+        maps = tuple(_affine_map(g, f"{path}.leaf[{i}]") for i, g in enumerate(gens))
+        return _shaped(f"{path}.leaf", Leaf, maps)
     if "product" in value:
         inner = value["product"]
         _check_keys(inner, f"{path}.product", required=("normal", "quotient"))
-        return Product(
+        return _shaped(
+            f"{path}.product", Product,
             _tree(inner["normal"], f"{path}.product.normal"),
             _tree(inner["quotient"], f"{path}.product.quotient"),
         )
     raise SchemaError(f"{path}: expected exactly one of 'leaf' or 'product'")
 
 
-def _polytope(value, path) -> Polytope:
+def _polytope(value, path, dim) -> Polytope:
     _check_keys(value, path, required=("vertices",))
-    return Polytope(_matrix(value["vertices"], f"{path}.vertices"))
+    K = Polytope(_matrix(value["vertices"], f"{path}.vertices"))
+    if K.dim != dim:
+        raise SchemaError(f"{path}.vertices: expected rows of length {dim}")
+    return K
 
 
 def _norm(value, path, dim) -> NormSpec:
@@ -214,15 +233,15 @@ def parse_problem(data) -> ProblemFile:
     if kind == KIND_FIXED_POINT:
         _check_keys(payload, "$.payload", required=("semigroup", "polytope"), optional=("start",))
         node = _tree(payload["semigroup"], "$.payload.semigroup")
-        K = _polytope(payload["polytope"], "$.payload.polytope")
+        K = _polytope(payload["polytope"], "$.payload.polytope", node.dim)
         start = _vector(payload["start"], "$.payload.start") if "start" in payload else None
+        if start is not None:
+            _shaped("$.payload.start", as_vector, start, node.dim)  # the length check
         parsed = SolvePayload(node, K, start)
     elif kind == KIND_STRUCTURE_CHECK:
         _check_keys(payload, "$.payload", required=("semigroup", "polytope"))
-        parsed = CheckPayload(
-            _tree(payload["semigroup"], "$.payload.semigroup"),
-            _polytope(payload["polytope"], "$.payload.polytope"),
-        )
+        node = _tree(payload["semigroup"], "$.payload.semigroup")
+        parsed = CheckPayload(node, _polytope(payload["polytope"], "$.payload.polytope", node.dim))
     elif kind == KIND_FIP_CHECK:
         _check_keys(
             payload, "$.payload",
@@ -236,7 +255,7 @@ def parse_problem(data) -> ProblemFile:
             raise SchemaError("$.payload.family: 'coh-coq' needs a product semigroup")
         parsed = FipPayload(
             node,
-            _polytope(payload["polytope"], "$.payload.polytope"),
+            _polytope(payload["polytope"], "$.payload.polytope", node.dim),
             family,
             _at_least(payload["sample_count"], 2, "$.payload.sample_count"),
         )
@@ -250,7 +269,8 @@ def parse_problem(data) -> ProblemFile:
         basis = _matrix(payload["subspace_basis"], "$.payload.subspace_basis")
         if basis.shape[1] != dim:
             raise SchemaError(f"$.payload.subspace_basis: expected rows of length {dim}")
-        problem = ExtensionProblem(
+        problem = _shaped(
+            "$.payload", ExtensionProblem,
             dim=dim,
             norm=norm,
             subspace_basis=basis,

@@ -29,6 +29,7 @@ from .geometry import (
     AffineMap,
     Polytope,
     affine_compose,
+    convex_combination,
     flatten_map,
     hull_fit,
     hull_gap,
@@ -126,14 +127,6 @@ def _abelian_failures(labeled) -> list[Failure]:
             if dev > DEFAULT_ABELIAN_TOL:
                 failures.append(Failure("non-commuting-pair", (la, lb), dev))
     return failures
-
-
-def check_abelian(generators) -> ValidationReport:
-    """Every pair of generators must commute entrywise within DEFAULT_ABELIAN_TOL."""
-    labeled = [(f"g{i}", g) for i, g in enumerate(generators)]
-    if not labeled:
-        raise ValueError("need at least one generator")
-    return _report(1, _abelian_failures(labeled))
 
 
 def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
@@ -303,7 +296,4 @@ def commuting_combination(
     deviation, weights = hull_fit(Polytope(columns), target)
     if deviation > tol:
         return None
-    weights = weights / weights.sum()
-    matrix = sum(wi * w.matrix for wi, w in zip(weights, words))
-    offset = sum(wi * w.offset for wi, w in zip(weights, words))
-    return AffineMap(matrix, offset)
+    return convex_combination(words, weights / weights.sum())

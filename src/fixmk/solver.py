@@ -26,8 +26,6 @@ import numpy as np
 from .errors import EmptyFixedSetError, NotConvergedError, StartOutsidePolytopeError
 from .geometry import (
     AffineMap,
-    NormKind,
-    NormSpec,
     Polytope,
     affine_compose,
     as_vector,
@@ -140,7 +138,7 @@ def solve_cesaro(
     slack = max(tol, 1e-9)
     if hull_gap(K, start, slack)[0] > slack:
         raise StartOutsidePolytopeError("start point is not inside the polytope")
-    diam = diameter(K, NormSpec(NormKind.MAX_ABS, K.dim))
+    diam = diameter(K)
     residual_history: list[tuple[int, float]] = []
     bound_history: list[tuple[int, float]] = []
     best_point, best_res, best_max = None, None, np.inf
@@ -173,13 +171,8 @@ def _affine_solution_set(M: np.ndarray, rhs: np.ndarray) -> AffineSubspace | Non
     return AffineSubspace(point, Vt[rank:].T.copy())
 
 
-def fixed_subspace(m: AffineMap) -> AffineSubspace | None:
-    """Solutions of m(x) = x, i.e. (A - I)x = -b; None when there are none."""
-    return _affine_solution_set(m.matrix - np.eye(m.dim), -m.offset)
-
-
 def common_fixed_subspace(node: SemigroupNode) -> AffineSubspace | None:
-    """Joint fixed subspace of all generators via one stacked system."""
+    """Solutions of g(x) = x for every generator g via one stacked system, or None."""
     gens = [g for _, g in flatten(node)]
     d = node.dim
     M = np.vstack([g.matrix - np.eye(d) for g in gens])
@@ -261,5 +254,5 @@ def fip_check(
     rng = np.random.default_rng(seed)
     elements = _sample_family(node, family, sample_count, rng, word_budget)
     images = [polytope_image(el, K) for el in elements]
-    witness = feasible_point(images, tol, canonical=False)
+    witness = feasible_point(images, tol)
     return FipReport(witness is not None, witness, family, sample_count, seed)

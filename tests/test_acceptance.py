@@ -18,19 +18,17 @@ from fixmk import (
     AffineMap,
     EmptyFixedSetError,
     Leaf,
-    NormKind,
-    NormSpec,
     Polytope,
     Product,
     affine_compose,
     averaging_operator,
+    common_fixed_subspace,
     contains,
     convex_combination,
     diameter,
     enumerate_elements,
     feasible_point,
     fip_check,
-    fixed_subspace,
     map_deviation,
     polytope_image,
     residual,
@@ -98,7 +96,7 @@ def test_criterion_3_one_over_n_residual_law(solve_fixtures):
             continue
         checked += 1
         x0 = _start(payload)
-        diam = diameter(payload.polytope, NormSpec(NormKind.MAX_ABS, payload.polytope.dim))
+        diam = diameter(payload.polytope)
         n = 1
         while n <= 1024:
             p = averaging_operator(node, n)(x0)
@@ -122,9 +120,7 @@ def test_criterion_4_abelian_hull_pairs(solve_fixtures):
             g = convex_combination(words, rng.dirichlet(np.ones(len(words))))
             if map_deviation(affine_compose(f, g), affine_compose(g, f)) > 1e-10:
                 failures += 1
-            witness = feasible_point(
-                [polytope_image(f, K), polytope_image(g, K)], 1e-9, canonical=False
-            )
+            witness = feasible_point([polytope_image(f, K), polytope_image(g, K)], 1e-9)
             if witness is None:
                 failures += 1
     assert failures == 0
@@ -222,7 +218,7 @@ def test_criterion_9_negative_controls():
 
     # a pure translation has an empty fixed set
     translation = AffineMap.translation([2.0, 0.0])
-    assert fixed_subspace(translation) is None
+    assert common_fixed_subspace(Leaf((translation,))) is None
     with pytest.raises(EmptyFixedSetError) as err:
         solve_exact(Leaf((translation,)), Polytope.box([0.0, 0.0], [1.0, 1.0]))
     assert err.value.reason == "empty-fixed-subspace"

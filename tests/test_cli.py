@@ -308,13 +308,28 @@ def test_fip_run_imports_no_masked_arrays(monkeypatch):
 
 # --- malformed inputs end in an error line, never a traceback ---------------------
 
-# fixture, payload field, value: each once escaped main as a raw traceback
+ROT90 = {"matrix": [[0.0, -1.0], [1.0, 0.0]], "offset": [0.0, 0.0]}
+EYE3 = {"matrix": np.eye(3).tolist(), "offset": [0.0] * 3}
+
+# fixture, payload field, value: each once escaped main as a raw traceback,
+# or, from polytope_3d on, exited 1 as if a solver had failed
 MALFORMED = {
     "coh_coq_leaf": ("fip/rotation_square_fip.json", ("family",), "coh-coq"),
     "extension_dim_zero": ("extension/swap_extension.json", ("dim",), 0),
     "extension_short_row": ("extension/swap_extension.json", ("subspace_basis", 0), [1.0]),
     "extension_long_row": ("extension/swap_extension.json", ("subspace_basis", 0), [1.0] * 3),
     "start_outside": ("solve/rotation_square.json", ("start",), [5.0, 5.0]),
+    "polytope_3d": ("solve/rotation_square.json", ("polytope", "vertices"),
+                    [[x, y, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0)]),
+    "start_length_3": ("solve/rotation_square.json", ("start",), [1.0, 1.0, 0.0]),
+    "offset_length_3": ("solve/rotation_square.json", ("semigroup", "leaf", 0, "offset"), [0.0] * 3),
+    "matrix_2x3": ("solve/rotation_square.json", ("semigroup", "leaf", 0, "matrix"),
+                   [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]),
+    "leaf_mixed_dims": ("solve/rotation_square.json", ("semigroup", "leaf"), [ROT90, EYE3]),
+    "product_quotient_1d": ("solve/rotation_square.json", ("semigroup",), {"product": {
+        "normal": {"leaf": [ROT90]}, "quotient": {"leaf": [{"matrix": [[1.0]], "offset": [0.0]}]}}}),
+    "functional_two_values": ("extension/swap_extension.json", ("functional_on_subspace",), [1.0, 1.0]),
+    "operator_3x3": ("extension/swap_extension.json", ("operators",), {"leaf": [EYE3]}),
 }
 
 
@@ -345,6 +360,16 @@ SCHEMA_CASES = [
     ("extend", "extension_dim_zero", "$.payload.dim: expected an integer >= 1"),
     ("extend", "extension_short_row", "$.payload.subspace_basis: expected rows of length 2"),
     ("extend", "extension_long_row", "$.payload.subspace_basis: expected rows of length 2"),
+    ("solve", "polytope_3d", "$.payload.polytope.vertices: expected rows of length 2"),
+    ("solve", "start_length_3", "$.payload.start: expected dimension 2, got 3"),
+    ("solve", "offset_length_3", "$.payload.semigroup.leaf[0].offset: expected dimension 2, got 3"),
+    ("solve", "matrix_2x3",
+     "$.payload.semigroup.leaf[0].matrix: expected a square matrix, got shape (2, 3)"),
+    ("solve", "leaf_mixed_dims", "$.payload.semigroup.leaf: leaf generators have mixed dims"),
+    ("solve", "product_quotient_1d",
+     "$.payload.semigroup.product: product children have mixed dims"),
+    ("extend", "functional_two_values", "$.payload: one functional value per basis vector"),
+    ("extend", "operator_3x3", "$.payload: norm/operators do not match the ambient dim"),
 ]
 
 
@@ -355,6 +380,19 @@ def test_payload_constraint_exits_two(command, name, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {path}: {message}\n"
     assert captured.out == ""
+
+
+def test_fixmk_log_takes_level_names_only(monkeypatch, capsys):
+    path = FIXTURES / "solve" / "rotation_square.json"
+    for value in ("basic_format", "bogus"):  # a logging constant that is no level, and a typo
+        monkeypatch.setenv("FIXMK_LOG", value)
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: FIXMK_LOG: expected a logging level name, got {value!r}\n"
+        assert captured.out == ""
+    monkeypatch.setenv("FIXMK_LOG", "debug")
+    code, _, err = run_cli("check", str(path))
+    assert code == 0 and "DEBUG:fixmk.semigroup:invariance pass" in err
 
 
 @pytest.mark.parametrize("mode", ["cross-check", "cesaro"])

@@ -15,14 +15,12 @@ from fixmk import (
     NormSpec,
     NumericalError,
     Polytope,
-    affine_apply,
     affine_compose,
     cesaro_average,
     contains,
     convex_combination,
     diameter,
     feasible_point,
-    hull_distance,
     hull_gap,
     map_deviation,
     polytope_image,
@@ -47,25 +45,25 @@ def maps(draw, count=1):
     return [random_map(draw, dim) for _ in range(count)]
 
 
-# --- affine_apply ---------------------------------------------------------
+# --- AffineMap.__call__ ---------------------------------------------------
 
 def test_apply_identity():
     x = np.array([3.0, -1.0])
-    np.testing.assert_array_equal(affine_apply(AffineMap.identity(2), x), x)
+    np.testing.assert_array_equal(AffineMap.identity(2)(x), x)
 
 
 def test_apply_rotation():
-    np.testing.assert_allclose(affine_apply(rot90(), [1.0, 0.0]), [0.0, 1.0], atol=0)
+    np.testing.assert_allclose(rot90()([1.0, 0.0]), [0.0, 1.0], atol=0)
 
 
 def test_apply_constant_map():
     const = AffineMap(np.zeros((2, 2)), np.array([2.0, 2.0]))
-    np.testing.assert_array_equal(affine_apply(const, [17.0, -4.0]), [2.0, 2.0])
+    np.testing.assert_array_equal(const([17.0, -4.0]), [2.0, 2.0])
 
 
 def test_apply_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
-        affine_apply(AffineMap.identity(2), [1.0, 2.0, 3.0])
+        AffineMap.identity(2)([1.0, 2.0, 3.0])
 
 
 # --- affine_compose -------------------------------------------------------
@@ -186,9 +184,9 @@ def test_cesaro_telescoping(h, n):
     from fixmk import affine_power
 
     x = np.linspace(-1.0, 1.0, h.dim)
-    p = affine_apply(cesaro_average(h, n), x)
-    lhs = p - affine_apply(h, p)
-    hn = affine_apply(affine_power(h, n), x)
+    p = cesaro_average(h, n)(x)
+    lhs = p - h(p)
+    hn = affine_power(h, n)(x)
     np.testing.assert_allclose(lhs, (x - hn) / n, atol=1e-10)
 
 
@@ -232,7 +230,7 @@ def test_image_contains_mapped_points(single, wseed):
     rng = np.random.default_rng(wseed)
     lam = rng.dirichlet(np.ones(K.n_vertices))
     x = lam @ K.vertices
-    assert contains(polytope_image(m, K), affine_apply(m, x), 1e-9)
+    assert contains(polytope_image(m, K), m(x), 1e-9)
 
 
 # --- contains / feasible_point -------------------------------------------
@@ -249,7 +247,7 @@ def test_contains_rejects_outside_point():
 
 
 def test_hull_distance_outside():
-    assert hull_distance(unit_square(), [2.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
+    assert geometry.hull_fit(unit_square(), [2.0, 0.0])[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hull_gap_matches_vertices_without_lp(monkeypatch):
@@ -264,7 +262,7 @@ def test_hull_gap_falls_back_to_hull_distance(monkeypatch):
     K = square()
     calls = count_calls(monkeypatch, geometry, "solve_lp")
     for x in ([0.0, 0.0], [1.0 + 1e-6, 1.0], [2.0, 0.5]):
-        expected = hull_distance(K, x)
+        expected = geometry.hull_fit(K, x)[0]
         calls.clear()
         assert hull_gap(K, x, 1e-9) == (expected, False)
         assert len(calls) == 1
@@ -315,34 +313,27 @@ def test_impossible_lp_status_is_a_numerical_error(monkeypatch):
 
 def test_diameter_point_square_segment():
     point = Polytope(np.array([[1.0, 1.0]]))
-    assert diameter(point, NormSpec(NormKind.MAX_ABS, 2)) == 0.0
-    assert diameter(square(), NormSpec(NormKind.MAX_ABS, 2)) == 2.0
+    assert diameter(point) == 0.0
+    assert diameter(square()) == 2.0
     seg = Polytope(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    assert diameter(seg, NormSpec(NormKind.SUM_ABS, 2)) == 7.0
+    assert diameter(seg) == 4.0
 
 
-def _pairwise_diameter(K, norm):
-    diffs = np.abs(K.vertices[:, None, :] - K.vertices[None, :, :])
-    return float(diffs.max(axis=2).max() if norm.kind is NormKind.MAX_ABS else diffs.sum(axis=2).max())
-
-
-@pytest.mark.parametrize("kind", list(NormKind))
-def test_diameter_equals_the_pairwise_formula(kind):
+def test_diameter_equals_the_pairwise_formula():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n_v, dim = rng.integers(1, 40), rng.integers(1, 9)
         K = Polytope(rng.normal(scale=rng.uniform(0.1, 10.0), size=(n_v, dim)))
-        norm = NormSpec(kind, dim)
-        assert diameter(K, norm) == _pairwise_diameter(K, norm)
+        pairwise = np.abs(K.vertices[:, None, :] - K.vertices[None, :, :]).max()
+        assert diameter(K) == float(pairwise)
 
 
-@pytest.mark.parametrize("kind", list(NormKind))
-def test_diameter_builds_no_pairwise_array(kind):
+def test_diameter_builds_no_pairwise_array():
     # the pairwise |V_a - V_b| array of [-1,1]^8 alone is 256 * 256 * 8 * 8 B = 4 MiB
     K = Polytope.box(-np.ones(8), np.ones(8))
     tracemalloc.start()
     try:
-        assert diameter(K, NormSpec(kind, 8)) == (2.0 if kind is NormKind.MAX_ABS else 16.0)
+        assert diameter(K) == 2.0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,7 +11,6 @@ from fixmk import (
     Polytope,
     Product,
     affine_compose,
-    check_abelian,
     check_invariance,
     check_normal_factor,
     commuting_combination,
@@ -24,19 +23,19 @@ from fixmk import (
 from helpers import count_calls, dihedral_node, reflect_x, rot90, rot180, square, unit_square
 
 
-# --- check_abelian ---------------------------------------------------------
+# --- abelian leaves --------------------------------------------------------
 
 def test_abelian_identity():
-    assert check_abelian([AffineMap.identity(2)]).ok
+    assert validate_relations(Leaf((AffineMap.identity(2),))).ok
 
 
 def test_abelian_rotations_commute():
-    report = check_abelian([rot90(), rot180()])
+    report = validate_relations(Leaf((rot90(), rot180())))
     assert report.ok and report.failures == []
 
 
 def test_abelian_rotation_vs_reflection_fails():
-    report = check_abelian([rot90(), reflect_x()])
+    report = validate_relations(Leaf((rot90(), reflect_x())))
     assert not report.ok
     assert report.failures[0].kind == "non-commuting-pair"
     assert report.failures[0].witness == ("g0", "g1")
@@ -176,7 +175,7 @@ def test_invariance_near_miss_still_fits_and_reports_hull_distance(monkeypatch):
     # scaling by 1 + 1e-7 leaves every image 1e-7 from its vertex, over tol
     g = AffineMap.linear((1.0 + 1e-7) * np.eye(2))
     K = square()
-    expected = max(geometry.hull_distance(K, g(v)) for v in K.vertices)
+    expected = max(geometry.hull_fit(K, g(v))[0] for v in K.vertices)
     calls = count_calls(monkeypatch, geometry, "hull_fit")
     report = check_invariance([g], K, 1e-9)
     assert len(calls) == K.n_vertices

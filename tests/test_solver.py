@@ -6,8 +6,6 @@ from fixmk import (
     AffineMap,
     EmptyFixedSetError,
     Leaf,
-    NormKind,
-    NormSpec,
     NotConvergedError,
     Polytope,
     averaging_operator,
@@ -19,7 +17,6 @@ from fixmk import (
     enumerate_elements,
     feasible_point,
     fip_check,
-    fixed_subspace,
     map_deviation,
     polytope_image,
     residual,
@@ -89,7 +86,7 @@ def test_cesaro_residual_bound_history():
     node = markov_node()
     K = Polytope(np.eye(2))
     result = solve_cesaro(node, K, [1.0, 0.0], 1e-8, 2**40)
-    diam = diameter(K, NormSpec(NormKind.MAX_ABS, 2))
+    diam = diameter(K)
     for (n, res), (n2, bound) in zip(
         result.certificate.residual_history, result.certificate.bound_history
     ):
@@ -104,22 +101,22 @@ def test_cesaro_not_converged_carries_best():
     assert max(err.value.residuals.values()) < 0.1
 
 
-# --- fixed_subspace / solve_exact ------------------------------------------
+# --- common_fixed_subspace / solve_exact -----------------------------------
 
 def test_fixed_subspace_identity_is_everything():
-    sub = fixed_subspace(AffineMap.identity(2))
+    sub = common_fixed_subspace(Leaf((AffineMap.identity(2),)))
     assert sub.dimension == 2
     np.testing.assert_allclose(sub.point, [0.0, 0.0], atol=1e-12)
 
 
 def test_fixed_subspace_contraction_is_origin():
-    sub = fixed_subspace(AffineMap.linear(0.5 * np.eye(2)))
+    sub = common_fixed_subspace(Leaf((AffineMap.linear(0.5 * np.eye(2)),)))
     assert sub.dimension == 0
     np.testing.assert_allclose(sub.point, [0.0, 0.0], atol=1e-12)
 
 
 def test_fixed_subspace_translation_is_empty():
-    assert fixed_subspace(AffineMap.translation([1.0, 0.0])) is None
+    assert common_fixed_subspace(Leaf((AffineMap.translation([1.0, 0.0]),))) is None
 
 
 def test_exact_identity_leaf_gives_centroid():
@@ -248,7 +245,8 @@ def test_fip_deterministic_per_seed():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_feasible_witness_lies_in_composed_image(seed):
-    # the canonical witness of f(K) ∩ g(K) also sits inside (f.g)(K)
+    # commuting f and g give (f.g)(K) ⊆ f(K) ∩ g(K), so the three images
+    # share a point, and the witness lies in all three
     cases = [
         (Leaf((AffineMap(np.array([[0.5]]), np.array([0.25])),)),
          Polytope(np.array([[0.0], [1.0]]))),
@@ -259,9 +257,10 @@ def test_feasible_witness_lies_in_composed_image(seed):
         rng = np.random.default_rng(seed)
         f = convex_combination(words, rng.dirichlet(np.ones(len(words))))
         g = convex_combination(words, rng.dirichlet(np.ones(len(words))))
-        w = feasible_point([polytope_image(f, K), polytope_image(g, K)], 1e-9)
+        images = [polytope_image(m, K) for m in (f, g, affine_compose(f, g))]
+        w = feasible_point(images, 1e-9)
         assert w is not None
-        assert contains(polytope_image(affine_compose(f, g), K), w, 1e-6)
+        assert all(contains(image, w, 1e-6) for image in images)
 
 
 # --- validation is honored ----------------------------------------------------

@@ -2,8 +2,10 @@ import importlib.util
 import json
 
 import numpy as np
+import pytest
 
 from conftest import FIXTURES
+from fixmk import SchemaError
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
 
@@ -63,3 +65,19 @@ def test_report_snapshot_generates_the_cyclic_shift_family(tmp_path):
     assert runs["fixed-point"] == [8, 16, 24]
     assert runs["fip-check"] == [(6, 0), (6, 1), (8, 0), (8, 1)]
     assert snap.mask("", f"error: {tmp_path / 'x.json'}\n", tmp_path) == ("", "error: <generated>/x.json\n")
+
+
+def test_report_snapshot_writes_shape_malformed_problems(tmp_path):
+    script = FIXTURES.parent / "tools" / "report_snapshot.py"
+    spec = importlib.util.spec_from_file_location("report_snapshot", script)
+    snap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snap)
+    seen = []
+    for name, problem, variants in snap.malformed_family():
+        path = tmp_path / name
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"\$\.payload"):
+            load_problem(path)
+        seen.append((name, variants))
+    assert len(seen) == 8 and len({name for name, _ in seen}) == 8
+    assert [v for _, v in seen] == [(("solve",),)] * 6 + [(("extend",),)] * 2

@@ -6,11 +6,13 @@ then on a generated family of the cyclic shift on the standard simplex:
 ``solve`` (default mode and ``--mode exact``) at d = 8, 16 and 24, and
 ``fip`` on five sampled cof images (word budget 2) at d = 6 and 8, seeds
 0 and 1.  A fip witness is a raw basic solution of one stacked LP, so a
-change in any pivot shows.  It writes one canonical JSON list of {args,
-exit, stdout, stderr}.  The family's problem files go to a temporary
-directory, so the fixture corpus stays as committed.  The report's
-``timing_ms`` is masked (in JSON and in the text format's status line)
-and the fixture and family directories in stderr are replaced by
+change in any pivot shows.  Last come eight malformed variants of two
+fixtures, whose fields disagree in shape, so the exit codes and error
+lines of malformed input are pinned too.  It writes one canonical JSON
+list of {args, exit, stdout, stderr}.  The generated problem files go to
+a temporary directory, so the fixture corpus stays as committed.  The
+report's ``timing_ms`` is masked (in JSON and in the text format's status
+line) and the fixture and family directories in stderr are replaced by
 ``<fixtures>`` and ``<generated>``, so two checkouts give equal snapshots
 exactly when their reports agree:
 
@@ -24,6 +26,7 @@ Run from the repository root; ``--src`` picks the fixmk source tree to run
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -102,6 +105,37 @@ def generated_family():
             yield f"cyclic_shift_fip_{d}_seed{seed}.json", cyclic_shift_fip_problem(d, seed), (("fip",),)
 
 
+def malformed_family():
+    """(file name, problem, variants) of each shape-malformed problem, in snapshot order.
+
+    rotation_square (for ``solve``) with a 3-D polytope, a start of length
+    3, a generator offset of length 3, a 2x3 matrix, a 3x3 generator added
+    to the leaf and a product with a 1-D quotient; swap_extension (for
+    ``extend``) with two functional values for one basis row and a 3x3
+    operator.
+    """
+    solve = json.loads((FIXTURES / "solve" / "rotation_square.json").read_text(encoding="utf-8"))
+    extend = json.loads((FIXTURES / "extension" / "swap_extension.json").read_text(encoding="utf-8"))
+    eye3 = {"matrix": [[float(i == j) for j in range(3)] for i in range(3)], "offset": [0.0] * 3}
+    rot = solve["payload"]["semigroup"]["leaf"][0]
+    vertices = solve["payload"]["polytope"]["vertices"]
+    edits = (
+        (solve, "solve", "polytope_3d", "polytope", {"vertices": [v + [0.0] for v in vertices]}),
+        (solve, "solve", "start_3", "start", [1.0, 1.0, 0.0]),
+        (solve, "solve", "offset_3", "semigroup", {"leaf": [{**rot, "offset": [0.0] * 3}]}),
+        (solve, "solve", "matrix_2x3", "semigroup",
+         {"leaf": [{**rot, "matrix": [row + [0.0] for row in rot["matrix"]]}]}),
+        (solve, "solve", "leaf_mixed_dims", "semigroup", {"leaf": [rot, eye3]}),
+        (solve, "solve", "product_quotient_1d", "semigroup", {"product": {
+            "normal": {"leaf": [rot]}, "quotient": {"leaf": [{"matrix": [[1.0]], "offset": [0.0]}]}}}),
+        (extend, "extend", "functional_two_values", "functional_on_subspace", [1.0, 1.0]),
+        (extend, "extend", "operator_3x3", "operators", {"leaf": [eye3]}),
+    )
+    for base, command, name, key, value in edits:
+        problem = {**base, "payload": {**base["payload"], key: value}}
+        yield f"malformed_{name}.json", problem, ((command,),)
+
+
 def _run(env, argv, shown, generated=None) -> dict:
     proc = subprocess.run(
         [sys.executable, "-m", "fixmk", *argv],
@@ -121,7 +155,7 @@ def snapshot(src: pathlib.Path) -> list[dict]:
             runs.append(_run(env, argv, shown))
     with tempfile.TemporaryDirectory() as tmp:
         generated = pathlib.Path(tmp)
-        for name, problem, variants in generated_family():
+        for name, problem, variants in itertools.chain(generated_family(), malformed_family()):
             path = generated / name
             path.write_text(json.dumps(problem, indent=2), encoding="utf-8")
             for variant in variants:
