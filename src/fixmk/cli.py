@@ -14,10 +14,17 @@ error (fields whose shapes disagree included), an out-of-range option
 (file or flag), an ``--output`` path that cannot be written, or a bad
 ``FIXMK_LOG``.  Set ``FIXMK_LOG=debug`` (or any logging level name) for
 verbose logging on stderr.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and parses nothing but ``argv``, so ``main`` may be called
+many times in one process (the benchmark and the report snapshot do) and
+each call reads only its own arguments.  Logging is the one exception:
+the first call that sees ``FIXMK_LOG`` configures it for the process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -196,7 +203,9 @@ def _add_common(parser, with_mode=False):
     parser.add_argument("--output", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="fixmk",
         description="Common fixed points of affine semigroups on polytopes, "

@@ -123,8 +123,24 @@ def _integer(value, path) -> int:
 
 
 def _vector(value, path) -> np.ndarray:
+    """A nonempty JSON array of finite numbers, as a float array.
+
+    The entry types are checked in one pass (``type`` is exact, so ``bool``
+    fails it) and the list is converted in one call.  Only a list that this
+    rejects, by a wrong type, an integer beyond the float range or a
+    non-finite number, is walked with :func:`_number`, which names the
+    first bad entry.
+    """
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{path}: expected a nonempty array of numbers")
+    if all(type(x) is int or type(x) is float for x in value):
+        try:
+            array = np.array(value, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
     return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(value)])
 
 

@@ -1,4 +1,5 @@
-"""Shared builders for test geometry, and the CLI runner."""
+"""Shared builders for test geometry, the CLI runner and the tool loader."""
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ from fixmk import AffineMap, Leaf, Polytope, Product
 
 # the child process imports the same fixmk as the tests, however it was found
 _SRC = str(pathlib.Path(fixmk.__file__).resolve().parent.parent)
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
 
 def run_cli(*args):
@@ -21,6 +23,14 @@ def run_cli(*args):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def load_tool(name):
+    """Import tools/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def count_calls(monkeypatch, module, name):

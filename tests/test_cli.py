@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_paths
-from fixmk import cli, extension, lp
-from fixmk.schema import load_problem, serialize_problem
-from helpers import run_cli
+from fixmk import SchemaError, cli, extension, lp, schema
+from fixmk.schema import load_problem, parse_problem, serialize_problem
+from helpers import load_tool, run_cli
 
 
 def canonical_fixture_paths():
@@ -230,6 +230,43 @@ def test_non_finite_payload_number_exits_two(command, fixture, field, value, tmp
     assert captured.out == ""
 
 
+# JSON numbers at the edges of the float range: each must parse to float(x)
+EDGE_NUMBERS = [2**53 + 1, 2**63, 10**20, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def test_payload_numbers_parse_like_float():
+    row = json.loads(json.dumps(EDGE_NUMBERS))  # the big integers stay ints, as in a file
+    expected = np.array([float(x) for x in EDGE_NUMBERS])
+    assert schema._vector(row, "$.v").tobytes() == expected.tobytes()
+    matrix = schema._matrix([row, row[::-1]], "$.m")
+    assert matrix.tobytes() == np.array([expected, expected[::-1]]).tobytes()
+
+
+BAD_ENTRIES = {
+    "true": (True, "expected a number"),
+    "string": ("1", "expected a number"),
+    "null": (None, "expected a number"),
+    "nested": ([1.0], "expected a number"),
+    "nan": (float("nan"), "expected a finite number"),
+    "int_beyond_float": (10**400, "expected a finite number"),
+}
+
+
+@pytest.mark.parametrize("value, message", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
+def test_bad_payload_number_is_named(value, message):
+    rows = {"$.payload.start[1]": ("start",),
+            "$.payload.semigroup.leaf[0].matrix[1][1]": ("semigroup", "leaf", 0, "matrix", 1)}
+    for named, keys in rows.items():
+        data = json.loads((FIXTURES / "solve" / "rotation_square.json").read_text())
+        row = data["payload"]
+        for key in keys:
+            row = row[key]
+        row[1] = value
+        with pytest.raises(SchemaError) as exc:
+            parse_problem(data)
+        assert str(exc.value) == f"{named}: {message}"
+
+
 def test_smallest_in_range_flags_run(tmp_path):
     path = FIXTURES / "solve" / "dihedral_square.json"
     out = tmp_path / "out.json"
@@ -285,6 +322,40 @@ def test_reports_are_deterministic_minus_timing():
     assert r1 == r2
     # stable key order straight off the wire
     assert out1.index('"result"') < out1.index('"status"') < out1.index('"timing_ms"')
+
+
+ROTATION = str(FIXTURES / "solve" / "rotation_square.json")
+OUTPUT = "<output>"  # stands for a file path of the run's own
+
+# (argv, exit code) lists run in a row through one process's main; no flag
+# may outlive its call
+MAIN_SEQUENCES = {
+    "fip_then_check": [(["check", ROTATION, "--fip", "3"], 0), (["check", ROTATION], 0)],
+    "mode_then_file_mode": [(["solve", ROTATION, "--mode", "exact"], 0), (["solve", ROTATION], 0)],
+    "rejected_then_valid": [(["check", ROTATION, "--tol", "0"], 2),
+                            (["solve", ROTATION, "--mode", "bogus"], 2), (["check", ROTATION], 0)],
+    "text_output_then_json": [(["solve", ROTATION, "--format", "text"], 0),
+                              (["solve", ROTATION, "--output", OUTPUT], 0),
+                              (["solve", ROTATION], 0)],
+}
+
+
+@pytest.mark.parametrize("calls", MAIN_SEQUENCES.values(), ids=MAIN_SEQUENCES)
+def test_repeated_main_calls_match_fresh_processes(calls, tmp_path, monkeypatch):
+    monkeypatch.delenv("FIXMK_LOG", raising=False)
+    snap = load_tool("report_snapshot")
+
+    def outcome(runner, argv, target):
+        code, out, err = runner([str(target) if a == OUTPUT else a for a in argv])
+        written = target.read_text() if target.exists() else ""
+        target.unlink(missing_ok=True)
+        return code, *snap.mask(out, err), snap.mask(written, "")[0]
+
+    for argv, code in calls:
+        in_process = outcome(lambda a: snap.run(cli, a), argv, tmp_path / "in_process.json")
+        assert in_process[0] == code, argv
+        assert in_process == outcome(lambda a: run_cli(*a), argv, tmp_path / "fresh.json"), argv
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_numerical_failure_exits_one_with_error_line(monkeypatch, capsys):

@@ -1,21 +1,21 @@
-import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from fixmk import SchemaError
+from fixmk import SchemaError, cli
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
+from helpers import load_tool
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "report_snapshot.json"
 
 
 def test_gen_fixtures_reproduces_the_committed_corpus(tmp_path, monkeypatch):
     # the corpus is a benchmark input: any drift from its generator must show
-    script = FIXTURES.parent / "tools" / "gen_fixtures.py"
-    spec = importlib.util.spec_from_file_location("gen_fixtures", script)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_tool("gen_fixtures")
     monkeypatch.setattr(gen, "ROOT", tmp_path)
     gen.main()
 
@@ -29,10 +29,7 @@ def test_gen_fixtures_reproduces_the_committed_corpus(tmp_path, monkeypatch):
 
 
 def test_report_snapshot_masks_timing_and_fixture_root():
-    script = FIXTURES.parent / "tools" / "report_snapshot.py"
-    spec = importlib.util.spec_from_file_location("report_snapshot", script)
-    snap = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(snap)
+    snap = load_tool("report_snapshot")
     stdout = '{\n  "status": "ok",\n  "timing_ms": 12.5e-1,\n}\nstatus: ok  (3.25 ms, v0.1.0)\n'
     stderr = f"error: {FIXTURES / 'negative' / 'malformed.json'}: invalid JSON\n"
     assert snap.mask(stdout, stderr) == (
@@ -42,10 +39,7 @@ def test_report_snapshot_masks_timing_and_fixture_root():
 
 
 def test_report_snapshot_generates_the_cyclic_shift_family(tmp_path):
-    script = FIXTURES.parent / "tools" / "report_snapshot.py"
-    spec = importlib.util.spec_from_file_location("report_snapshot", script)
-    snap = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(snap)
+    snap = load_tool("report_snapshot")
     runs = {"fixed-point": [], "fip-check": []}
     for name, problem, _ in snap.generated_family():
         path = tmp_path / name
@@ -68,10 +62,7 @@ def test_report_snapshot_generates_the_cyclic_shift_family(tmp_path):
 
 
 def test_report_snapshot_writes_shape_malformed_problems(tmp_path):
-    script = FIXTURES.parent / "tools" / "report_snapshot.py"
-    spec = importlib.util.spec_from_file_location("report_snapshot", script)
-    snap = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(snap)
+    snap = load_tool("report_snapshot")
     seen = []
     for name, problem, variants in snap.malformed_family():
         path = tmp_path / name
@@ -81,3 +72,24 @@ def test_report_snapshot_writes_shape_malformed_problems(tmp_path):
         seen.append((name, variants))
     assert len(seen) == 8 and len({name for name, _ in seen}) == 8
     assert [v for _, v in seen] == [(("solve",),)] * 6 + [(("extend",),)] * 2
+
+
+def test_report_snapshot_matches_the_golden_copy(monkeypatch):
+    """Every report, exit code and error line of the snapshot is as committed.
+
+    The snapshot of this checkout, made in this process, must equal
+    tests/golden/report_snapshot.json byte for byte.  A change that alters
+    reports regenerates the file with
+
+        python tools/report_snapshot.py --out tests/golden/report_snapshot.json
+
+    and lists the changed entries (their ``args``) in CHANGES.md.
+    """
+    monkeypatch.delenv("FIXMK_LOG", raising=False)
+    snap = load_tool("report_snapshot")
+    runs = snap.snapshot(cli)
+    golden = GOLDEN.read_text(encoding="utf-8")
+    if snap.dumps(runs) != golden:
+        old = {json.dumps(run["args"]): run for run in json.loads(golden)}
+        changed = [run["args"] for run in runs if old.pop(json.dumps(run["args"]), None) != run]
+        pytest.fail(f"{len(changed)} runs changed or added, {len(old)} gone: {changed[:10]}")

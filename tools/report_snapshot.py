@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Snapshot every CLI report on the fixture corpus, for byte-level comparison.
 
-Runs ``python -m fixmk`` for each subcommand variant on each fixture file,
-then on a generated family of the cyclic shift on the standard simplex:
-``solve`` (default mode and ``--mode exact``) at d = 8, 16 and 24, and
-``fip`` on five sampled cof images (word budget 2) at d = 6 and 8, seeds
-0 and 1.  A fip witness is a raw basic solution of one stacked LP, so a
-change in any pivot shows.  Last come eight malformed variants of two
-fixtures, whose fields disagree in shape, so the exit codes and error
-lines of malformed input are pinned too.  It writes one canonical JSON
+Calls ``fixmk.cli.main`` in this process for each subcommand variant on
+each fixture file, then on a generated family of the cyclic shift on the
+standard simplex: ``solve`` (default mode and ``--mode exact``) at d = 8,
+16 and 24, and ``fip`` on five sampled cof images (word budget 2) at d = 6
+and 8, seeds 0 and 1.  A fip witness is a raw basic solution of one
+stacked LP, so a change in any pivot shows.  Last come eight malformed
+variants of two fixtures, whose fields disagree in shape, so the exit
+codes and error lines of malformed input are pinned too.  It writes one canonical JSON
 list of {args, exit, stdout, stderr}.  The generated problem files go to
 a temporary directory, so the fixture corpus stays as committed.  The
 report's ``timing_ms`` is masked (in JSON and in the text format's status
@@ -21,17 +21,23 @@ exactly when their reports agree:
     cmp before.json after.json
 
 Run from the repository root; ``--src`` picks the fixmk source tree to run
-(default: this checkout's src/).
+(default: this checkout's src/).  Each run's standard output and error are
+captured, and its exit code is ``main``'s return value or that of the
+``SystemExit`` it raised (argparse's usage errors).  ``FIXMK_LOG`` is
+unset for the runs: the first call that sees it would configure logging
+for the whole process.  tests/golden/report_snapshot.json is this
+snapshot of the committed code.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
 import pathlib
 import re
-import subprocess
 import sys
 import tempfile
 
@@ -136,23 +142,40 @@ def malformed_family():
         yield f"malformed_{name}.json", problem, ((command,),)
 
 
-def _run(env, argv, shown, generated=None) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-m", "fixmk", *argv],
-        capture_output=True, text=True, env=env, cwd=REPO,
-    )
-    stdout, stderr = mask(proc.stdout, proc.stderr, generated)
-    return {"args": shown, "exit": proc.returncode, "stdout": stdout, "stderr": stderr}
+def load_cli(src: pathlib.Path):
+    """Import fixmk.cli from the source tree src, refusing any other copy."""
+    sys.path.insert(0, str(src))
+    import fixmk.cli
+
+    if pathlib.Path(fixmk.cli.__file__).resolve().parent != (src / "fixmk").resolve():
+        raise SystemExit(f"error: imported fixmk from {fixmk.cli.__file__}, not from {src}")
+    return fixmk.cli
 
 
-def snapshot(src: pathlib.Path) -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def run(cli, argv) -> tuple[int, str, str]:
+    """cli.main(argv) in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --version
+            code = exc.code or 0
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(cli, argv, shown, generated=None) -> dict:
+    code, stdout, stderr = run(cli, argv)
+    stdout, stderr = mask(stdout, stderr, generated)
+    return {"args": shown, "exit": code, "stdout": stdout, "stderr": stderr}
+
+
+def snapshot(cli) -> list[dict]:
     runs = []
     for path in sorted(FIXTURES.rglob("*.json")):
         for variant in VARIANTS:
             argv = [variant[0], str(path), *variant[1:]]
             shown = [variant[0], str(path.relative_to(FIXTURES)), *variant[1:]]
-            runs.append(_run(env, argv, shown))
+            runs.append(_run(cli, argv, shown))
     with tempfile.TemporaryDirectory() as tmp:
         generated = pathlib.Path(tmp)
         for name, problem, variants in itertools.chain(generated_family(), malformed_family()):
@@ -161,8 +184,12 @@ def snapshot(src: pathlib.Path) -> list[dict]:
             for variant in variants:
                 argv = [variant[0], str(path), *variant[1:]]
                 shown = [variant[0], f"<generated>/{path.name}", *variant[1:]]
-                runs.append(_run(env, argv, shown, generated))
+                runs.append(_run(cli, argv, shown, generated))
     return runs
+
+
+def dumps(runs: list[dict]) -> str:
+    return json.dumps(runs, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
@@ -170,9 +197,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="snapshot file to write")
     parser.add_argument("--src", default=str(REPO / "src"), help="fixmk source tree to run")
     args = parser.parse_args(argv)
-    runs = snapshot(pathlib.Path(args.src).resolve())
-    text = json.dumps(runs, indent=2, sort_keys=True) + "\n"
-    pathlib.Path(args.out).write_text(text, encoding="utf-8")
+    os.environ.pop("FIXMK_LOG", None)
+    runs = snapshot(load_cli(pathlib.Path(args.src).resolve()))
+    pathlib.Path(args.out).write_text(dumps(runs), encoding="utf-8")
     print(f"wrote {len(runs)} runs to {args.out}")
     return 0
 
