@@ -18,8 +18,9 @@ verbose logging on stderr.
 The argument parser is built once per process, on the first call of
 :func:`main`, and parses nothing but ``argv``, so ``main`` may be called
 many times in one process (the benchmark and the report snapshot do) and
-each call reads only its own arguments.  Logging is the one exception:
-the first call that sees ``FIXMK_LOG`` configures it for the process.
+each call reads only its own arguments and ``FIXMK_LOG``: the ``fixmk``
+logger gets that call's level, and its one handler writes each record to
+``sys.stderr`` as it is when the record is made.
 """
 from __future__ import annotations
 
@@ -62,6 +63,37 @@ from .solver import fip_check, solve_cesaro, solve_exact
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_PARSE = 2
+
+
+class _CurrentStderr(logging.StreamHandler):
+    """A stream handler whose stream is always the current ``sys.stderr``."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):  # StreamHandler.__init__ assigns one
+        pass
+
+
+_LOG_HANDLER = _CurrentStderr()
+_LOG_HANDLER.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+
+
+def _configure_logging(name: str | None) -> None:
+    """Log the ``fixmk`` records at level ``name`` to stderr, or none when it is unset."""
+    logger = logging.getLogger("fixmk")
+    if not name:
+        if _LOG_HANDLER in logger.handlers:
+            logger.removeHandler(_LOG_HANDLER)
+            logger.setLevel(logging.NOTSET)
+        return
+    level = logging.getLevelName(name.upper())  # an int only for a level name
+    if not isinstance(level, int):
+        raise SchemaError(f"FIXMK_LOG: expected a logging level name, got {name!r}")
+    logger.setLevel(level)
+    logger.addHandler(_LOG_HANDLER)  # a no-op when it is there already
 
 
 def _merge_options(options, args):
@@ -231,12 +263,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        name = os.environ.get("FIXMK_LOG")
-        if name:
-            level = logging.getLevelName(name.upper())  # an int only for a level name
-            if not isinstance(level, int):
-                raise SchemaError(f"FIXMK_LOG: expected a logging level name, got {name!r}")
-            logging.basicConfig(level=level)
+        _configure_logging(os.environ.get("FIXMK_LOG"))
         pf = load_problem(args.path)
         options = _merge_options(pf.options, args)
         if args.command == "solve":

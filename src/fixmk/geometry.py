@@ -16,6 +16,7 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
 (upper, lower) per coordinate followed by its weight-sum row.
 
 * :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
+  It shifts the vertices by -p and fits them against the point 0.
   Membership within a tolerance goes through :func:`hull_gap`, which
   matches p against the vertex list first and needs no LP when a vertex
   lies within the tolerance, as images under permutations do.
@@ -391,10 +392,16 @@ def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:
     """Best max-abs deviation between x and the hull, plus achieving weights.
 
     The deviation LP with an empty basis: t = 0 (up to arithmetic) iff x
-    is in the hull.
+    is in the hull.  It is posed for the shifted vertices V - x against the
+    point 0, the same program because the weights sum to 1.  With x on
+    the right-hand side instead, the simplex reported a false unbounded
+    phase 1, or a positive deviation, for some points of a hull that
+    spans only 2e-8 in one coordinate (pinned in the tests).
     """
     point = as_vector(x, K.dim)
-    deviation, _, weights = deviation_fit([K.vertices], point, np.zeros((K.dim, 0)))
+    deviation, _, weights = deviation_fit(
+        [K.vertices - point], np.zeros(K.dim), np.zeros((K.dim, 0))
+    )
     return deviation, weights
 
 

@@ -3,12 +3,17 @@
 These deliberately avoid the library's own LP core: scipy's interior-point
 or HiGHS solver for the brute extension problems, numpy's eigensolver for
 stationary distributions.  Keeping both routes alive is the point; a bug
-in the in-house simplex cannot hide behind itself.
+in the in-house simplex cannot hide behind itself.  The extension's
+constraint set has a plain reference too, one lstsq per facet combination,
+which the library's batched screen must match bit for bit.
 """
+import itertools
+
 import numpy as np
 from scipy.optimize import linprog
 
 from fixmk import NormKind
+from fixmk.extension import INVARIANT_TOL
 from fixmk.semigroup import flatten
 
 
@@ -82,3 +87,41 @@ def hull_distance(V, x):
     if not res.success:
         raise RuntimeError(f"hull distance LP failed: {res.message}")
     return res.fun
+
+
+def constraint_set_vertices(problem):
+    """Vertices of the extension's constraint set, one lstsq per facet combination.
+
+    The unscreened loop: every combination of n - rank dual-ball facets
+    with the equality slice is solved by least squares and kept when it
+    has full rank, a residual and a dual norm within INVARIANT_TOL, and no
+    kept vertex within INVARIANT_TOL.  Returns the vertices sorted
+    lexicographically, as an array (0 rows when there are none).
+    """
+    n = problem.dim
+    dual = problem.norm.dual()
+    C = problem.subspace_basis
+    d = problem.functional_on_subspace
+    rank = np.linalg.matrix_rank(C) if C.shape[0] else 0
+    facets = problem.norm.unit_ball().vertices
+    need = n - rank
+
+    candidates = []
+    for combo in itertools.combinations(range(len(facets)), need):
+        M = np.vstack([C, facets[list(combo)]]) if C.shape[0] else facets[list(combo)]
+        rhs = np.concatenate([d, np.ones(need)])
+        sol, _, rank_M, _ = np.linalg.lstsq(M, rhs, rcond=None)
+        if rank_M < n:
+            continue
+        if np.max(np.abs(M @ sol - rhs)) > INVARIANT_TOL:
+            continue
+        if dual.value(sol) > 1.0 + INVARIANT_TOL:
+            continue
+        candidates.append(sol)
+
+    vertices = []
+    for v in candidates:
+        if all(np.max(np.abs(v - u)) > INVARIANT_TOL for u in vertices):
+            vertices.append(v)
+    arr = np.array(vertices).reshape(-1, n)
+    return arr[np.lexsort(arr.T[::-1])]

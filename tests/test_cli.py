@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -464,6 +465,22 @@ def test_fixmk_log_takes_level_names_only(monkeypatch, capsys):
     monkeypatch.setenv("FIXMK_LOG", "debug")
     code, _, err = run_cli("check", str(path))
     assert code == 0 and "DEBUG:fixmk.semigroup:invariance pass" in err
+
+
+def test_fixmk_log_writes_to_each_in_process_call_stderr(monkeypatch):
+    snap = load_tool("report_snapshot")
+    argv = ["check", str(FIXTURES / "solve" / "rotation_square.json")]
+    monkeypatch.setenv("FIXMK_LOG", "debug")
+    fresh = snap.mask(*run_cli(*argv)[1:])
+    assert "DEBUG:fixmk.semigroup:invariance pass" in fresh[1]
+    for _ in range(2):
+        code, out, err = snap.run(cli, argv)
+        assert code == 0 and snap.mask(out, err) == fresh
+    monkeypatch.setenv("FIXMK_LOG", "info")  # each call takes its own level
+    assert snap.run(cli, argv)[2] == ""
+    monkeypatch.delenv("FIXMK_LOG")  # and an unset one removes the handler
+    assert snap.run(cli, argv)[2] == ""
+    assert not logging.getLogger("fixmk").handlers
 
 
 @pytest.mark.parametrize("mode", ["cross-check", "cesaro"])

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +29,10 @@ from fixmk import (
     verify_extension,
 )
 from fixmk.extension import ExtensionResult
+from fixmk.schema import load_problem
+from conftest import fixture_paths
 from helpers import cycle3, swap12_3d
-from oracles import brute_min_dual_norm
+from oracles import brute_min_dual_norm, constraint_set_vertices
 
 LINF2 = NormSpec(NormKind.MAX_ABS, 2)
 LINF3 = NormSpec(NormKind.MAX_ABS, 3)
@@ -153,6 +158,83 @@ def test_constraint_set_empty_raises():
     # skipping normalization: no functional of dual norm <= 1 hits g = 3
     with pytest.raises(EmptyConstraintSetError):
         build_constraint_set(swap_problem(3.0))
+
+
+# The batched screen must give the vertices of the unscreened loop, bit for bit.
+
+def assert_reference_vertices(problem):
+    ours = build_constraint_set(problem).vertices
+    reference = constraint_set_vertices(problem)
+    assert ours.shape == reference.shape
+    assert ours.tobytes() == reference.tobytes()
+
+
+def ball_problem(kind, n, value=1.3):
+    """g on span(1) under the cyclic shift, normalized (the extend-ball shape)."""
+    shift = AffineMap.linear(np.roll(np.eye(n), 1, axis=0))
+    problem = ExtensionProblem(n, NormSpec(kind, n), [[1.0] * n], [value], Leaf((shift,)))
+    return normalize_problem(problem)[0]
+
+
+BALLS = [(NormKind.MAX_ABS, n) for n in range(2, 5)] + [(NormKind.SUM_ABS, n) for n in range(2, 9)]
+
+
+@pytest.mark.parametrize("kind, n", BALLS, ids=[f"{k.value}-{n}" for k, n in BALLS])
+def test_constraint_set_matches_reference_on_balls(kind, n):
+    for value in (1.3, -0.7):
+        assert_reference_vertices(ball_problem(kind, n, value))
+
+
+@pytest.mark.parametrize("path", fixture_paths("extension"), ids=lambda p: p.stem)
+def test_constraint_set_matches_reference_on_fixtures(path):
+    assert_reference_vertices(normalize_problem(load_problem(path).payload.problem)[0])
+
+
+RANDOM_SUBSPACES = list(itertools.product(NormKind, [1, 2], [2, 3, 4, 5], ["normal", "integer"]))
+
+
+@pytest.mark.parametrize(
+    "seed, kind, k, n, entries",
+    [(seed, *case) for seed, case in enumerate(RANDOM_SUBSPACES)],
+    ids=[f"{kind.value}-k{k}-n{n}-{entries}" for kind, k, n, entries in RANDOM_SUBSPACES],
+)
+def test_constraint_set_matches_reference_on_random_subspaces(seed, kind, k, n, entries):
+    rng = np.random.default_rng(seed)
+    while True:  # integer rows can be dependent, which normalize_problem rejects
+        basis = rng.normal(size=(k, n)) if entries == "normal" else rng.integers(-2, 3, (k, n))
+        if np.linalg.matrix_rank(basis) == k:
+            break
+    values = rng.uniform(-2.0, 2.0, size=k)
+    problem = ExtensionProblem(n, NormSpec(kind, n), basis, values, Leaf((AffineMap.identity(n),)))
+    assert_reference_vertices(normalize_problem(problem)[0])
+
+
+def test_constraint_set_matches_reference_on_dependent_basis():
+    # rank 1 from two rows: the systems are 4 x 3, so none is solved in the batch
+    prob = ExtensionProblem(
+        3, LINF3, [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], [0.5, 1.0], Leaf((AffineMap.identity(3),))
+    )
+    assert_reference_vertices(prob)
+
+
+def test_constraint_set_screen_leaves_few_combinations_to_lstsq(monkeypatch):
+    problem = ball_problem(NormKind.SUM_ABS, 8)  # C(16, 7) = 11,440 combinations
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+    build_constraint_set(problem)
+    assert 0 < len(calls) < 20
+
+
+def test_constraint_set_memory_stays_flat():
+    problem = ball_problem(NormKind.SUM_ABS, 8)
+    tracemalloc.start()
+    try:
+        build_constraint_set(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- dual_action ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from fixmk import (
 )
 from fixmk.lp import INFEASIBLE, LPResult
 from helpers import count_calls, rot90, rot180, square, unit_square
+from oracles import hull_distance
 
 entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -231,6 +232,27 @@ def test_image_contains_mapped_points(single, wseed):
     lam = rng.dirichlet(np.ones(K.n_vertices))
     x = lam @ K.vertices
     assert contains(polytope_image(m, K), m(x), 1e-9)
+
+
+# Two maps the test above has drawn.  Their images span 2e-8 in the last
+# coordinate; with the point on the right-hand side of the hull-fit LP,
+# the first raised "phase-1 objective reported unbounded" and the second
+# returned False, while HiGHS puts the point in the hull.
+NEARLY_FLAT_MAPS = {
+    "false-unbounded": [[1.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -0.8125], [0, 0, 0, 1e-8]],
+    "false-outside": [[2, 0.8125, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1e-8]],
+}
+
+
+@pytest.mark.parametrize("matrix", NEARLY_FLAT_MAPS.values(), ids=NEARLY_FLAT_MAPS)
+def test_nearly_flat_image_contains_mapped_point(matrix):
+    m = AffineMap(matrix, np.full(4, 1e-8))
+    K = Polytope.box(-np.ones(4), np.ones(4))
+    x = np.random.default_rng(0).dirichlet(np.ones(K.n_vertices)) @ K.vertices
+    image = polytope_image(m, K)
+    assert hull_distance(image.vertices, m(x)) <= 1e-12
+    assert geometry.hull_fit(image, m(x))[0] <= 1e-9
+    assert contains(image, m(x), 1e-9)
 
 
 # --- contains / feasible_point -------------------------------------------

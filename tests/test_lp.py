@@ -183,12 +183,18 @@ def _solve_fixtures():
 
 
 def _hull_fit_programs():
-    """hull fit of every generator's image of every vertex, per solve fixture."""
+    """hull fit of every generator's image of every vertex, per solve fixture.
+
+    Each image comes as the program hull_fit solves (vertices shifted by
+    the image, against the point 0) and with the image on the right-hand side.
+    """
     for pf in _solve_fixtures():
         K = pf.payload.polytope
         for _, g in flatten(pf.payload.node):
             for v in K.vertices:
-                yield _deviation_lp([K.vertices], g(v), np.zeros((K.dim, 0)))
+                empty = np.zeros((K.dim, 0))
+                yield _deviation_lp([K.vertices - g(v)], np.zeros(K.dim), empty)
+                yield _deviation_lp([K.vertices], g(v), empty)
 
 
 def _subspace_fit_programs():

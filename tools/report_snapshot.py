@@ -24,9 +24,8 @@ Run from the repository root; ``--src`` picks the fixmk source tree to run
 (default: this checkout's src/).  Each run's standard output and error are
 captured, and its exit code is ``main``'s return value or that of the
 ``SystemExit`` it raised (argparse's usage errors).  ``FIXMK_LOG`` is
-unset for the runs: the first call that sees it would configure logging
-for the whole process.  tests/golden/report_snapshot.json is this
-snapshot of the committed code.
+unset for the runs, so no log record lands in a captured stderr.
+tests/golden/report_snapshot.json is this snapshot of the committed code.
 """
 from __future__ import annotations
 
