@@ -12,6 +12,7 @@ norms whose dual balls are polytopes.
 __version__ = "0.1.0"
 
 from .errors import (
+    ConstraintSetTooLargeError,
     DegenerateBasisError,
     DimensionMismatchError,
     EmptyConstraintSetError,

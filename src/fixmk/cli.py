@@ -8,7 +8,10 @@ validation), ``fip`` (sampled image-intersection check), ``extend``
 Exit codes: 0 when the report's status is ``ok``.  1 when a solver or
 check fails: in the report's status, or with an ``error:`` line and no
 report when a library error stops the run, such as a numerical failure
-of the LP core or a ``start`` point outside the polytope.  2, with an
+of the LP core, a ``start`` point outside the polytope, or an ``extend``
+problem whose constraint set needs more than 10^7 facet combinations
+(from dim 7 for max-abs and dim 14 for sum-abs, with a one-dimensional
+subspace), refused before any is built.  2, with an
 ``error:`` line, on an unreadable or malformed problem file, a schema
 error (fields whose shapes disagree included), an out-of-range option
 (file or flag), an ``--output`` path that cannot be written, or a bad

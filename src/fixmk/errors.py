@@ -77,6 +77,24 @@ class EmptyConstraintSetError(FixmkError):
     """The norm-ball/affine-slice constraint set came out empty."""
 
 
+class ConstraintSetTooLargeError(FixmkError):
+    """The extension's constraint set needs more work than the enumeration cap.
+
+    ``combinations`` is C(facets, need), the number of facet combinations
+    the enumeration would walk, or None when the dual ball alone has more
+    than ``cap`` facets.
+    """
+
+    def __init__(self, facets: int, need: int, combinations: int | None, cap: int):
+        if combinations is None:
+            detail = f"the dual ball has {facets:,} facets"
+        else:
+            detail = f"C({facets}, {need}) = {combinations:,} facet combinations"
+        super().__init__(f"constraint set too large to enumerate: {detail}, more than {cap:,}")
+        self.combinations = combinations
+        self.cap = cap
+
+
 class ExtensionInvariantError(FixmkError):
     """One or more extension-problem preconditions do not hold.
 

@@ -14,20 +14,25 @@ preconditions by :func:`validate_problem`, the norm of g on Y by one probe
 of the deviation LP of :mod:`fixmk.geometry`, and the lifted tree's
 abelian and normal relations by :func:`fixmk.semigroup.validate_relations`.
 The constraint set's invariance needs no check of its own, because the
-preconditions imply it.  Its vertices come from facet combinations, which
-one batched SVD screens 64 at a time: only candidate vertices and systems
-near rank deficiency reach a per-combination lstsq, and the vertices are
-bit for bit those of solving every combination (see
-:func:`build_constraint_set`).
+preconditions imply it.  Its vertices come from facet combinations of the
+dual ball.  Only combinations whose facets share a face go on, by an exact
+norm test (polar duality), and one batched SVD screens those 64 at a time:
+only candidate vertices and systems near rank deficiency reach a
+per-combination lstsq, and the vertices are bit for bit those of solving
+every combination (see :func:`build_constraint_set`).  A problem needing
+more than 10^7 combinations is refused before any is built.
 """
 from __future__ import annotations
 
 import itertools
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ConstraintSetTooLargeError,
     DegenerateBasisError,
     DimensionMismatchError,
     EmptyConstraintSetError,
@@ -47,10 +52,15 @@ from .semigroup import (
 )
 from .solver import solve_cesaro, solve_exact
 
+logger = logging.getLogger(__name__)
+
 INVARIANT_TOL = 1e-9
 _CROSSCHECK_N_MAX = 2**40
 # build_constraint_set's batched screen of facet combinations
-_CHUNK = 64  # combinations per batch; 1024 raised peak memory by 8%
+# combinations per batch; 1,024-combination blocks ran faster but raised the
+# extend-ball benchmark's peak_rss_mb by 5.4%, with a tracemalloc peak 10x higher
+_CHUNK = 64
+_COMBO_CAP = 10**7  # facet combinations (or dual-ball facets) above which the set is refused
 _SINGULAR_MARGIN = 16.0  # rank-deficient below lstsq's cutoff / this
 _REGULAR = 1e-4  # s_min / s_max above which the batched solve is trusted
 _DUAL_MARGIN = 1e-6  # dual-norm excess that drops a batched solution
@@ -176,6 +186,15 @@ def normalize_problem(problem: ExtensionProblem) -> tuple[ExtensionProblem, floa
     return scaled, scale
 
 
+def _share_a_face(norm: NormSpec, facet_sets: np.ndarray) -> np.ndarray:
+    """Whether each stack of m unit-ball vertices, as dual-ball facets, shares a face.
+
+    The vertices a_1..a_m run along the second-to-last axis; the test is
+    ||a_1 + ... + a_m|| = m (see :func:`build_constraint_set`).
+    """
+    return norm.values(facet_sets.sum(axis=-2)) == facet_sets.shape[-2]
+
+
 def build_constraint_set(problem: ExtensionProblem) -> Polytope:
     """Vertices of {L in dual ball : L(y_i) = g(y_i)} for a normalized problem.
 
@@ -186,10 +205,23 @@ def build_constraint_set(problem: ExtensionProblem) -> Polytope:
     dual norm's excess over 1 are within ``INVARIANT_TOL``, and no vertex
     kept before lies within ``INVARIANT_TOL``.  There are
     C(#dual facets, n - rank) combinations: C(32, 4) = 35,960 for max-abs
-    at n = 5, and C(64, 5) ~ 7.6 million at n = 6.
+    at n = 5, and C(64, 5) ~ 7.6 million at n = 6.  Above _COMBO_CAP of
+    them :class:`ConstraintSetTooLargeError` is raised before anything is
+    built.
 
-    One batched SVD screens _CHUNK combinations at a time, so that few
-    reach lstsq.  The screen drops only what the check would drop, so the
+    The facets of the dual ball are the ball's vertices a (polar duality;
+    Ziegler, Lectures on Polytopes, 2.3), and a_1..a_m share a point of
+    the dual ball iff ||a_1 + ... + a_m|| = m, as the largest
+    (a_1 + ... + a_m).x over the dual ball is that norm.  The entries are
+    -1, 0 or 1, so the test is exact.  When it fails, the
+    norm is at most m - 2 (sign vectors sum to m's parity; an antipodal
+    pair +-e_i cancels), so any x with ||x||_dual <= 1 + INVARIANT_TOL has
+    sum_j a_j.x <= (m - 2)(1 + INVARIANT_TOL), and a_j.x cannot all be
+    within INVARIANT_TOL of 1: the check drops every such combination.
+    Only the combinations that share a face go on, in combination order.
+
+    One batched SVD screens them _CHUNK at a time, so that few reach
+    lstsq.  The screen drops only what the check would drop, so the
     vertices are bit for bit those of checking every combination:
 
     * a system whose smallest singular value is below lstsq's rank cutoff
@@ -200,40 +232,53 @@ def build_constraint_set(problem: ExtensionProblem) -> Polytope:
       survivor within INVARIANT_TOL / 2 of a kept vertex is a repeat;
     * the rest, regular survivors and systems near the cutoff, go through
       the check in combination order.
+
+    Logs one debug record to the ``fixmk.extension`` logger.
     """
     n = problem.dim
     dual = problem.norm.dual()
     C = problem.subspace_basis
     d = problem.functional_on_subspace
     rank = np.linalg.matrix_rank(C) if C.shape[0] else 0
+    need = n - rank
+    n_facets = problem.norm.ball_vertex_count()
+    # a ball with more facets than the cap is refused unbuilt: C(n_facets, need) is at
+    # least n_facets when need > 0, and slow to form for a large max-abs dim
+    combinations = math.comb(n_facets, need) if n_facets <= _COMBO_CAP else None
+    if combinations is None or combinations > _COMBO_CAP:
+        raise ConstraintSetTooLargeError(n_facets, need, combinations, _COMBO_CAP)
     # polar duality: the dual ball's facets {L : a.L <= 1} are the ball's vertices a
     facets = problem.norm.unit_ball().vertices
-    need = n - rank
     k = C.shape[0]
     rhs = np.concatenate([d, np.ones(need)])
     # lstsq's rank cutoff (rcond=None) for a (k + need) x n system, per unit of s_max
     cutoff = np.finfo(float).eps * max(k + need, n)
 
     kept = np.empty((0, n))
-    combos = itertools.combinations(range(len(facets)), need)
+    shared = solved = 0
+    combos = itertools.combinations(range(n_facets), need)
     while chunk := list(itertools.islice(combos, _CHUNK)):
-        M = np.empty((len(chunk), k + need, n))
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), need)
+        idx = idx[_share_a_face(problem.norm, facets[idx])]
+        if not len(idx):
+            continue
+        shared += len(idx)
+        M = np.empty((len(idx), k + need, n))
         M[:, :k] = C
-        M[:, k:] = facets[np.array(chunk, dtype=np.intp).reshape(len(chunk), need)]
+        M[:, k:] = facets[idx]
         s = np.linalg.svd(M, compute_uv=False)
         dropped = s[:, -1] <= s[:, 0] * cutoff / _SINGULAR_MARGIN
         regular = s[:, -1] > s[:, 0] * _REGULAR if k + need == n else np.zeros_like(dropped)
-        batched = np.zeros((len(chunk), n))
+        batched = np.zeros((len(idx), n))
         if regular.any():
             batched[regular] = np.linalg.solve(
                 M[regular], np.broadcast_to(rhs[:, None], (int(regular.sum()), n, 1))
             )[..., 0]
-            size = np.abs(batched[regular])
-            size = size.max(axis=1) if dual.kind is NormKind.MAX_ABS else size.sum(axis=1)
-            dropped[regular] = size > 1.0 + _DUAL_MARGIN
+            dropped[regular] = dual.values(batched[regular]) > 1.0 + _DUAL_MARGIN
         for i in np.flatnonzero(~dropped):
             if regular[i] and np.any(np.abs(kept - batched[i]).max(axis=1) <= INVARIANT_TOL / 2):
                 continue
+            solved += 1
             # lstsq's rank uses matrix_rank's cutoff, so one SVD decides both
             sol, _, rank_M, _ = np.linalg.lstsq(M[i], rhs, rcond=None)
             if rank_M < n or np.max(np.abs(M[i] @ sol - rhs)) > INVARIANT_TOL:
@@ -242,6 +287,10 @@ def build_constraint_set(problem: ExtensionProblem) -> Polytope:
                 continue
             if np.all(np.abs(kept - sol).max(axis=1) > INVARIANT_TOL):
                 kept = np.vstack([kept, sol])
+    logger.debug(
+        "constraint set: %d facet combinations, %d share a face, %d reach lstsq, %d vertices kept",
+        combinations, shared, solved, kept.shape[0],
+    )
     if not kept.shape[0]:
         raise EmptyConstraintSetError(
             "no dual vector satisfies the ball and restriction constraints; "

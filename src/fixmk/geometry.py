@@ -171,14 +171,20 @@ class NormSpec:
     dim: int
 
     def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        if self.kind is NormKind.MAX_ABS:
-            return float(np.max(np.abs(v)))
-        return float(np.sum(np.abs(v)))
+        return float(self.values(as_vector(x, self.dim)))
+
+    def values(self, rows) -> np.ndarray:
+        """The norm of each row of ``rows`` (of a vector, a 0-d array)."""
+        size = np.abs(rows)
+        return size.max(axis=-1) if self.kind is NormKind.MAX_ABS else size.sum(axis=-1)
 
     def dual(self) -> "NormSpec":
         other = NormKind.SUM_ABS if self.kind is NormKind.MAX_ABS else NormKind.MAX_ABS
         return NormSpec(other, self.dim)
+
+    def ball_vertex_count(self) -> int:
+        """The unit ball's number of vertices, 2^dim or 2 dim, without building it."""
+        return 2**self.dim if self.kind is NormKind.MAX_ABS else 2 * self.dim
 
     def unit_ball(self) -> Polytope:
         if self.kind is NormKind.MAX_ABS:

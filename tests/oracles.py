@@ -5,7 +5,8 @@ or HiGHS solver for the brute extension problems, numpy's eigensolver for
 stationary distributions.  Keeping both routes alive is the point; a bug
 in the in-house simplex cannot hide behind itself.  The extension's
 constraint set has a plain reference too, one lstsq per facet combination,
-which the library's batched screen must match bit for bit.
+which the library's batched screen must match bit for bit, and a HiGHS
+test of whether dual-ball facets share a face, which its prune must match.
 """
 import itertools
 
@@ -125,3 +126,27 @@ def constraint_set_vertices(problem):
             vertices.append(v)
     arr = np.array(vertices).reshape(-1, n)
     return arr[np.lexsort(arr.T[::-1])]
+
+
+def facets_share_face(norm, facets):
+    """Whether the dual-ball facets {L : a.L <= 1}, a a row of ``facets``, meet, by HiGHS.
+
+    Feasibility LP for x with ||x||_dual <= 1 and a.x = 1 for every row a.
+    The l1 dual ball is lifted to u >= x, u >= -x, sum(u) <= 1; the max-abs
+    dual ball is the bounds -1 <= x <= 1.
+    """
+    facets = np.asarray(facets, dtype=float)
+    m, n = facets.shape
+    if norm.kind is NormKind.MAX_ABS:  # dual norm l1: variables (x, u)
+        eye = np.eye(n)
+        A_ub = np.block([[eye, -eye], [-eye, -eye], [np.zeros((1, n)), np.ones((1, n))]])
+        b_ub = np.append(np.zeros(2 * n), 1.0)
+        A_eq = np.hstack([facets, np.zeros((m, n))])
+        bounds = [(None, None)] * n + [(0, None)] * n
+    else:  # dual norm max-abs
+        A_ub, b_ub, A_eq, bounds = None, None, facets, [(-1.0, 1.0)] * n
+    res = linprog(np.zeros(A_eq.shape[1]), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.ones(m),
+                  bounds=bounds, method="highs")
+    if res.status not in (0, 2):
+        raise RuntimeError(f"face LP failed: {res.message}")
+    return res.status == 0

@@ -1,5 +1,6 @@
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -481,6 +482,26 @@ def test_fixmk_log_writes_to_each_in_process_call_stderr(monkeypatch):
     monkeypatch.delenv("FIXMK_LOG")  # and an unset one removes the handler
     assert snap.run(cli, argv)[2] == ""
     assert not logging.getLogger("fixmk").handlers
+
+
+@pytest.mark.parametrize(
+    "n, named", [(7, "C(128, 6) = 5,423,611,200"), (40, "1,099,511,627,776 facets")]
+)
+def test_oversized_extension_exits_one_at_once(n, named, tmp_path, capsys):
+    # l-inf: C(2^n, n - 1) facet combinations, hours at n = 7; 2^40 ball vertices at n = 40
+    data = json.loads((FIXTURES / "extension" / "swap_extension.json").read_text())
+    shift = {"matrix": np.roll(np.eye(n), 1, axis=0).tolist(), "offset": [0.0] * n}
+    data["payload"].update(
+        dim=n, subspace_basis=[[1.0] * n], operators={"leaf": [shift]}
+    )
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(data))
+    started = time.perf_counter()
+    assert cli.main(["extend", str(path)]) == 1
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: constraint set too large to enumerate: ")
+    assert named in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["cross-check", "cesaro"])

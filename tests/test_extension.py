@@ -1,4 +1,6 @@
 import itertools
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from fixmk import geometry
 from fixmk import (
     AffineMap,
+    ConstraintSetTooLargeError,
     DegenerateBasisError,
     ExtensionInvariantError,
     ExtensionProblem,
@@ -28,11 +31,11 @@ from fixmk import (
     validate_problem,
     verify_extension,
 )
-from fixmk.extension import ExtensionResult
+from fixmk.extension import ExtensionResult, _share_a_face
 from fixmk.schema import load_problem
 from conftest import fixture_paths
 from helpers import cycle3, swap12_3d
-from oracles import brute_min_dual_norm, constraint_set_vertices
+from oracles import brute_min_dual_norm, constraint_set_vertices, facets_share_face
 
 LINF2 = NormSpec(NormKind.MAX_ABS, 2)
 LINF3 = NormSpec(NormKind.MAX_ABS, 3)
@@ -176,12 +179,17 @@ def ball_problem(kind, n, value=1.3):
     return normalize_problem(problem)[0]
 
 
-BALLS = [(NormKind.MAX_ABS, n) for n in range(2, 5)] + [(NormKind.SUM_ABS, n) for n in range(2, 9)]
+# the largest sizes, where the face prune skips the most, take about 1.7 s each
+BALLS = (
+    [(NormKind.MAX_ABS, n, (1.3, -0.7)) for n in range(2, 5)]
+    + [(NormKind.SUM_ABS, n, (1.3, -0.7)) for n in range(2, 9)]
+    + [(NormKind.MAX_ABS, 5, (1.3,)), (NormKind.SUM_ABS, 9, (1.3,))]
+)
 
 
-@pytest.mark.parametrize("kind, n", BALLS, ids=[f"{k.value}-{n}" for k, n in BALLS])
-def test_constraint_set_matches_reference_on_balls(kind, n):
-    for value in (1.3, -0.7):
+@pytest.mark.parametrize("kind, n, values", BALLS, ids=[f"{k.value}-{n}" for k, n, _ in BALLS])
+def test_constraint_set_matches_reference_on_balls(kind, n, values):
+    for value in values:
         assert_reference_vertices(ball_problem(kind, n, value))
 
 
@@ -226,15 +234,86 @@ def test_constraint_set_screen_leaves_few_combinations_to_lstsq(monkeypatch):
     assert 0 < len(calls) < 20
 
 
-def test_constraint_set_memory_stays_flat():
-    problem = ball_problem(NormKind.SUM_ABS, 8)
-    tracemalloc.start()
-    try:
+@pytest.mark.parametrize(
+    "kind, n, matrices", [(NormKind.MAX_ABS, 5, 15_480), (NormKind.SUM_ABS, 9, 2_304)]
+)
+def test_constraint_set_screens_only_facets_sharing_a_face(kind, n, matrices, monkeypatch):
+    # of C(32, 4) = 35,960 and C(18, 8) = 43,758 combinations
+    screened = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda M, **kw: screened.append(len(M)) or svd(M, **kw)
+    )
+    build_constraint_set(ball_problem(kind, n))
+    assert sum(screened) == matrices
+
+
+FACE_BALLS = [(NormKind.MAX_ABS, n) for n in range(2, 5)] + [(NormKind.SUM_ABS, n) for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("kind, n", FACE_BALLS, ids=[f"{k.value}-{n}" for k, n in FACE_BALLS])
+def test_face_criterion_matches_highs(kind, n):
+    norm = NormSpec(kind, n)
+    facets = norm.unit_ball().vertices
+    for m in range(1, n + 1):
+        combos = np.array(list(itertools.combinations(range(len(facets)), m)))
+        ours = _share_a_face(norm, facets[combos])
+        assert ours.tolist() == [facets_share_face(norm, facets[c]) for c in combos]
+
+
+def test_constraint_set_logs_one_record(caplog):
+    problem = ball_problem(NormKind.SUM_ABS, 9)  # normalizing logs an LP record
+    with caplog.at_level(logging.DEBUG, logger="fixmk"):
         build_constraint_set(problem)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    (record,) = caplog.records
+    assert record.name == "fixmk.extension"
+    assert record.getMessage() == (
+        "constraint set: 43758 facet combinations, 2304 share a face, 1 reach lstsq, "
+        "1 vertices kept"
+    )
+
+
+def test_constraint_set_memory_stays_flat():
+    # 64-combination batches peak at 54-81 KB here, 1,024-combination ones at 0.69-1.1 MB
+    for kind, n in [(NormKind.SUM_ABS, 8), (NormKind.SUM_ABS, 9), (NormKind.MAX_ABS, 5)]:
+        problem = ball_problem(kind, n)
+        tracemalloc.start()
+        try:
+            build_constraint_set(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10, (kind, n, peak)
+
+
+class BallBuilt(Exception):
+    pass
+
+
+CAP_CASES = [
+    (NormKind.MAX_ABS, 6, None),  # C(64, 5) = 7,624,512
+    (NormKind.SUM_ABS, 13, None),  # C(26, 12) = 9,657,700
+    (NormKind.MAX_ABS, 7, "C(128, 6) = 5,423,611,200 facet combinations"),
+    (NormKind.SUM_ABS, 14, "C(28, 13) = 37,442,160 facet combinations"),
+    (NormKind.MAX_ABS, 40, "the dual ball has 1,099,511,627,776 facets"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, refused", CAP_CASES, ids=[f"{k.value}-{n}" for k, n, _ in CAP_CASES]
+)
+def test_combination_cap_refuses_before_the_ball_is_built(kind, n, refused, monkeypatch):
+    def build(self):
+        raise BallBuilt
+
+    monkeypatch.setattr(NormSpec, "unit_ball", build)
+    problem = ball_problem(kind, n)
+    if refused is None:
+        with pytest.raises(BallBuilt):
+            build_constraint_set(problem)
+    else:
+        with pytest.raises(ConstraintSetTooLargeError, match=re.escape(refused)):
+            build_constraint_set(problem)
 
 
 # --- dual_action ---------------------------------------------------------------

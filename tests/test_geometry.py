@@ -368,8 +368,8 @@ def test_norm_duality_and_unit_balls():
         l1 = NormSpec(NormKind.SUM_ABS, dim)
         assert linf.dual() == l1 and l1.dual() == linf
         cube, cross = linf.unit_ball(), l1.unit_ball()
-        assert cube.n_vertices == 2**dim
-        assert cross.n_vertices == 2 * dim
+        assert cube.n_vertices == 2**dim == linf.ball_vertex_count()
+        assert cross.n_vertices == 2 * dim == l1.ball_vertex_count()
         for ball in (cube, cross):  # central symmetry
             vs = sorted(map(tuple, ball.vertices))
             assert vs == sorted(map(tuple, -ball.vertices))
