@@ -4,7 +4,8 @@ The library builds semigroups of affine self-maps of a polytope from
 structure trees (abelian generator lists, layered by normal factors),
 certifies them numerically, and computes a common fixed point two
 independent ways: layered Cesàro averaging with a 1/n residual bound, and
-an exact affine-nullspace + linear-feasibility route.  On top of that sits
+the limit of those averages in closed form, the mean-ergodic projection
+of the start point.  On top of that sits
 an invariant norm-preserving extension of functionals for the polyhedral
 norms whose dual balls are polytopes.
 """

@@ -127,13 +127,13 @@ def run_solve(pf, options) -> tuple[str, dict]:
     result: dict = {"validation": {"ok": True, "depth": report.depth}}
     try:
         if options.mode == "exact":
-            solved = solve_exact(payload.node, payload.polytope, options.tol)
+            solved = solve_exact(payload.node, payload.polytope, start, options.tol)
         elif options.mode == "cesaro":
             solved = solve_cesaro(
                 payload.node, payload.polytope, start, options.tol, options.n_max
             )
         else:
-            exact = solve_exact(payload.node, payload.polytope, options.tol)
+            exact = solve_exact(payload.node, payload.polytope, start, options.tol)
             cesaro = solve_cesaro(
                 payload.node, payload.polytope, start, options.tol, options.n_max
             )

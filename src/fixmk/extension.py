@@ -41,7 +41,7 @@ from .errors import (
     StructureValidationError,
     ZeroFunctionalError,
 )
-from .geometry import AffineMap, NormKind, NormSpec, Polytope, _capped_probes
+from .geometry import AffineMap, NormKind, NormSpec, Polytope, _capped_probe
 from .semigroup import (
     DEFAULT_WORD_BUDGET,
     Leaf,
@@ -82,7 +82,11 @@ class ExtensionProblem:
     operators: SemigroupNode
 
     def __post_init__(self):
-        basis = np.array(self.subspace_basis, dtype=float).reshape(-1, self.dim)
+        basis = np.array(self.subspace_basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"subspace basis must be rows of length {self.dim}, got shape {basis.shape}"
+            )
         values = np.array(self.functional_on_subspace, dtype=float).reshape(-1)
         if basis.shape[0] != values.shape[0]:
             raise DimensionMismatchError("one functional value per basis vector")
@@ -167,7 +171,7 @@ def subspace_norm(problem: ExtensionProblem) -> float:
         vertices, cap = np.zeros((1, n)), 1.0
     else:
         vertices, cap = np.vstack([np.eye(n), -np.eye(n)]), 0.0
-    (coords,) = _capped_probes([vertices], np.zeros(n), Y.T, cap, [-g])
+    coords = _capped_probe([vertices], np.zeros(n), Y.T, cap, -g)
     return max(float(g @ coords), 0.0)
 
 
@@ -339,7 +343,8 @@ def invariant_extension(
     with every violation), normalizes g, builds the dual constraint
     polytope, lifts the operators by transposition, validates (rather than
     assumes) the lifted tree's abelian and normal relations, and hands the
-    fixed-point problem to the exact solver with an averaging cross-check.
+    fixed-point problem, from the centroid of the constraint polytope, to
+    the exact solver with an averaging cross-check.
     """
     violations = validate_problem(problem)
     if violations:
@@ -362,9 +367,10 @@ def invariant_extension(
     if not relations.ok:
         raise StructureValidationError(relations)
 
-    exact = solve_exact(lifted, K, tol)
-    # independent route over the same polytope; both must certify
-    solve_cesaro(lifted, K, K.centroid(), tol, _CROSSCHECK_N_MAX)
+    start = K.centroid()
+    exact = solve_exact(lifted, K, start, tol)
+    # independent route over the same polytope from the same start; both must certify
+    solve_cesaro(lifted, K, start, tol, _CROSSCHECK_N_MAX)
 
     functional = scale * exact.point
     invariance, restriction = _residual_fields(problem, functional)

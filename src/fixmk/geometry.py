@@ -22,15 +22,13 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
   lies within the tolerance, as images under permutations do.
 * :func:`feasible_point` is p = 0, B = I: do the hulls intersect?  Its
   witness is the raw basic solution.
-* the exact solver fits an affine fixed subspace against K.
-* the extension's subspace norm writes the unit ball as a deviation
-  bound on B s, with B the subspace basis: max-abs is within 1 of the
-  point 0, sum-abs within 0 of conv{+-e_i}.
-
-The exact solver alone uses :func:`canonical_fit`, which turns a feasible
-instance into a reproducible, interior-leaning point by probing the
-deviation LP's extremes; each probe is one objective over the capped
-program of :func:`_capped_probes`, which runs phase 1 once for all of them.
+* the exact solver fits an affine fixed subspace against K, to tell
+  whether the fixed set meets K.
+* the extension's subspace norm is one probe of the deviation LP capped
+  at t <= cap (:func:`_capped_probe`): it writes the unit ball as a
+  deviation bound on B s, with B the subspace basis (max-abs is within 1
+  of the point 0, sum-abs within 0 of conv{+-e_i}), and minimizes a
+  linear objective in s over it.
 """
 from __future__ import annotations
 
@@ -41,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidWeightsError, NumericalError
-from .lp import OPTIMAL, solve_lp, solve_lps
+from .lp import OPTIMAL, solve_lp
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 _WEIGHT_TOL = 1e-9  # round-off allowed in convex weights: sign and sum
@@ -352,46 +350,20 @@ def deviation_fit(vertex_sets, point, basis):
     return max(res.value, 0.0), point + basis @ (res.x[sp:sn] - res.x[sn:t]), res.x[:sp]
 
 
-def _capped_probes(vertex_sets, point, basis, cap, directions):
-    """Minimizers s of direction @ s over the deviation LP capped at t <= cap.
-
-    The capped program is built once, and each direction (a vector of
-    length r) only changes the objective, so all of them go to
-    :func:`fixmk.lp.solve_lps` together: phase 1 runs once per program,
-    and each probe's phase 2 starts from its basis, so every s is the one
-    a standalone solve of that probe gives.  Returns one s per direction,
-    in order.
-    """
+def _capped_probe(vertex_sets, point, basis, cap, direction):
+    """A minimizer s of direction @ s over the deviation LP capped at t <= cap."""
     A, b, (sp, sn, t) = _deviation_lp(vertex_sets, point, basis)
     n_rows, n_cols = A.shape
     A_probe = np.zeros((n_rows + 1, n_cols + 1))
     A_probe[:n_rows, :n_cols] = A
     A_probe[n_rows, [t, n_cols]] = 1.0  # t + slack = cap
-    b_probe = np.append(b, cap)
-    objectives = np.zeros((len(directions), n_cols + 1))
-    for c, direction in zip(objectives, directions):
-        c[sp:sn] = direction
-        c[sn:t] = -direction
-    solutions = []
-    for res in solve_lps(objectives, A_probe, b_probe):
-        if res.status != OPTIMAL:
-            raise NumericalError(f"probe LP unexpectedly {res.status}")
-        solutions.append(res.x[sp:sn] - res.x[sn:t])
-    return solutions
-
-
-def canonical_fit(vertex_sets, point, basis, cap):
-    """Interior-leaning point of point + span(basis) within cap of every hull.
-
-    With the deviation capped at cap, each ambient coordinate of
-    point + basis @ s is pushed to both extremes and the 2d probe
-    solutions averaged, a pick that identical inputs always reproduce.
-    The 2d probes are one capped program with 2d objectives, so phase 1
-    runs once, not once per probe (see :func:`_capped_probes`).
-    """
-    directions = [sign * row for row in basis for sign in (-1.0, 1.0)]
-    solutions = _capped_probes(vertex_sets, point, basis, cap, directions)
-    return np.mean([point + basis @ s for s in solutions], axis=0)
+    c = np.zeros(n_cols + 1)
+    c[sp:sn] = direction
+    c[sn:t] = -direction
+    res = solve_lp(c, A_probe, np.append(b, cap))
+    if res.status != OPTIMAL:
+        raise NumericalError(f"probe LP unexpectedly {res.status}")
+    return res.x[sp:sn] - res.x[sn:t]
 
 
 def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:

@@ -16,13 +16,6 @@ Solves  minimize c @ x  subject to  A @ x = b,  x >= 0  on dense arrays.
   the lowest basis index.  Each pivot updates the tableau with one
   broadcast rank-1 subtraction.
 * Artificial variables never re-enter the basis.
-* Shared phase 1: :func:`solve_lps` takes several objectives over one
-  (A, b).  A cost change leaves a feasible basis feasible, so the crash
-  basis, phase 1 and the artificial drive-out run once, and each
-  objective gets its own phase 2 on a copy of that tableau (the last one
-  in place).  Every phase 2 starts from the phase-1 basis, never from an
-  earlier objective's optimum, so each result is bit for bit what
-  :func:`solve_lp`, the one-objective case, gives alone.
 
 One absolute tolerance, ``_TOL`` = 1e-9, bounds entering costs, pivot
 entries, degenerate steps and the phase-1 optimum of a feasible program.
@@ -36,14 +29,11 @@ b (``argmin`` would take a NaN reduced cost for optimal), and an optimal
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-
-logger = logging.getLogger(__name__)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -71,23 +61,22 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> tuple[str, int]:
-    """Run simplex pivots until optimal or unbounded; returns (status, pivots)."""
+def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> str:
+    """Run simplex pivots until optimal or unbounded; returns the status."""
     m = T.shape[0] - 1
     costs, rhs = T[m, :n_enterable], T[:m, -1]  # views: pivots update them in place
     stalled = 0  # degenerate pivots in a row
-    pivots = 0
     for _ in range(_MAX_ITER):
         col = int(costs.argmin())  # Dantzig: most negative, lowest index on ties
         if not costs[col] < -_TOL:
-            return OPTIMAL, pivots
+            return OPTIMAL
         if stalled >= _BLAND_AFTER:  # Bland: smallest eligible index enters
             col = int((costs < -_TOL).argmax())
         column = T[:m, col]
         positive = (column > _TOL).nonzero()[0]
         if positive.size == 0:
             if costs[col] < -1e3 * _TOL:
-                return UNBOUNDED, pivots
+                return UNBOUNDED
             # cost this close to zero on a pivotless column is round-off
             # noise at the optimality boundary, not an unbounded ray
             costs[col] = 0.0
@@ -99,17 +88,16 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> tuple[str, i
         row = int(ties[0]) if ties.size == 1 else int(ties[basis[ties].argmin()])
         stalled = stalled + 1 if best <= _TOL else 0
         _pivot(T, basis, row, col)
-        pivots += 1
     raise NumericalError("simplex iteration limit exceeded")
 
 
 def _phase1(A: np.ndarray, b: np.ndarray):
     """Crash basis, phase 1 and artificial drive-out for ``A @ x = b, x >= 0``.
 
-    Works on A and b in place.  Returns (T, basis, pivots): T is the
-    tableau of a feasible basis with redundant rows and the artificial
-    columns dropped, its last row free for an objective, or None when the
-    program is infeasible; pivots counts the drive-out's pivots too.
+    Works on A and b in place.  Returns (T, basis): T is the tableau of a
+    feasible basis with redundant rows and the artificial columns dropped,
+    its last row free for an objective, or None when the program is
+    infeasible.
     """
     m, n = A.shape
     flip = b < 0
@@ -142,11 +130,10 @@ def _phase1(A: np.ndarray, b: np.ndarray):
     T[m, -1] = -b[bare].sum()
     basis[bare] = artificial
 
-    status, pivots = _iterate(T, basis, n)
-    if status == UNBOUNDED:  # sum of artificials is bounded below by 0
+    if _iterate(T, basis, n) == UNBOUNDED:  # sum of artificials is bounded below by 0
         raise NumericalError("phase-1 objective reported unbounded")
     if -T[m, -1] > _TOL:
-        return None, basis, pivots
+        return None, basis
 
     # drive remaining artificials out of the basis; drop redundant rows
     keep = np.ones(m + 1, dtype=bool)
@@ -156,15 +143,14 @@ def _phase1(A: np.ndarray, b: np.ndarray):
         candidates = np.flatnonzero(np.abs(T[i, :n]) > _TOL)
         if candidates.size:
             _pivot(T, basis, i, int(candidates[0]))
-            pivots += 1
         else:  # the row is 0 = 0, redundant
             keep[i] = False
     if not keep.all():
         T, basis = T[keep], basis[keep[:m]]
-    return np.hstack([T[:, :n], T[:, -1:]]), basis, pivots
+    return np.hstack([T[:, :n], T[:, -1:]]), basis
 
 
-def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> tuple[LPResult, int]:
+def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> LPResult:
     """Minimize ``c @ x`` from the feasible basis of :func:`_phase1`, in place."""
     m, n = T.shape[0] - 1, T.shape[1] - 1
     T[m, :n] = c
@@ -175,41 +161,14 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> tuple[LPResult, 
     for i in np.flatnonzero(coeffs):
         T[m] -= coeffs[i] * T[i]
 
-    status, pivots = _iterate(T, basis, n)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED), pivots
+    if _iterate(T, basis, n) == UNBOUNDED:
+        return LPResult(UNBOUNDED)
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
     value = float(c @ x)
     if not (np.isfinite(x).all() and np.isfinite(value)):
         raise NumericalError("LP solution has non-finite entries")
-    return LPResult(OPTIMAL, x, value), pivots
-
-
-def _solve(objectives, A, b) -> tuple[list[LPResult], int, int]:
-    """One result per objective, in order, with the phase-1 and phase-2 pivot counts."""
-    A = np.array(A, dtype=float, copy=True)
-    if A.ndim != 2:
-        raise ValueError("A must be a 2-D array")
-    b = np.array(b, dtype=float, copy=True)
-    cs = [np.asarray(c, dtype=float) for c in objectives]
-    if b.shape != A.shape[:1] or any(c.shape != A.shape[1:] for c in cs):
-        raise ValueError("c, A, b shapes are inconsistent")
-    # argmin pricing would read a NaN reduced cost as optimal
-    for name, data in (("A", A), ("b", b), *(("c", c) for c in cs)):
-        if not np.isfinite(data).all():
-            raise NumericalError(f"LP data {name} has non-finite entries")
-
-    T, basis, phase1 = _phase1(A, b)
-    if T is None:
-        return [LPResult(INFEASIBLE) for _ in cs], phase1, 0
-    results, phase2 = [], 0
-    for k, c in enumerate(cs):
-        last = k == len(cs) - 1  # the last objective may use up the tableau
-        result, pivots = _phase2(T if last else T.copy(), basis if last else basis.copy(), c)
-        results.append(result)
-        phase2 += pivots
-    return results, phase1, phase2
+    return LPResult(OPTIMAL, x, value)
 
 
 def solve_lp(c, A, b) -> LPResult:
@@ -219,25 +178,20 @@ def solve_lp(c, A, b) -> LPResult:
     is ``optimal``.  Infeasibility is decided by the phase-1 objective
     exceeding ``_TOL``.
     """
-    (result,), _, _ = _solve([c], A, b)
-    return result
+    A = np.array(A, dtype=float, copy=True)
+    if A.ndim != 2:
+        raise ValueError("A must be a 2-D array")
+    b = np.array(b, dtype=float, copy=True)
+    c = np.asarray(c, dtype=float)
+    if b.shape != A.shape[:1] or c.shape != A.shape[1:]:
+        raise ValueError("c, A, b shapes are inconsistent")
+    # argmin pricing would read a NaN reduced cost as optimal
+    for name, data in (("A", A), ("b", b), ("c", c)):
+        if not np.isfinite(data).all():
+            raise NumericalError(f"LP data {name} has non-finite entries")
 
+    T, basis = _phase1(A, b)
+    if T is None:
+        return LPResult(INFEASIBLE)
+    return _phase2(T, basis, c)
 
-def solve_lps(objectives, A, b) -> list[LPResult]:
-    """Minimize each ``c`` of ``objectives`` over one ``A @ x = b, x >= 0``.
-
-    Returns one :class:`LPResult` per objective, in order, each equal bit
-    for bit to ``solve_lp(c, A, b)``: phase 1 runs once, and every phase 2
-    starts from its basis.  Logs one debug record per program to the
-    ``fixmk.lp`` logger; :func:`solve_lp` logs nothing, so that the
-    thousands of single hull fits of a validation do not bury the
-    invariance pass's own record of them.
-    """
-    objectives = list(objectives)
-    results, phase1, phase2 = _solve(objectives, A, b)
-    m, n = np.shape(A)
-    logger.debug(
-        "program: %d rows, %d columns, %d objectives, %d phase-1 pivots, %d phase-2 pivots",
-        m, n, len(objectives), phase1, phase2,
-    )
-    return results

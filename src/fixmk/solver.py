@@ -1,6 +1,6 @@
 """Common fixed points of validated semigroup trees on a polytope.
 
-Two independent routes:
+Two independent routes, both from a start point x0 in K:
 
 * :func:`solve_cesaro` — iterate the layered averaging operator.  For a
   leaf this composes the depth-n averages (1/n)(I + g + ... + g^(n-1)) of
@@ -10,12 +10,17 @@ Two independent routes:
   averages are computed with a doubling recursion, which makes depth
   budgets of 2^40 routine.
 
-* :func:`solve_exact` — intersect the affine fixed subspaces (A - I)x = -b
-  of all generators and pick the canonical point of that subspace inside K
-  with the deviation LP of :mod:`fixmk.geometry`.
+* :func:`solve_exact` — the limit of those averages in closed form.  In
+  homogeneous coordinates a generator is H = [[A, b], [0, 1]], and by the
+  mean ergodic theorem (von Neumann, Yosida) its averages converge to the
+  projection P_g = [N 0] [N R]^-1 onto the kernel N of H - I along its
+  range R, both from one SVD in a frame centred on K and scaled by its
+  diameter.  P layers the P_g as the averages are layered, and the point
+  is P x0.  The stacked fixed-point equations and one deviation LP of
+  :mod:`fixmk.geometry` diagnose a fixed set that is empty or misses K.
 
-On every validated input both routes must land on points with residual
-below tolerance; when the fixed set is a single point they agree.
+On every validated input both routes land on the same point, with
+residual below tolerance.
 """
 from __future__ import annotations
 
@@ -23,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFixedSetError, NotConvergedError, StartOutsidePolytopeError
+from .errors import EmptyFixedSetError, NotConvergedError, NumericalError, StartOutsidePolytopeError
 from .geometry import (
     AffineMap,
     Polytope,
     affine_compose,
     as_vector,
-    canonical_fit,
     cesaro_average,
     convex_combination,
     deviation_fit,
@@ -48,15 +52,24 @@ from .semigroup import (
 
 DEFAULT_TOL = 1e-8
 DEFAULT_N_MAX = 2**20
+_CONDITION_LIMIT = 1e8  # cond([N R]) above which a generator's projection is refused
+# singular values of G - I below this share of the largest count as zero: a
+# stochastic matrix whose rows sum to 1 - 1e-16 leaves one near 1e-15 * s_max
+_RANK_RTOL = 1e-10
 
 
 @dataclass
 class ConvergenceCertificate:
-    """Residual decay trace of an averaging run."""
+    """Residual decay trace of an averaging run.
+
+    ``residual_history`` holds (n, worst generator residual) for each depth
+    tried.  The bound at depth n is ``diameter`` / n, with ``diameter`` the
+    max-abs diameter of K.
+    """
 
     n_final: int
     residual_history: list[tuple[int, float]]
-    bound_history: list[tuple[int, float]]
+    diameter: float
 
 
 @dataclass
@@ -100,23 +113,62 @@ def residual(point, node: SemigroupNode) -> dict[str, float]:
     }
 
 
-def averaging_operator(node: SemigroupNode, n: int) -> AffineMap:
-    """Depth-n averaging stage of the tree.
-
-    Leaf: compose the depth-n averages of its generators (the order does
-    not matter, the averages commute).  Product: the normal stage composed
-    after the quotient stage.
-    """
-    if n < 1:
-        raise ValueError("averaging depth must be >= 1")
+def _layered(node: SemigroupNode, stage) -> AffineMap:
+    """Leaf: compose stage(g) over its generators (they commute, so the
+    order does not matter).  Product: the normal layer after the quotient."""
     if isinstance(node, Leaf):
         op = AffineMap.identity(node.dim)
         for g in node.generators:
-            op = affine_compose(op, cesaro_average(g, n))
+            op = affine_compose(op, stage(g))
         return op
-    return affine_compose(
-        averaging_operator(node.normal, n), averaging_operator(node.quotient, n)
-    )
+    return affine_compose(_layered(node.normal, stage), _layered(node.quotient, stage))
+
+
+def averaging_operator(node: SemigroupNode, n: int) -> AffineMap:
+    """Depth-n averaging stage of the tree: each generator's depth-n average, layered."""
+    return _layered(node, lambda g: cesaro_average(g, n))
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from descending singular values (see ``_RANK_RTOL``)."""
+    return int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
+
+
+def _ergodic_projection(g: AffineMap, center: np.ndarray, scale: float) -> AffineMap:
+    """The limit of g's averages in the frame y = (x - center) / scale.
+
+    There g is y -> A y + b, b = (g(center) - center) / scale, so a polytope
+    far from the origin or from unit size does not skew the homogeneous
+    coordinates.  P_g = [N 0] [N R]^-1, with N and R orthonormal bases of
+    the kernel and the range of H - I, H = [[A, b], [0, 1]], from one SVD.
+    The averages of H converge to P_g when they converge at all, and then
+    kernel and range are complementary; a singular or ill-conditioned
+    [N R] (a shear, a translation) raises :class:`NumericalError`.
+    """
+    d = g.dim
+    M = np.zeros((d + 1, d + 1))
+    M[:d, :d] = g.matrix - np.eye(d)
+    M[:d, d] = (g(center) - center) / scale
+    U, s, Vt = np.linalg.svd(M)
+    rank = _rank(s)
+    kernel = Vt[rank:].T
+    NR = np.hstack([kernel, U[:, :rank]])
+    sv = np.linalg.svd(NR, compute_uv=False)
+    if not sv[-1] > sv[0] / _CONDITION_LIMIT:
+        raise NumericalError(
+            "the kernel and range of G - I are not complementary "
+            f"(s_min / s_max of [N R] is {sv[-1] / sv[0]:.1e}), so the averages do not converge"
+        )
+    P = kernel @ np.linalg.inv(NR)[: kernel.shape[1]]
+    return AffineMap(P[:d, :d], P[:d, d])
+
+
+def _start_point(node: SemigroupNode, K: Polytope, x0, tol: float) -> np.ndarray:
+    start = as_vector(x0, node.dim)
+    slack = max(tol, 1e-9)
+    if hull_gap(K, start, slack)[0] > slack:
+        raise StartOutsidePolytopeError("start point is not inside the polytope")
+    return start
 
 
 def solve_cesaro(
@@ -134,13 +186,11 @@ def solve_cesaro(
     exhausted; on a validated tree that signals a tol/n_max mismatch, not
     a missing fixed point.
     """
-    start = as_vector(x0, node.dim)
-    slack = max(tol, 1e-9)
-    if hull_gap(K, start, slack)[0] > slack:
-        raise StartOutsidePolytopeError("start point is not inside the polytope")
+    if n_max < 1:
+        raise ValueError("averaging depth must be >= 1")
+    start = _start_point(node, K, x0, tol)
     diam = diameter(K)
     residual_history: list[tuple[int, float]] = []
-    bound_history: list[tuple[int, float]] = []
     best_point, best_res, best_max = None, None, np.inf
     n = 1
     while n <= n_max:
@@ -148,22 +198,20 @@ def solve_cesaro(
         res = residual(p, node)
         worst = max(res.values())
         residual_history.append((n, worst))
-        bound_history.append((n, diam / n))
         if worst < best_max:
             best_point, best_res, best_max = p, res, worst
         if worst <= tol:
-            cert = ConvergenceCertificate(n, residual_history, bound_history)
+            cert = ConvergenceCertificate(n, residual_history, diam)
             return FixedPointResult(p, res, "cesaro", cert)
         n *= 2
-    cert = ConvergenceCertificate(residual_history[-1][0], residual_history, bound_history)
+    cert = ConvergenceCertificate(residual_history[-1][0], residual_history, diam)
     raise NotConvergedError(best_point, best_res, cert)
 
 
 def _affine_solution_set(M: np.ndarray, rhs: np.ndarray) -> AffineSubspace | None:
     """Solution set of M x = rhs as point + nullspace, or None if inconsistent."""
     U, s, Vt = np.linalg.svd(M)
-    cutoff = max(M.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank = _rank(s)
     coeffs = (U[:, :rank].T @ rhs) / s[:rank] if rank else np.zeros(0)
     point = Vt[:rank].T @ coeffs if rank else np.zeros(M.shape[1])
     if np.max(np.abs(M @ point - rhs), initial=0.0) > 1e-9 * (1.0 + np.abs(rhs).max(initial=0.0)):
@@ -180,20 +228,28 @@ def common_fixed_subspace(node: SemigroupNode) -> AffineSubspace | None:
     return _affine_solution_set(M, rhs)
 
 
-def solve_exact(node: SemigroupNode, K: Polytope, tol: float = DEFAULT_TOL) -> FixedPointResult:
-    """Fixed point via the stacked linear system plus the deviation LP.
+def solve_exact(
+    node: SemigroupNode, K: Polytope, x0, tol: float = DEFAULT_TOL
+) -> FixedPointResult:
+    """The fixed point P x0, with P the limit of the averaging operator.
 
-    Raises :class:`EmptyFixedSetError` when no common fixed point exists or
-    the fixed set misses K — on validated input that diagnoses a broken
-    structure/invariance check or an unreachable tolerance.
+    Raises :class:`StartOutsidePolytopeError` when x0 is not in K, and
+    :class:`EmptyFixedSetError` when no common fixed point exists, the
+    fixed set misses K, or P x0 lies outside K or is not fixed — on
+    validated input that diagnoses a broken structure/invariance check or
+    an unreachable tolerance.  A generator whose averages cannot converge
+    raises :class:`NumericalError`.
     """
+    start = _start_point(node, K, x0, tol)
     sub = common_fixed_subspace(node)
     if sub is None:
         raise EmptyFixedSetError(
             "empty-fixed-subspace",
             "the stacked fixed-point equations are inconsistent",
         )
-    gap, point, _ = deviation_fit([K.vertices], sub.point, sub.basis)
+    # the point shifts the vertices, as in hull_fit: on the right-hand side a
+    # far-off point, such as (1e8, 1e8), made the simplex call this program infeasible
+    gap, _, _ = deviation_fit([K.vertices - sub.point], np.zeros(K.dim), sub.basis)
     if gap > tol:
         raise EmptyFixedSetError(
             "fixed-set-outside-polytope",
@@ -201,13 +257,21 @@ def solve_exact(node: SemigroupNode, K: Polytope, tol: float = DEFAULT_TOL) -> F
             if sub.dimension == 0
             else "the fixed subspace does not meet the polytope",
         )
-    if sub.dimension:
-        point = canonical_fit([K.vertices], sub.point, sub.basis, max(2.0 * gap, 1e-12))
+    center, scale = K.centroid(), diameter(K) or 1.0
+    limit = _layered(node, lambda g: _ergodic_projection(g, center, scale))
+    point = center + scale * limit((start - center) / scale)
     res = residual(point, node)
     if max(res.values()) > tol:
         raise EmptyFixedSetError(
             "residual-above-tolerance",
             f"exact candidate has residual {max(res.values()):.3e} > tol {tol:.1e}",
+        )
+    slack = max(tol, 1e-9)
+    outside = hull_gap(K, point, slack)[0]
+    if outside > slack:
+        raise EmptyFixedSetError(
+            "projection-outside-polytope",
+            f"the projected start point lies {outside:.3e} outside the polytope",
         )
     return FixedPointResult(point, res, "exact")
 

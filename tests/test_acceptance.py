@@ -61,7 +61,7 @@ def test_criterion_1_both_solvers_on_every_fixture(solve_fixtures):
         dims.add(payload.node.dim)
         depths.add(report.depth)
         began = time.perf_counter()
-        exact = solve_exact(payload.node, payload.polytope, opts.tol)
+        exact = solve_exact(payload.node, payload.polytope, _start(payload), opts.tol)
         cesaro = solve_cesaro(payload.node, payload.polytope, _start(payload), opts.tol, opts.n_max)
         elapsed = time.perf_counter() - began
         assert exact.max_residual <= TOL, f"{name}: exact residual {exact.max_residual}"
@@ -77,14 +77,14 @@ def test_criterion_1_both_solvers_on_every_fixture(solve_fixtures):
 
 
 def test_criterion_2_oracle_equivalence(solve_fixtures):
-    # every corpus fixture has a one-point fixed set inside K
+    # both routes approach P x0 from the file's start
     for name, pf in solve_fixtures:
         payload, opts = pf.payload, pf.options
-        exact = solve_exact(payload.node, payload.polytope, opts.tol)
-        cesaro = solve_cesaro(payload.node, payload.polytope, _start(payload), opts.tol, opts.n_max)
+        exact = solve_exact(payload.node, payload.polytope, _start(payload), opts.tol)
+        cesaro = solve_cesaro(payload.node, payload.polytope, _start(payload), opts.tol, 2**40)
         gap = float(np.max(np.abs(exact.point - cesaro.point)))
-        assert gap <= 1e-6, f"{name}: solver disagreement {gap:.2e}"
-    print("\nACCEPTANCE 2 (exact/averaging agreement <= 1e-6): PASS")
+        assert gap <= 1e-7, f"{name}: solver disagreement {gap:.2e}"
+    print("\nACCEPTANCE 2 (exact/averaging agreement <= 1e-7): PASS")
 
 
 def test_criterion_3_one_over_n_residual_law(solve_fixtures):
@@ -173,7 +173,7 @@ def test_criterion_7_stationary_distribution_anchor():
     P = np.array([[0.9, 0.1], [0.2, 0.8]])
     pi = stationary_distribution(P)
     np.testing.assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-    exact = solve_exact(payload.node, payload.polytope, opts.tol)
+    exact = solve_exact(payload.node, payload.polytope, _start(payload), opts.tol)
     cesaro = solve_cesaro(payload.node, payload.polytope, _start(payload), opts.tol, opts.n_max)
     np.testing.assert_allclose(exact.point, pi, atol=1e-9)
     np.testing.assert_allclose(cesaro.point, pi, atol=1e-9)
@@ -220,7 +220,7 @@ def test_criterion_9_negative_controls():
     translation = AffineMap.translation([2.0, 0.0])
     assert common_fixed_subspace(Leaf((translation,))) is None
     with pytest.raises(EmptyFixedSetError) as err:
-        solve_exact(Leaf((translation,)), Polytope.box([0.0, 0.0], [1.0, 1.0]))
+        solve_exact(Leaf((translation,)), Polytope.box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
     assert err.value.reason == "empty-fixed-subspace"
     code, out, _ = run_cli("solve", str(FIXTURES / "negative" / "drifting_translation.json"))
     assert code == 1

@@ -14,6 +14,7 @@ from fixmk import (
     AffineMap,
     ConstraintSetTooLargeError,
     DegenerateBasisError,
+    DimensionMismatchError,
     ExtensionInvariantError,
     ExtensionProblem,
     Leaf,
@@ -56,6 +57,23 @@ def s3_problem():
 def l1_problem():
     scale_op = AffineMap.linear([[1.0, 0.0], [0.0, 0.5]])
     return ExtensionProblem(2, L1_2, [[1.0, 0.0]], [3.0], Leaf((scale_op,)))
+
+
+# --- ExtensionProblem -----------------------------------------------------------
+
+@pytest.mark.parametrize("basis, values", [
+    ([[1.0, 0.0, 0.0, 1.0]], [1.0, 1.0]),  # one row of 4, not two rows of 2
+    ([[1.0, 2.0, 3.0]], [1.0]),
+    ([1.0, 1.0], [1.0]),  # a vector, not a list of rows
+], ids=["flattened-identity", "row-of-3", "one-dimensional"])
+def test_problem_rejects_basis_rows_of_the_wrong_length(basis, values):
+    with pytest.raises(DimensionMismatchError, match="rows of length 2"):
+        ExtensionProblem(2, LINF2, basis, values, Leaf((AffineMap.identity(2),)))
+
+
+def test_problem_accepts_a_basis_without_rows():
+    prob = ExtensionProblem(2, LINF2, np.zeros((0, 2)), [], Leaf((AffineMap.identity(2),)))
+    assert prob.subspace_basis.shape == (0, 2)
 
 
 # --- subspace_norm / normalize_problem --------------------------------------
@@ -431,13 +449,14 @@ def test_extension_rescales_back():
 
 
 def test_extension_fits_no_constraint_set_vertex(monkeypatch):
-    # validate_problem implies the lifted tree keeps K, so the only hull fit
-    # left is the Cesaro route's membership check of its start point
+    # validate_problem implies the lifted tree keeps K, so the only hull fits
+    # left are both routes' membership checks of their start point and the
+    # exact route's check of its result
     calls = []
     original = geometry.hull_fit
     monkeypatch.setattr(geometry, "hull_fit", lambda K, x: calls.append(1) or original(K, x))
     invariant_extension(s3_problem())
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def test_extension_raises_every_violation():

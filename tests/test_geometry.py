@@ -320,15 +320,14 @@ def test_feasible_point_dim_mismatch():
 
 
 def test_impossible_lp_status_is_a_numerical_error(monkeypatch):
-    # the deviation LP is feasible for a large enough t, and the probes run
-    # only at a cap that was met, so "infeasible" is the LP core failing
+    # the deviation LP is feasible for a large enough t, and the probe runs
+    # only at a cap that is met, so "infeasible" is the LP core failing
     monkeypatch.setattr(geometry, "solve_lp", lambda *a: LPResult(INFEASIBLE))
-    monkeypatch.setattr(geometry, "solve_lps", lambda cs, *a: (LPResult(INFEASIBLE) for _ in cs))
     vertex_sets, origin, basis = [square().vertices], np.zeros(2), np.eye(2)
     with pytest.raises(NumericalError, match="deviation LP unexpectedly infeasible"):
         geometry.deviation_fit(vertex_sets, origin, basis)
     with pytest.raises(NumericalError, match="probe LP unexpectedly infeasible"):
-        geometry.canonical_fit(vertex_sets, origin, basis, 1e-9)
+        geometry._capped_probe(vertex_sets, origin, basis, 1.0, np.ones(2))
 
 
 # --- diameter / norms -----------------------------------------------------

@@ -1,17 +1,14 @@
-import logging
-import re
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from conftest import fixture_paths
-from fixmk import AffineMap, Leaf, NumericalError, Polytope, geometry, lp
-from fixmk.geometry import _deviation_lp, canonical_fit, polytope_image
-from fixmk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp, solve_lps
+from fixmk import AffineMap, Leaf, NumericalError, Polytope, lp
+from fixmk.geometry import _deviation_lp, polytope_image
+from fixmk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
-from fixmk.solver import _sample_family, common_fixed_subspace, solve_exact
+from fixmk.solver import _sample_family, common_fixed_subspace
 from helpers import count_calls
 
 
@@ -85,8 +82,6 @@ def test_non_finite_lp_data_raises_numerical_error():
         data[name].flat[1] = np.nan
         with pytest.raises(NumericalError, match=f"LP data {name} has non-finite entries"):
             solve_lp(data["c"], data["A"], data["b"])
-        with pytest.raises(NumericalError, match=f"LP data {name} has non-finite entries"):
-            list(solve_lps([c, data["c"]], data["A"], data["b"]))
 
 
 def test_non_finite_solution_raises_numerical_error():
@@ -198,11 +193,18 @@ def _hull_fit_programs():
 
 
 def _subspace_fit_programs():
-    """each solve fixture's common fixed subspace against its polytope."""
+    """each solve fixture's common fixed subspace against its polytope.
+
+    Each comes as the program solve_exact solves (vertices shifted by the
+    subspace's point, against the point 0) and with the point on the
+    right-hand side.
+    """
     for pf in _solve_fixtures():
         sub = common_fixed_subspace(pf.payload.node)
         if sub is not None:
-            yield _deviation_lp([pf.payload.polytope.vertices], sub.point, sub.basis)
+            V = pf.payload.polytope.vertices
+            yield _deviation_lp([V - sub.point], np.zeros(V.shape[1]), sub.basis)
+            yield _deviation_lp([V], sub.point, sub.basis)
 
 
 def _fip_programs():
@@ -260,84 +262,3 @@ def test_cyclic_fip_programs_stay_within_pivot_budget(monkeypatch):
         assert solve_lp(c, A, b).status == OPTIMAL
     assert len(pivots) / len(programs) <= 300
 
-
-# --- one phase 1 for many objectives -----------------------------------------
-
-def cyclic_shift(d):
-    return Leaf((AffineMap.linear(np.roll(np.eye(d), 1, axis=0)),))
-
-
-def record_programs(monkeypatch):
-    """Every program geometry sends to solve_lps, with its objectives and results."""
-    programs = []
-    original = geometry.solve_lps
-
-    def recording(objectives, A, b):
-        objectives, A, b = [np.array(c) for c in objectives], np.array(A), np.array(b)
-        results = list(original(objectives, A, b))
-        programs.append((objectives, A, b, results))
-        return iter(results)
-
-    monkeypatch.setattr(geometry, "solve_lps", recording)
-    return programs
-
-
-def _same_result(a, b):
-    return (a.status, a.x.tobytes(), a.value) == (b.status, b.x.tobytes(), b.value)
-
-
-@pytest.mark.parametrize("case", ["cyclic-8", "cyclic-16", "cyclic-24", "corpus"])
-def test_each_probe_equals_a_standalone_solve(case, monkeypatch):
-    programs = record_programs(monkeypatch)
-    if case == "corpus":
-        for path in fixture_paths("solve"):
-            p = load_problem(path).payload
-            solve_exact(p.node, p.polytope)
-    else:
-        d = int(case.split("-")[1])
-        solve_exact(cyclic_shift(d), Polytope.standard_simplex(d))
-    assert programs
-    for objectives, A, b, results in programs:
-        assert len(results) == len(objectives)
-        for c, res in zip(objectives, results):
-            assert res.status == OPTIMAL
-            assert _same_result(res, solve_lp(c, A, b))
-
-
-def test_phase_one_runs_once_per_probe_program(monkeypatch):
-    phase1 = count_calls(monkeypatch, lp, "_phase1")
-    phase2 = count_calls(monkeypatch, lp, "_phase2")
-    d = 8
-    node, K = cyclic_shift(d), Polytope.standard_simplex(d)
-    sub = common_fixed_subspace(node)
-    canonical_fit([K.vertices], sub.point, sub.basis, 1e-9)
-    assert (len(phase1), len(phase2)) == (1, 2 * d)
-    phase1.clear(), phase2.clear()
-    solve_exact(node, K)  # the deviation fit, then the probe program
-    assert (len(phase1), len(phase2)) == (2, 1 + 2 * d)
-
-
-def test_solve_lps_matches_solve_lp_on_infeasible_and_unbounded():
-    A, b = np.array([[1.0, -1.0]]), np.array([0.0])
-    objectives = [np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, -1.0])]
-    assert [r.status for r in solve_lps(objectives, A, b)] == [UNBOUNDED, OPTIMAL, UNBOUNDED]
-    for c in objectives:
-        assert solve_lp(c, A, b).status == solve_lps([c], A, b)[0].status
-    empty = solve_lps([np.ones(1), -np.ones(1)], np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
-    assert [r.status for r in empty] == [INFEASIBLE] * 2
-
-
-def test_probe_program_logs_one_record(caplog, monkeypatch):
-    pivots = count_calls(monkeypatch, lp, "_pivot")
-    with caplog.at_level(logging.DEBUG, logger="fixmk.lp"):
-        geometry.hull_fit(Polytope(np.eye(2)), [0.5, 0.5])  # solve_lp logs nothing
-        assert caplog.records == []
-        pivots.clear()
-        canonical_fit([np.eye(2)], np.zeros(2), np.eye(2), 1e-9)
-    (record,) = caplog.records
-    assert record.name == "fixmk.lp"
-    match = re.fullmatch(
-        r"program: 6 rows, 12 columns, 4 objectives, (\d+) phase-1 pivots, (\d+) phase-2 pivots",
-        record.getMessage(),
-    )
-    assert match and int(match[1]) + int(match[2]) == len(pivots)

@@ -13,7 +13,7 @@ from fixmk import cli
 VALIDATION_OK = {"ok": None, "depth": None}  # solve keeps only these two
 VALIDATION = {"ok": None, "depth": None, "failures": None}
 FAILURE = {"kind": None, "witness": None, "residual": None}
-CERTIFICATE = {"n_final": None, "residual_history": None, "bound_history": None}
+CERTIFICATE = {"n_final": None, "residual_history": None, "diameter": None}
 FIP = {"feasible": None, "witness": None, "family": None, "sample_count": None, "seed": None}
 ERROR = {"kind": None, "detail": None}
 S3_RESIDUALS = {"g0": None, "g1": None}

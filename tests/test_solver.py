@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixmk import geometry
 from fixmk import (
@@ -7,7 +8,10 @@ from fixmk import (
     EmptyFixedSetError,
     Leaf,
     NotConvergedError,
+    NumericalError,
     Polytope,
+    Product,
+    StartOutsidePolytopeError,
     averaging_operator,
     affine_compose,
     common_fixed_subspace,
@@ -82,16 +86,19 @@ def test_cesaro_start_check_at_vertex_and_just_outside(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cesaro_residual_bound_history():
+def test_cesaro_residual_within_diameter_bound():
     node = markov_node()
     K = Polytope(np.eye(2))
     result = solve_cesaro(node, K, [1.0, 0.0], 1e-8, 2**40)
-    diam = diameter(K)
-    for (n, res), (n2, bound) in zip(
-        result.certificate.residual_history, result.certificate.bound_history
-    ):
-        assert n == n2 and bound == diam / n
-        assert res <= bound + 1e-9  # single-map stage obeys the 1/n law
+    assert result.certificate.diameter == diameter(K)
+    for n, res in result.certificate.residual_history:
+        # single-map stage obeys the 1/n law
+        assert res <= result.certificate.diameter / n + 1e-9
+
+
+def test_cesaro_rejects_depth_budget_below_one():
+    with pytest.raises(ValueError, match="averaging depth must be >= 1"):
+        solve_cesaro(Leaf((rot90(),)), square(), [0.0, 0.0], n_max=0)
 
 
 def test_cesaro_not_converged_carries_best():
@@ -120,7 +127,7 @@ def test_fixed_subspace_translation_is_empty():
 
 
 def test_exact_identity_leaf_gives_centroid():
-    result = solve_exact(Leaf((AffineMap.identity(2),)), square())
+    result = solve_exact(Leaf((AffineMap.identity(2),)), square(), square().centroid())
     np.testing.assert_allclose(result.point, [0.0, 0.0], atol=1e-9)
     assert result.max_residual == 0.0
     assert result.certificate is None
@@ -128,20 +135,20 @@ def test_exact_identity_leaf_gives_centroid():
 
 def test_exact_markov_matches_eigen_oracle():
     P = np.array([[0.9, 0.1], [0.2, 0.8]])
-    result = solve_exact(markov_node(), Polytope(np.eye(2)))
+    result = solve_exact(markov_node(), Polytope(np.eye(2)), [1.0, 0.0])
     np.testing.assert_allclose(result.point, [2.0 / 3.0, 1.0 / 3.0], atol=1e-9)
     np.testing.assert_allclose(result.point, stationary_distribution(P), atol=1e-9)
 
 
 def test_exact_dihedral_origin():
-    result = solve_exact(dihedral_node(), square())
+    result = solve_exact(dihedral_node(), square(), [1.0, 1.0])
     np.testing.assert_allclose(result.point, [0.0, 0.0], atol=1e-12)
 
 
 def test_exact_translation_raises_empty():
     node = Leaf((AffineMap.translation([2.0, 0.0]),))
     with pytest.raises(EmptyFixedSetError) as err:
-        solve_exact(node, Polytope.box([0.0, 0.0], [1.0, 1.0]))
+        solve_exact(node, Polytope.box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
     assert err.value.reason == "empty-fixed-subspace"
 
 
@@ -149,8 +156,21 @@ def test_exact_fixed_point_outside_polytope():
     # contraction toward (5, 5): unique fixed point far from the square
     node = Leaf((AffineMap(0.5 * np.eye(2), np.array([2.5, 2.5])),))
     with pytest.raises(EmptyFixedSetError) as err:
-        solve_exact(node, square())
+        solve_exact(node, square(), [0.0, 0.0])
     assert err.value.reason == "fixed-set-outside-polytope"
+
+
+def test_exact_shear_raises_numerical_error():
+    # a Jordan block at eigenvalue 1: the fixed line meets the square, but
+    # ker(G - I) contains range(G - I), so the averages have no limit
+    node = Leaf((AffineMap.linear([[1.0, 1.0], [0.0, 1.0]]),))
+    with pytest.raises(NumericalError, match="not complementary"):
+        solve_exact(node, square(), [0.5, 0.5])
+
+
+def test_exact_requires_start_inside():
+    with pytest.raises(StartOutsidePolytopeError):
+        solve_exact(Leaf((rot90(),)), square(), [1.0 + 1e-6, 0.0])
 
 
 def test_exact_and_cesaro_agree():
@@ -158,11 +178,69 @@ def test_exact_and_cesaro_agree():
         (dihedral_node(), square(), [1.0, 1.0]),
         (markov_node(), Polytope(np.eye(2)), [1.0, 0.0]),
     ]:
-        exact = solve_exact(node, K, 1e-8)
+        exact = solve_exact(node, K, x0, 1e-8)
         cesaro = solve_cesaro(node, K, x0, 1e-8, 2**40)
         assert exact.max_residual <= 1e-8
         assert cesaro.max_residual <= 1e-8
         np.testing.assert_allclose(exact.point, cesaro.point, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "center, size", [(1e6, 1.0), (1e8, 1.0), (0.0, 1e6)], ids=["far", "farther", "large"]
+)
+def test_exact_rotation_about_the_center_of_a_far_or_large_box(center, size):
+    c = np.full(2, center)
+    R = rot90().matrix
+    K = Polytope.box(c - size, c + size)
+    result = solve_exact(Leaf((AffineMap(R, c - R @ c),)), K, c + [0.5 * size, 0.25 * size])
+    np.testing.assert_allclose(result.point, c, rtol=0.0, atol=1e-9)
+
+
+def _diag(*entries):
+    return AffineMap.linear(np.diag(entries))
+
+
+@pytest.mark.parametrize("node, K, x0, expected", [
+    # the reflection fixes the line x = 0, and averaging moves only x
+    (Leaf((_diag(-1.0, 1.0),)), square(), [0.5, 0.5], [0.0, 0.5]),
+    # the dihedral group of the first two coordinates fixes the z axis
+    (Product(Leaf((AffineMap.linear([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),)),
+             Leaf((_diag(1.0, -1.0, 1.0),))),
+     Polytope.box([-1.0] * 3, [1.0] * 3), [0.5, 0.25, 0.5], [0.0, 0.0, 0.5]),
+], ids=["reflection", "product"])
+def test_exact_and_cesaro_agree_off_a_single_point(node, K, x0, expected):
+    exact = solve_exact(node, K, x0)
+    cesaro = solve_cesaro(node, K, x0)
+    np.testing.assert_allclose(exact.point, expected, atol=1e-12)
+    np.testing.assert_allclose(cesaro.point, expected, atol=1e-12)
+
+
+@st.composite
+def stochastic_polynomials(draw):
+    """A random positive stochastic P and 1-3 convex polynomials q(P), each with a P term."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.uniform(0.05, 1.0, size=(d, d))
+    P /= P.sum(axis=1, keepdims=True)
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = rng.dirichlet(np.ones(draw(st.integers(2, 4))))
+        powers = [np.linalg.matrix_power(P, k) for k in range(len(weights))]
+        polys.append(sum(w * Pk for w, Pk in zip(weights, powers)))
+    return P, polys, rng.dirichlet(np.ones(d))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(stochastic_polynomials())
+def test_markov_kakutani_on_the_simplex_matches_the_stationary_distribution(case):
+    # x -> q(P)^T x are commuting affine self-maps of the simplex, and every
+    # q(P) with a P term has the stationary distribution of P as its only fixed point
+    P, polys, x0 = case
+    node = Leaf(tuple(AffineMap.linear(Q.T) for Q in polys))
+    K = Polytope.standard_simplex(P.shape[0])
+    pi = stationary_distribution(P)
+    np.testing.assert_allclose(solve_exact(node, K, x0).point, pi, atol=1e-9)
+    np.testing.assert_allclose(solve_cesaro(node, K, x0, 1e-10, 2**40).point, pi, atol=1e-6)
 
 
 # --- residual ---------------------------------------------------------------
@@ -170,13 +248,13 @@ def test_exact_and_cesaro_agree():
 def test_residual_values():
     node = Leaf((AffineMap.translation([1.0, 0.0]),))
     assert residual([0.0, 0.0], node) == {"g0": 1.0}
-    exact = solve_exact(dihedral_node(), square())
+    exact = solve_exact(dihedral_node(), square(), [1.0, 1.0])
     assert all(v == 0.0 for v in exact.residuals.values())
 
 
 def test_fixed_point_is_fixed_by_all_words():
     for node, K in [(dihedral_node(), square()), (markov_node(), Polytope(np.eye(2)))]:
-        p = solve_exact(node, K).point
+        p = solve_exact(node, K, K.centroid()).point
         assert max(residual(p, node).values()) <= 1e-10
         for w in enumerate_elements(node, 6):
             assert np.max(np.abs(w(p) - p)) <= 1e-8
