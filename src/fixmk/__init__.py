@@ -16,6 +16,7 @@ from .errors import (
     ConstraintSetTooLargeError,
     DegenerateBasisError,
     DimensionMismatchError,
+    DisagreementError,
     EmptyConstraintSetError,
     EmptyFixedSetError,
     EnumerationCapError,
@@ -74,10 +75,12 @@ from .semigroup import (
 from .solver import (
     AffineSubspace,
     ConvergenceCertificate,
+    CrossCheck,
     FipReport,
     FixedPointResult,
     averaging_operator,
     common_fixed_subspace,
+    cross_check,
     fip_check,
     residual,
     solve_cesaro,

@@ -6,7 +6,9 @@ validation), ``fip`` (sampled image-intersection check), ``extend``
 :mod:`fixmk.schema`; a report is the result dataclasses as canonical JSON.
 
 Exit codes: 0 when the report's status is ``ok``.  1 when a solver or
-check fails: in the report's status, or with an ``error:`` line and no
+check fails: in the report's status (``disagreement`` included, when the
+two routes of a cross-check ``solve`` reach different fixed points, and an
+``extend`` that fails for that reason), or with an ``error:`` line and no
 report when a library error stops the run, such as a numerical failure
 of the LP core, a ``start`` point outside the polytope, or an ``extend``
 problem whose constraint set needs more than 10^7 facet combinations
@@ -36,10 +38,9 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .errors import (
+    DisagreementError,
     EmptyConstraintSetError,
     EmptyFixedSetError,
     ExtensionInvariantError,
@@ -61,7 +62,7 @@ from .schema import (
     option_value,
 )
 from .semigroup import validate_structure
-from .solver import fip_check, solve_cesaro, solve_exact
+from .solver import cross_check, fip_check, solve_cesaro, solve_exact
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -133,15 +134,20 @@ def run_solve(pf, options) -> tuple[str, dict]:
                 payload.node, payload.polytope, start, options.tol, options.n_max
             )
         else:
-            exact = solve_exact(payload.node, payload.polytope, start, options.tol)
-            cesaro = solve_cesaro(
-                payload.node, payload.polytope, start, options.tol, options.n_max
-            )
-            result.update(asdict(exact))
+            status = "ok"
+            try:
+                check = cross_check(
+                    payload.node, payload.polytope, start, options.tol, options.n_max
+                )
+            except DisagreementError as exc:
+                check, status = exc.check, "disagreement"
+                result["error"] = {"kind": "disagreement", "detail": str(exc)}
+            result.update(asdict(check.exact))
             result["method"] = "cross-check"
-            result["certificate"] = asdict(cesaro.certificate)
-            result["disagreement"] = float(np.max(np.abs(exact.point - cesaro.point)))
-            return "ok", result
+            result["certificate"] = asdict(check.cesaro.certificate)
+            result["disagreement"] = check.disagreement
+            result["projection_gap"] = check.projection_gap
+            return status, result
     except EmptyFixedSetError as exc:
         result["error"] = {"kind": exc.reason, "detail": str(exc)}
         return "infeasible", result
@@ -189,6 +195,8 @@ def run_extend(pf, options) -> tuple[str, dict]:
         return "failed", {"error": {"kind": "extension-precondition", "detail": str(exc)}}
     except (EmptyConstraintSetError, EmptyFixedSetError) as exc:
         return "infeasible", {"error": {"kind": "infeasible", "detail": str(exc)}}
+    except DisagreementError as exc:
+        return "failed", {"error": {"kind": "disagreement", "detail": str(exc)}}
     except NotConvergedError as exc:
         return "not-converged", {"error": {"kind": "not-converged", "detail": str(exc)}}
     check = verify_extension(result, problem, options.tol)

@@ -60,6 +60,21 @@ class NotConvergedError(FixmkError):
         self.certificate = certificate
 
 
+class DisagreementError(FixmkError):
+    """The exact and the Cesàro route reached different fixed points.
+
+    ``check`` is the :class:`fixmk.solver.CrossCheck` whose projection gap
+    exceeded the tolerance.
+    """
+
+    def __init__(self, check, tol: float):
+        super().__init__(
+            f"projection gap {check.projection_gap:.3e} > tol {tol:.1e}: "
+            "the Cesàro point projects off the exact one"
+        )
+        self.check = check
+
+
 class EmptyFixedSetError(FixmkError):
     """No common fixed point exists inside the polytope.
 

@@ -50,7 +50,7 @@ from .semigroup import (
     flatten,
     validate_relations,
 )
-from .solver import solve_cesaro, solve_exact
+from .solver import cross_check
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,11 @@ class ExtensionProblem:
             raise DimensionMismatchError(
                 f"subspace basis must be rows of length {self.dim}, got shape {basis.shape}"
             )
-        values = np.array(self.functional_on_subspace, dtype=float).reshape(-1)
+        values = np.array(self.functional_on_subspace, dtype=float)
+        if values.ndim != 1:
+            raise DimensionMismatchError(
+                f"functional values must be a flat vector, got shape {values.shape}"
+            )
         if basis.shape[0] != values.shape[0]:
             raise DimensionMismatchError("one functional value per basis vector")
         if self.norm.dim != self.dim or self.operators.dim != self.dim:
@@ -344,7 +348,9 @@ def invariant_extension(
     polytope, lifts the operators by transposition, validates (rather than
     assumes) the lifted tree's abelian and normal relations, and hands the
     fixed-point problem, from the centroid of the constraint polytope, to
-    the exact solver with an averaging cross-check.
+    the exact solver with an averaging cross-check
+    (:func:`fixmk.solver.cross_check`, which raises
+    :class:`~fixmk.errors.DisagreementError` when the two routes disagree).
     """
     violations = validate_problem(problem)
     if violations:
@@ -367,10 +373,8 @@ def invariant_extension(
     if not relations.ok:
         raise StructureValidationError(relations)
 
-    start = K.centroid()
-    exact = solve_exact(lifted, K, start, tol)
-    # independent route over the same polytope from the same start; both must certify
-    solve_cesaro(lifted, K, start, tol, _CROSSCHECK_N_MAX)
+    # both routes over the same polytope from the same start must certify and agree
+    exact = cross_check(lifted, K, K.centroid(), tol, _CROSSCHECK_N_MAX).exact
 
     functional = scale * exact.point
     invariance, restriction = _residual_fields(problem, functional)

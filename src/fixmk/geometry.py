@@ -246,32 +246,47 @@ def convex_combination(maps, weights) -> AffineMap:
     return AffineMap(matrix, offset)
 
 
-def _power_sum(matrix: np.ndarray, offset: np.ndarray, n: int):
-    """Return (sum of powers 0..n-1, n-th power), each as (matrix, offset).
+def _double(sums, power, n: int):
+    """One doubling step: (S_n, g^n) to (S_2n, g^2n), each as (matrix, offset).
 
-    Doubling recursion: the block of powers m..2m-1 equals the m-th power
-    composed with the block 0..m-1, which keeps the cost at O(log n)
-    matrix products and makes depth budgets like 2^40 affordable.
+    S_n is the sum of the powers 0..n-1.  The block of powers n..2n-1 is
+    g^n composed with the block 0..n-1, so S_2n = S_n + g^n S_n, whose
+    offset is s_o + p_m s_o + n p_o, and g^2n = g^n g^n.
+    """
+    (s_m, s_o), (p_m, p_o) = sums, power
+    return (s_m + p_m @ s_m, s_o + p_m @ s_o + n * p_o), (p_m @ p_m, p_m @ p_o + p_o)
+
+
+def _power_sum(matrix: np.ndarray, offset: np.ndarray, n: int):
+    """Return (S_n, g^n): the sum of powers 0..n-1 and the n-th power.
+
+    Doubling recursion through :func:`_double`, which keeps the cost at
+    O(log n) matrix products and makes depth budgets like 2^40 affordable.
+    For n = 2^k it is :func:`_double` applied k times to the result for
+    n = 1, the same operations as carrying the sums from one power of two
+    to the next.
     """
     d = offset.shape[0]
     if n == 0:
         return (np.zeros((d, d)), np.zeros(d)), (np.eye(d), np.zeros(d))
-    (s_m, s_o), (p_m, p_o) = _power_sum(matrix, offset, n // 2)
-    half = n // 2
-    s_m, s_o = s_m + p_m @ s_m, s_o + p_m @ s_o + half * p_o
-    p_m, p_o = p_m @ p_m, p_m @ p_o + p_o
+    (s_m, s_o), (p_m, p_o) = _double(*_power_sum(matrix, offset, n // 2), n // 2)
     if n % 2:
         s_m, s_o = s_m + p_m, s_o + p_o
         p_m, p_o = p_m @ matrix, p_m @ offset + p_o
     return (s_m, s_o), (p_m, p_o)
 
 
+def _average(sums, n: int) -> AffineMap:
+    """The depth-n average S_n / n."""
+    s_m, s_o = sums
+    return AffineMap(s_m / n, s_o / n)
+
+
 def cesaro_average(m: AffineMap, n: int) -> AffineMap:
     """(1/n) * (I + m + m^2 + ... + m^(n-1))."""
     if n < 1:
         raise ValueError("averaging depth n must be >= 1")
-    (s_m, s_o), _ = _power_sum(m.matrix, m.offset, n)
-    return AffineMap(s_m / n, s_o / n)
+    return _average(_power_sum(m.matrix, m.offset, n)[0], n)
 
 
 def affine_power(m: AffineMap, n: int) -> AffineMap:

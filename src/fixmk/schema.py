@@ -46,6 +46,18 @@ _NORM_NAMES = {"max-abs": NormKind.MAX_ABS, "sum-abs": NormKind.SUM_ABS}
 
 @dataclass
 class Options:
+    """Solver settings of a problem file; each can be overridden by a CLI flag.
+
+    ``mode`` picks the ``solve`` route: ``exact`` (the mean-ergodic
+    projection), ``cesaro`` (averaging to residual <= tol), or
+    ``cross-check``, the default, which runs both from one start through
+    :func:`fixmk.solver.cross_check`.  A cross-check report holds the exact
+    result with the Cesàro certificate, ``disagreement`` (max-abs distance
+    of the two points) and ``projection_gap`` (|P c - e|, the Cesàro point
+    c projected against the exact point e); its status is
+    ``disagreement`` when the gap exceeds ``tol``.
+    """
+
     tol: float = DEFAULT_TOL
     n_max: int = DEFAULT_N_MAX
     word_budget: int = DEFAULT_WORD_BUDGET

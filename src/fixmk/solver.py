@@ -6,9 +6,11 @@ Two independent routes, both from a start point x0 in K:
   leaf this composes the depth-n averages (1/n)(I + g + ... + g^(n-1)) of
   its generators; for a product it composes the normal stage after the
   quotient stage.  The image of any start point has per-generator residual
-  bounded by diameter(K)/n, so doubling n certifies convergence.  The
-  averages are computed with a doubling recursion, which makes depth
-  budgets of 2^40 routine.
+  bounded by diameter(K)/n, so doubling n certifies convergence.  Each
+  generator's power sum and power are carried from one depth to the next
+  (S_2n = S_n + g^n S_n, g^2n = g^n g^n), so the whole schedule up to
+  depth n costs O(log n) matrix products, and depth budgets of 2^40 are
+  routine.
 
 * :func:`solve_exact` — the limit of those averages in closed form.  In
   homogeneous coordinates a generator is H = [[A, b], [0, 1]], and by the
@@ -20,7 +22,9 @@ Two independent routes, both from a start point x0 in K:
   :mod:`fixmk.geometry` diagnose a fixed set that is empty or misses K.
 
 On every validated input both routes land on the same point, with
-residual below tolerance.
+residual below tolerance.  :func:`cross_check` runs both from one start
+and compares them sharply: the Cesàro point c must satisfy P c = P x0,
+whatever depth it stopped at.
 """
 from __future__ import annotations
 
@@ -28,10 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFixedSetError, NotConvergedError, NumericalError, StartOutsidePolytopeError
+from .errors import (
+    DisagreementError,
+    EmptyFixedSetError,
+    NotConvergedError,
+    NumericalError,
+    StartOutsidePolytopeError,
+)
 from .geometry import (
     AffineMap,
     Polytope,
+    _average,
+    _double,
+    _power_sum,
     affine_compose,
     as_vector,
     cesaro_average,
@@ -82,6 +95,20 @@ class FixedPointResult:
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
+
+
+@dataclass
+class CrossCheck:
+    """The exact and the Cesàro result from one start, and their projection gap."""
+
+    exact: FixedPointResult
+    cesaro: FixedPointResult
+    projection_gap: float
+
+    @property
+    def disagreement(self) -> float:
+        """Max-abs distance between the two points."""
+        return float(np.max(np.abs(self.exact.point - self.cesaro.point)))
 
 
 @dataclass(frozen=True)
@@ -171,6 +198,45 @@ def _start_point(node: SemigroupNode, K: Polytope, x0, tol: float) -> np.ndarray
     return start
 
 
+def _schedule(node: SemigroupNode, start: np.ndarray, n_max: int):
+    """Yield (n, depth-n average of start) for n = 1, 2, 4, ... <= n_max.
+
+    Each generator's (S_n, g^n) is carried from one depth to the next by
+    one :func:`~fixmk.geometry._double` step, so depth n costs log2(n) + 1
+    steps per generator in all.  These are the operations of the doubling
+    recursion, so each point is bit for bit ``averaging_operator(node,
+    n)(start)``.
+    """
+    sums = {id(g): _power_sum(g.matrix, g.offset, 1) for _, g in flatten(node)}
+    n = 1
+    while True:
+        yield n, _layered(node, lambda g: _average(sums[id(g)][0], n))(start)
+        if 2 * n > n_max:
+            return
+        sums = {key: _double(*state, n) for key, state in sums.items()}
+        n *= 2
+
+
+def _cesaro_from(node, K, start, tol, n_max) -> FixedPointResult:
+    """:func:`solve_cesaro` from a start point already checked to lie in K."""
+    if n_max < 1:
+        raise ValueError("averaging depth must be >= 1")
+    diam = diameter(K)
+    residual_history: list[tuple[int, float]] = []
+    best_point, best_res, best_max = None, None, np.inf
+    for n, p in _schedule(node, start, n_max):
+        res = residual(p, node)
+        worst = max(res.values())
+        residual_history.append((n, worst))
+        if worst < best_max:
+            best_point, best_res, best_max = p, res, worst
+        if worst <= tol:
+            cert = ConvergenceCertificate(n, residual_history, diam)
+            return FixedPointResult(p, res, "cesaro", cert)
+    cert = ConvergenceCertificate(residual_history[-1][0], residual_history, diam)
+    raise NotConvergedError(best_point, best_res, cert)
+
+
 def solve_cesaro(
     node: SemigroupNode,
     K: Polytope,
@@ -186,26 +252,7 @@ def solve_cesaro(
     exhausted; on a validated tree that signals a tol/n_max mismatch, not
     a missing fixed point.
     """
-    if n_max < 1:
-        raise ValueError("averaging depth must be >= 1")
-    start = _start_point(node, K, x0, tol)
-    diam = diameter(K)
-    residual_history: list[tuple[int, float]] = []
-    best_point, best_res, best_max = None, None, np.inf
-    n = 1
-    while n <= n_max:
-        p = averaging_operator(node, n)(start)
-        res = residual(p, node)
-        worst = max(res.values())
-        residual_history.append((n, worst))
-        if worst < best_max:
-            best_point, best_res, best_max = p, res, worst
-        if worst <= tol:
-            cert = ConvergenceCertificate(n, residual_history, diam)
-            return FixedPointResult(p, res, "cesaro", cert)
-        n *= 2
-    cert = ConvergenceCertificate(residual_history[-1][0], residual_history, diam)
-    raise NotConvergedError(best_point, best_res, cert)
+    return _cesaro_from(node, K, _start_point(node, K, x0, tol), tol, n_max)
 
 
 def _affine_solution_set(M: np.ndarray, rhs: np.ndarray) -> AffineSubspace | None:
@@ -228,19 +275,11 @@ def common_fixed_subspace(node: SemigroupNode) -> AffineSubspace | None:
     return _affine_solution_set(M, rhs)
 
 
-def solve_exact(
-    node: SemigroupNode, K: Polytope, x0, tol: float = DEFAULT_TOL
-) -> FixedPointResult:
-    """The fixed point P x0, with P the limit of the averaging operator.
+def _exact_from(node, K, start, tol):
+    """:func:`solve_exact` from a start point already checked to lie in K.
 
-    Raises :class:`StartOutsidePolytopeError` when x0 is not in K, and
-    :class:`EmptyFixedSetError` when no common fixed point exists, the
-    fixed set misses K, or P x0 lies outside K or is not fixed — on
-    validated input that diagnoses a broken structure/invariance check or
-    an unreachable tolerance.  A generator whose averages cannot converge
-    raises :class:`NumericalError`.
+    Returns the result and the projection x -> P x.
     """
-    start = _start_point(node, K, x0, tol)
     sub = common_fixed_subspace(node)
     if sub is None:
         raise EmptyFixedSetError(
@@ -259,7 +298,11 @@ def solve_exact(
         )
     center, scale = K.centroid(), diameter(K) or 1.0
     limit = _layered(node, lambda g: _ergodic_projection(g, center, scale))
-    point = center + scale * limit((start - center) / scale)
+
+    def project(x):
+        return center + scale * limit((x - center) / scale)
+
+    point = project(start)
     res = residual(point, node)
     if max(res.values()) > tol:
         raise EmptyFixedSetError(
@@ -273,7 +316,49 @@ def solve_exact(
             "projection-outside-polytope",
             f"the projected start point lies {outside:.3e} outside the polytope",
         )
-    return FixedPointResult(point, res, "exact")
+    return FixedPointResult(point, res, "exact"), project
+
+
+def solve_exact(
+    node: SemigroupNode, K: Polytope, x0, tol: float = DEFAULT_TOL
+) -> FixedPointResult:
+    """The fixed point P x0, with P the limit of the averaging operator.
+
+    Raises :class:`StartOutsidePolytopeError` when x0 is not in K, and
+    :class:`EmptyFixedSetError` when no common fixed point exists, the
+    fixed set misses K, or P x0 lies outside K or is not fixed — on
+    validated input that diagnoses a broken structure/invariance check or
+    an unreachable tolerance.  A generator whose averages cannot converge
+    raises :class:`NumericalError`.
+    """
+    return _exact_from(node, K, _start_point(node, K, x0, tol), tol)[0]
+
+
+def cross_check(
+    node: SemigroupNode,
+    K: Polytope,
+    x0,
+    tol: float = DEFAULT_TOL,
+    n_max: int = DEFAULT_N_MAX,
+) -> CrossCheck:
+    """Both routes from one start: the exact point e, then the Cesàro point c.
+
+    x0 is checked once.  The projection gap is |P c - e| (max-abs).  On a
+    leaf P A_n = P at every depth n, since P_g A_n(g) = P_g and the
+    generators commute, so P c = P x0 = e up to round-off wherever the
+    averaging stopped; the products of the corpus keep it too (pinned in
+    the tests).  A larger gap means the routes reached different fixed
+    points.  Raises what :func:`solve_exact` and
+    :func:`solve_cesaro` raise, and :class:`DisagreementError`, carrying
+    the check, when the gap exceeds tol.
+    """
+    start = _start_point(node, K, x0, tol)
+    exact, project = _exact_from(node, K, start, tol)
+    cesaro = _cesaro_from(node, K, start, tol, n_max)
+    check = CrossCheck(exact, cesaro, float(np.max(np.abs(project(cesaro.point) - exact.point))))
+    if check.projection_gap > tol:
+        raise DisagreementError(check, tol)
+    return check
 
 
 def _sample_family(node, family, count, rng, word_budget):

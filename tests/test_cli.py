@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import time
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_paths
-from fixmk import SchemaError, cli, extension, lp, schema
+from fixmk import SchemaError, cli, extension, lp, schema, solver
 from fixmk.schema import load_problem, parse_problem, serialize_problem
 from helpers import load_tool, run_cli
 
@@ -44,6 +45,7 @@ def test_solve_ok_exit_zero():
     assert report["status"] == "ok"
     np.testing.assert_allclose(report["result"]["point"], [0.0, 0.0], atol=1e-9)
     assert report["result"]["disagreement"] <= 1e-6
+    assert report["result"]["projection_gap"] <= 1e-12
     assert report["tool_version"] == "0.1.0"
 
 
@@ -62,6 +64,51 @@ def test_translation_hits_empty_fixed_set():
     report = json.loads(out)
     assert report["status"] == "infeasible"
     assert report["result"]["error"]["kind"] == "empty-fixed-subspace"
+
+
+def _perturb_cesaro(monkeypatch, shift):
+    """Move every Cesàro point by ``shift`` in each coordinate."""
+    original = solver._cesaro_from
+
+    def perturbed(*args):
+        result = original(*args)
+        return dataclasses.replace(result, point=result.point + shift)
+
+    monkeypatch.setattr(solver, "_cesaro_from", perturbed)
+
+
+def test_perturbed_cesaro_point_is_a_disagreement(monkeypatch, tmp_path):
+    # the reflection x -> (-x, y) fixes the line x = 0, so P keeps the y shift
+    data = json.loads((FIXTURES / "solve" / "rotation_square.json").read_text())
+    data["payload"]["semigroup"] = {
+        "leaf": [{"matrix": [[-1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]}]
+    }
+    data["payload"]["start"] = [0.5, 0.5]
+    path = tmp_path / "reflection.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert cli.main(["solve", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["projection_gap"] == 0.0
+
+    tol = data["options"]["tol"]
+    _perturb_cesaro(monkeypatch, 10 * tol)
+    assert cli.main(["solve", str(path), "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "disagreement"
+    result = report["result"]
+    assert result["error"]["kind"] == "disagreement"
+    assert result["projection_gap"] == pytest.approx(10 * tol)
+    np.testing.assert_allclose(result["point"], [0.0, 0.5], atol=1e-12)
+
+
+def test_extend_fails_on_a_disagreement(monkeypatch, tmp_path):
+    _perturb_cesaro(monkeypatch, 1e-7)  # the identity's P keeps every shift
+    path = FIXTURES / "extension" / "identity_extension.json"
+    out = tmp_path / "report.json"
+    assert cli.main(["extend", str(path), "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "failed"
+    assert report["result"]["error"]["kind"] == "disagreement"
 
 
 def test_extend_norm_violation_exit_one():

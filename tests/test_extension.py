@@ -71,6 +71,13 @@ def test_problem_rejects_basis_rows_of_the_wrong_length(basis, values):
         ExtensionProblem(2, LINF2, basis, values, Leaf((AffineMap.identity(2),)))
 
 
+def test_problem_rejects_nested_functional_values():
+    with pytest.raises(DimensionMismatchError, match="flat vector"):
+        ExtensionProblem(
+            2, LINF2, [[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.25]], Leaf((AffineMap.identity(2),))
+        )
+
+
 def test_problem_accepts_a_basis_without_rows():
     prob = ExtensionProblem(2, LINF2, np.zeros((0, 2)), [], Leaf((AffineMap.identity(2),)))
     assert prob.subspace_basis.shape == (0, 2)
@@ -450,13 +457,13 @@ def test_extension_rescales_back():
 
 def test_extension_fits_no_constraint_set_vertex(monkeypatch):
     # validate_problem implies the lifted tree keeps K, so the only hull fits
-    # left are both routes' membership checks of their start point and the
-    # exact route's check of its result
+    # left are the cross-check's one membership check of its start point and
+    # the exact route's check of its result
     calls = []
     original = geometry.hull_fit
     monkeypatch.setattr(geometry, "hull_fit", lambda K, x: calls.append(1) or original(K, x))
     invariant_extension(s3_problem())
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_extension_raises_every_violation():

@@ -22,6 +22,7 @@ CASES = [
     ("solve-cross-check", ["solve", "solve/rotation_square.json"], "ok", {
         "validation": VALIDATION_OK, "point": None, "residuals": {"g0": None},
         "method": None, "certificate": CERTIFICATE, "disagreement": None,
+        "projection_gap": None,
     }),
     ("solve-exact", ["solve", "solve/rotation_square.json", "--mode", "exact"], "ok", {
         "validation": VALIDATION_OK, "point": None, "residuals": {"g0": None},

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixmk import geometry
+from fixmk import geometry, solver
 from fixmk import (
     AffineMap,
     EmptyFixedSetError,
@@ -17,6 +17,7 @@ from fixmk import (
     common_fixed_subspace,
     contains,
     convex_combination,
+    cross_check,
     diameter,
     enumerate_elements,
     feasible_point,
@@ -28,7 +29,10 @@ from fixmk import (
     solve_exact,
     validate_structure,
 )
+from fixmk.schema import load_problem
+from fixmk.semigroup import flatten
 from fixmk.solver import DEFAULT_TOL, _sample_family
+from conftest import FIXTURES
 from helpers import count_calls, dihedral_node, markov_node, reflect_x, rot90, square
 from oracles import hull_distance
 from oracles import stationary_distribution
@@ -106,6 +110,48 @@ def test_cesaro_not_converged_carries_best():
         solve_cesaro(markov_node(), Polytope(np.eye(2)), [1.0, 0.0], 1e-10, 16)
     assert err.value.certificate.n_final == 16
     assert max(err.value.residuals.values()) < 0.1
+
+
+def _about(matrix, center):
+    """The linear map ``matrix`` moved to act about ``center``: x -> M (x - c) + c."""
+    M, c = np.array(matrix), np.array(center)
+    return AffineMap(M, c - M @ c)
+
+
+@pytest.mark.parametrize("node, start", [
+    (Leaf((AffineMap([[0.3, 0.2], [0.1, 0.6]], [0.1, -0.07]),)), [1.0, -1.0]),
+    (markov_node(), [1.0, 0.0]),
+    (Product(Leaf((_about(rot90().matrix, [0.3, 0.7]),)),
+             Leaf((_about(reflect_x().matrix, [0.3, 0.7]),))), [0.9, 0.1]),
+], ids=["affine-leaf", "stochastic", "product"])
+def test_schedule_points_are_the_averaging_operator_points_bit_for_bit(node, start):
+    points = list(solver._schedule(node, np.array(start), 2**30))
+    assert [n for n, _ in points] == [2**k for k in range(31)]
+    for n, p in points:
+        assert p.tobytes() == averaging_operator(node, n)(start).tobytes(), n
+
+
+def _commuting_stochastic_pair():
+    P = markov_node().generators[0].matrix
+    return Leaf((AffineMap.linear(P), AffineMap.linear((np.eye(2) + P) / 2)))
+
+
+@pytest.mark.parametrize("node, n_max", [
+    (markov_node(), 2**40),
+    (_commuting_stochastic_pair(), 2**40),
+    (_commuting_stochastic_pair(), 16),  # not converged: no step past n_max
+], ids=["one-generator", "two-generators", "not-converged"])
+def test_cesaro_takes_log_n_doubling_steps_per_generator(node, n_max, monkeypatch):
+    # a return to rebuilding every depth from n = 1 costs O(log^2 n) steps
+    calls = count_calls(monkeypatch, geometry, "_double")
+    monkeypatch.setattr(solver, "_double", geometry._double)  # the same spy
+    try:
+        result = solve_cesaro(node, Polytope(np.eye(2)), [1.0, 0.0], 1e-10, n_max)
+        n_final = result.certificate.n_final
+    except NotConvergedError as exc:
+        n_final = exc.certificate.n_final
+    assert n_final >= 16
+    assert len(calls) == len(flatten(node)) * (int(np.log2(n_final)) + 1)
 
 
 # --- common_fixed_subspace / solve_exact -----------------------------------
@@ -213,6 +259,26 @@ def test_exact_and_cesaro_agree_off_a_single_point(node, K, x0, expected):
     cesaro = solve_cesaro(node, K, x0)
     np.testing.assert_allclose(exact.point, expected, atol=1e-12)
     np.testing.assert_allclose(cesaro.point, expected, atol=1e-12)
+
+
+# --- cross_check -------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["dihedral_square", "layered_square", "symmetric_triangle"])
+def test_cross_check_gap_is_round_off_on_products(name):
+    pf = load_problem(FIXTURES / "solve" / f"{name}.json")
+    payload, opts = pf.payload, pf.options
+    start = payload.start if payload.start is not None else payload.polytope.centroid()
+    check = cross_check(payload.node, payload.polytope, start, opts.tol, opts.n_max)
+    assert check.projection_gap <= 1e-12
+    assert check.exact.method == "exact" and check.cesaro.method == "cesaro"
+
+
+def test_cross_check_checks_the_start_once(monkeypatch):
+    calls = count_calls(monkeypatch, solver, "_start_point")
+    check = cross_check(Leaf((_diag(-1.0, 1.0),)), square(), [0.5, 0.5])
+    assert len(calls) == 1
+    np.testing.assert_allclose(check.exact.point, [0.0, 0.5], atol=1e-12)
+    assert check.disagreement <= 1e-8 and check.projection_gap == 0.0
 
 
 @st.composite
