@@ -18,8 +18,9 @@ Two independent routes, both from a start point x0 in K:
   projection P_g = [N 0] [N R]^-1 onto the kernel N of H - I along its
   range R, both from one SVD in a frame centred on K and scaled by its
   diameter.  P layers the P_g as the averages are layered, and the point
-  is P x0.  The stacked fixed-point equations and one deviation LP of
-  :mod:`fixmk.geometry` diagnose a fixed set that is empty or misses K.
+  is P x0: once it is fixed and lies in K it is a proof.  Only when a check
+  fails do the stacked fixed-point equations, then one deviation LP of
+  :mod:`fixmk.geometry`, run, to name a fixed set that is empty or misses K.
 
 On every validated input both routes land on the same point, with
 residual below tolerance.  :func:`cross_check` runs both from one start
@@ -28,6 +29,7 @@ whatever depth it stopped at.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,8 @@ from .semigroup import (
     enumerate_elements,
     flatten,
 )
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_N_MAX = 2**20
@@ -275,11 +279,11 @@ def common_fixed_subspace(node: SemigroupNode) -> AffineSubspace | None:
     return _affine_solution_set(M, rhs)
 
 
-def _exact_from(node, K, start, tol):
-    """:func:`solve_exact` from a start point already checked to lie in K.
-
-    Returns the result and the projection x -> P x.
-    """
+def _diagnose(node, K, tol, failure: Exception):
+    """Name why P x0 failed a check, and raise: the stacked fixed-point
+    equations, then one deviation LP, give ``empty-fixed-subspace`` or
+    ``fixed-set-outside-polytope``; if both pass, ``failure`` is raised."""
+    logger.debug("exact point failed a check, diagnosing: %s", failure)
     sub = common_fixed_subspace(node)
     if sub is None:
         raise EmptyFixedSetError(
@@ -296,8 +300,21 @@ def _exact_from(node, K, start, tol):
             if sub.dimension == 0
             else "the fixed subspace does not meet the polytope",
         )
+    raise failure
+
+
+def _exact_from(node, K, start, tol):
+    """:func:`solve_exact` from a start point already checked to lie in K.
+
+    Returns the result and the projection x -> P x.  A P x0 that is fixed
+    and lies in K proves itself, so the nullspace and the deviation LP run
+    only in :func:`_diagnose`, after a check fails.
+    """
     center, scale = K.centroid(), diameter(K) or 1.0
-    limit = _layered(node, lambda g: _ergodic_projection(g, center, scale))
+    try:
+        limit = _layered(node, lambda g: _ergodic_projection(g, center, scale))
+    except NumericalError as exc:
+        _diagnose(node, K, tol, exc)
 
     def project(x):
         return center + scale * limit((x - center) / scale)
@@ -305,17 +322,17 @@ def _exact_from(node, K, start, tol):
     point = project(start)
     res = residual(point, node)
     if max(res.values()) > tol:
-        raise EmptyFixedSetError(
+        _diagnose(node, K, tol, EmptyFixedSetError(
             "residual-above-tolerance",
             f"exact candidate has residual {max(res.values()):.3e} > tol {tol:.1e}",
-        )
+        ))
     slack = max(tol, 1e-9)
     outside = hull_gap(K, point, slack)[0]
     if outside > slack:
-        raise EmptyFixedSetError(
+        _diagnose(node, K, tol, EmptyFixedSetError(
             "projection-outside-polytope",
             f"the projected start point lies {outside:.3e} outside the polytope",
-        )
+        ))
     return FixedPointResult(point, res, "exact"), project
 
 
@@ -324,12 +341,14 @@ def solve_exact(
 ) -> FixedPointResult:
     """The fixed point P x0, with P the limit of the averaging operator.
 
-    Raises :class:`StartOutsidePolytopeError` when x0 is not in K, and
-    :class:`EmptyFixedSetError` when no common fixed point exists, the
-    fixed set misses K, or P x0 lies outside K or is not fixed — on
-    validated input that diagnoses a broken structure/invariance check or
-    an unreachable tolerance.  A generator whose averages cannot converge
-    raises :class:`NumericalError`.
+    Raises :class:`StartOutsidePolytopeError` when x0 is not in K.  Only
+    when P cannot be formed or P x0 is not fixed or not in K do the
+    nullspace and then the deviation LP run, and :class:`EmptyFixedSetError`
+    names the first reason that holds: ``empty-fixed-subspace``,
+    ``fixed-set-outside-polytope``, then ``residual-above-tolerance`` or
+    ``projection-outside-polytope`` — on validated input a broken
+    structure/invariance check or an unreachable tolerance.  Otherwise a
+    generator whose averages cannot converge raises :class:`NumericalError`.
     """
     return _exact_from(node, K, _start_point(node, K, x0, tol), tol)[0]
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,9 @@ from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
 from fixmk.solver import DEFAULT_TOL, _sample_family
 from conftest import FIXTURES
-from helpers import count_calls, dihedral_node, markov_node, reflect_x, rot90, square
+from helpers import (
+    count_calls, dihedral_node, markov_node, reflect_x, rot90, square, unit_square,
+)
 from oracles import hull_distance
 from oracles import stationary_distribution
 
@@ -279,6 +283,87 @@ def test_cross_check_checks_the_start_once(monkeypatch):
     assert len(calls) == 1
     np.testing.assert_allclose(check.exact.point, [0.0, 0.5], atol=1e-12)
     assert check.disagreement <= 1e-8 and check.projection_gap == 0.0
+
+
+# --- the exact route: P x0's checks prove it, the diagnosis names a failure ---
+
+@pytest.mark.parametrize("mode", ["exact", "cross-check"])
+def test_a_passing_exact_point_runs_no_nullspace_or_deviation_lp(solve_fixtures, mode, monkeypatch):
+    nullspace = count_calls(monkeypatch, solver, "common_fixed_subspace")
+    deviation = count_calls(monkeypatch, solver, "deviation_fit")
+    for name, pf in solve_fixtures:
+        payload, opts = pf.payload, pf.options
+        start = payload.start if payload.start is not None else payload.polytope.centroid()
+        if mode == "exact":
+            solve_exact(payload.node, payload.polytope, start, opts.tol)
+        else:
+            cross_check(payload.node, payload.polytope, start, opts.tol, opts.n_max)
+        assert (len(nullspace), len(deviation)) == (0, 0), name
+
+
+def _fake_projection(monkeypatch, limit):
+    """Make every generator's ergodic projection the frame map ``limit(center, scale)``."""
+    monkeypatch.setattr(solver, "_ergodic_projection", lambda g, c, s: limit(c, s))
+
+
+def test_translation_names_an_empty_fixed_subspace_through_the_numerical_error(monkeypatch):
+    nullspace = count_calls(monkeypatch, solver, "common_fixed_subspace")
+    with pytest.raises(EmptyFixedSetError) as err:
+        solve_exact(Leaf((AffineMap.translation([2.0, 0.0]),)), Polytope.box([0.0, 0.0], [1.0, 1.0]),
+                    [0.5, 0.5])
+    assert err.value.reason == "empty-fixed-subspace"
+    assert isinstance(err.value.__context__, NumericalError)
+    assert len(nullspace) == 1
+
+
+def test_a_point_that_is_not_fixed_names_the_residual(monkeypatch):
+    # the swap fixes (1/2, 1/2) in the simplex, but a P of the identity keeps (1, 0)
+    _fake_projection(monkeypatch, lambda c, s: AffineMap.identity(2))
+    deviation = count_calls(monkeypatch, solver, "deviation_fit")
+    with pytest.raises(EmptyFixedSetError, match=r"residual 1\.000e\+00 >") as err:
+        solve_exact(Leaf((AffineMap.linear([[0.0, 1.0], [1.0, 0.0]]),)), Polytope(np.eye(2)),
+                    [1.0, 0.0])
+    assert err.value.reason == "residual-above-tolerance"
+    assert len(deviation) == 1
+
+
+def test_a_fixed_point_outside_the_polytope_names_the_projection(monkeypatch):
+    # the identity fixes all of [0,1]^2, but this P sends everything to (5, 5)
+    _fake_projection(monkeypatch, lambda c, s: AffineMap(np.zeros((2, 2)), (5.0 - c) / s))
+    with pytest.raises(EmptyFixedSetError, match=r"lies 4\.000e\+00 outside") as err:
+        solve_exact(Leaf((AffineMap.identity(2),)), unit_square(), [0.5, 0.5])
+    assert err.value.reason == "projection-outside-polytope"
+
+
+def test_a_failed_exact_check_logs_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="fixmk"):
+        solve_exact(dihedral_node(), square(), [1.0, 1.0])
+        assert not caplog.records
+        with pytest.raises(EmptyFixedSetError):
+            solve_exact(Leaf((AffineMap(0.5 * np.eye(2), np.array([2.5, 2.5])),)), square(),
+                        [0.0, 0.0])
+    (record,) = caplog.records
+    assert record.name == "fixmk.solver" and record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        "exact point failed a check, diagnosing: projection-outside-polytope: "
+        "the projected start point lies 4.000e+00 outside the polytope"
+    )
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dihedral_coordinate_group_lands_on_the_orbit_average(d, seed):
+    # shift and reversal generate the dihedral group of the coordinates, whose
+    # only fixed points in [-1,1]^d are the constant vectors: P x0 = mean(x0) 1
+    shift = AffineMap.linear(np.roll(np.eye(d), 1, axis=0))
+    node = Product(Leaf((shift,)), Leaf((AffineMap.linear(np.eye(d)[::-1]),)))
+    K = Polytope.box([-1.0] * d, [1.0] * d)
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
+    assert validate_structure(node, K, d).ok  # S^-1 = S^(d-1) needs d - 1 letters
+    check = cross_check(node, K, x0, DEFAULT_TOL, 2**40)
+    assert check.projection_gap <= 1e-12
+    np.testing.assert_allclose(check.exact.point, np.full(d, x0.mean()), rtol=0.0, atol=1e-12)
 
 
 @st.composite
