@@ -61,6 +61,25 @@ def test_report_snapshot_generates_the_cyclic_shift_family(tmp_path):
     assert snap.mask("", f"error: {tmp_path / 'x.json'}\n", tmp_path) == ("", "error: <generated>/x.json\n")
 
 
+def test_report_snapshot_generates_the_check_family(tmp_path):
+    snap = load_tool("report_snapshot")
+    seen = []
+    for name, problem, variants in snap.check_family():
+        path = tmp_path / name
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        pf = load_problem(path)
+        assert pf.kind == "structure-check"
+        seen.append((name, pf.payload.polytope.n_vertices, len(flatten(pf.payload.node)), len(variants)))
+    assert seen == [
+        ("hyperoctahedral_leaf_3.json", 8, 2, 2),
+        ("hyperoctahedral_product_3.json", 8, 2, 2),
+        ("hyperoctahedral_leaf_6.json", 64, 2, 2),
+        ("hyperoctahedral_product_6.json", 64, 2, 2),
+        ("leaving_contraction_box.json", 8, 1, 1),
+        ("perturbed_shift_cube.json", 16, 1, 1),
+    ]
+
+
 def test_report_snapshot_writes_shape_malformed_problems(tmp_path):
     snap = load_tool("report_snapshot")
     seen = []

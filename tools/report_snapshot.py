@@ -6,7 +6,12 @@ each fixture file, then on a generated family of the cyclic shift on the
 standard simplex: ``solve`` (default mode and ``--mode exact``) at d = 8,
 16 and 24, and ``fip`` on five sampled cof images (word budget 2) at d = 6
 and 8, seeds 0 and 1.  A fip witness is a raw basic solution of one
-stacked LP, so a change in any pivot shows.  Last come eight malformed
+stacked LP, so a change in any pivot shows.  A generated ``check`` family
+follows: the hyperoctahedral leaf (a coordinate shift and -I) and product
+(-I normal under the shift) on [-1,1]^d at d = 3 and 6, plain and with
+``--fip 3``; a contraction of a box that leaves it, whose images match
+no vertex, so its residual comes from the hull LP; and a cyclic shift
+perturbed by 1e-3, which pins a ``not-invariant`` residual.  Last come eight malformed
 variants of two fixtures, whose fields disagree in shape, so the exit
 codes and error lines of malformed input are pinned too.  It writes one canonical JSON
 list of {args, exit, stdout, stderr}.  The generated problem files go to
@@ -59,6 +64,8 @@ GENERATED_DIMS = (8, 16, 24)
 GENERATED_VARIANTS = (("solve",), ("solve", "--mode", "exact"))
 FIP_DIMS = (6, 8)
 FIP_SEEDS = (0, 1)
+CHECK_DIMS = (3, 6)
+CHECK_VARIANTS = (("check",), ("check", "--fip", "3"))
 
 _JSON_TIMING = re.compile(r'("timing_ms": )[-0-9.eE+]+')
 _TEXT_TIMING = re.compile(r"^(status: \S+  \()[-0-9.eE+]+( ms)", re.MULTILINE)
@@ -108,6 +115,37 @@ def generated_family():
     for d in FIP_DIMS:
         for seed in FIP_SEEDS:
             yield f"cyclic_shift_fip_{d}_seed{seed}.json", cyclic_shift_fip_problem(d, seed), (("fip",),)
+
+
+def _map(matrix, offset=None) -> dict:
+    return {"matrix": [list(map(float, row)) for row in matrix],
+            "offset": [0.0] * len(matrix) if offset is None else list(map(float, offset))}
+
+
+def _check_problem(semigroup: dict, vertices) -> dict:
+    return {
+        "kind": "structure-check",
+        "options": {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6},
+        "payload": {"semigroup": semigroup, "polytope": {"vertices": [list(map(float, v)) for v in vertices]}},
+    }
+
+
+def check_family():
+    """(file name, problem, variants) of each generated ``check`` problem, in snapshot order."""
+    for d in CHECK_DIMS:
+        eye = [[float(i == j) for j in range(d)] for i in range(d)]
+        shift = _map([eye[i - 1] for i in range(d)])
+        negate = _map([[-x for x in row] for row in eye])
+        cube = list(itertools.product((-1.0, 1.0), repeat=d))
+        yield f"hyperoctahedral_leaf_{d}.json", _check_problem({"leaf": [shift, negate]}, cube), CHECK_VARIANTS
+        product = {"product": {"normal": {"leaf": [negate]}, "quotient": {"leaf": [shift]}}}
+        yield f"hyperoctahedral_product_{d}.json", _check_problem(product, cube), CHECK_VARIANTS
+    contraction = _map([[0.3, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.3]], [0.8, 0.1, 0.45])
+    box = list(itertools.product((0.0, 1.0), repeat=3))
+    yield "leaving_contraction_box.json", _check_problem({"leaf": [contraction]}, box), (("check",),)
+    perturbed = [[float(i == (j + 1) % 4) + 1e-3 * (i == 0) for j in range(4)] for i in range(4)]
+    cube = list(itertools.product((-1.0, 1.0), repeat=4))
+    yield "perturbed_shift_cube.json", _check_problem({"leaf": [_map(perturbed)]}, cube), (("check",),)
 
 
 def malformed_family():
@@ -177,7 +215,8 @@ def snapshot(cli) -> list[dict]:
             runs.append(_run(cli, argv, shown))
     with tempfile.TemporaryDirectory() as tmp:
         generated = pathlib.Path(tmp)
-        for name, problem, variants in itertools.chain(generated_family(), malformed_family()):
+        families = itertools.chain(generated_family(), check_family(), malformed_family())
+        for name, problem, variants in families:
             path = generated / name
             path.write_text(json.dumps(problem, indent=2), encoding="utf-8")
             for variant in variants:
