@@ -8,10 +8,12 @@ admit a common fixed point on any invariant compact convex polytope, which
 is what :mod:`fixmk.solver` computes.
 
 Validation is entirely numerical: commutation is checked entrywise, the
-normal relation by searching words up to a budget, and invariance by hull
-membership of mapped vertices.  Each mapped vertex is first matched
-against the vertex list, which settles permutations and isometries of K
-with no LP; only the images left unmatched get a hull LP.
+normal relation against the stacked words up to a budget, and invariance
+by hull membership of mapped vertices.  Each generator maps all vertices
+at once, and the images are matched against the vertex list in bounded
+chunks, which settles permutations and isometries of K with no LP; only
+the images left unmatched get a hull LP.  A stacked product that
+overflows raises :class:`NumericalError` naming the step and generator.
 :func:`validate_relations` runs the first two alone, for callers that
 know invariance by other means.  Reports carry the offending generator
 labels and the worst residual so failures are actionable.
@@ -19,28 +21,21 @@ labels and the worst residual so failures are actionable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EnumerationCapError
-from .geometry import (
-    AffineMap,
-    Polytope,
-    affine_compose,
-    convex_combination,
-    flatten_map,
-    hull_fit,
-    hull_gap,
-    map_deviation,
-)
+from .errors import DimensionMismatchError, EnumerationCapError, NumericalError
+from .geometry import AffineMap, Polytope, convex_combination, hull_fit, hull_gap
 
 DEFAULT_ABELIAN_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9
 DEFAULT_WORD_BUDGET = 6
 DEFAULT_ELEMENT_CAP = 10_000
 _DEDUP_TOL = 1e-10
+_CHUNK_BYTES = 64 * 1024  # bound on the temporaries of one chunk of the vertex match
 
 logger = logging.getLogger(__name__)
 
@@ -118,30 +113,57 @@ def _report(depth: int, failures: list[Failure]) -> ValidationReport:
     return ValidationReport(ok=not failures, depth=depth, failures=failures)
 
 
+def _apply(f, fo, x):
+    """f @ x + fo for stacked points x (..., d), each product formed as AffineMap forms it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (f @ x[..., None])[..., 0] + fo
+
+
+def _compose(f, fo, g, go):
+    """Stacked f.g as affine_compose forms it, flattened as flatten_map flattens it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = f @ g
+    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)), _apply(f, fo, go)], axis=-1)
+
+
 def _abelian_failures(labeled) -> list[Failure]:
     failures = []
-    for i in range(len(labeled)):
-        for j in range(i + 1, len(labeled)):
-            (la, a), (lb, b) = labeled[i], labeled[j]
-            dev = map_deviation(affine_compose(a, b), affine_compose(b, a))
+    for i, (la, a) in enumerate(labeled):
+        for lb, b in labeled[i + 1 :]:
+            ab = _compose(a.matrix, a.offset, b.matrix, b.offset)
+            ba = _compose(b.matrix, b.offset, a.matrix, a.offset)
+            if not (np.isfinite(ab).all() and np.isfinite(ba).all()):
+                raise NumericalError(f"abelian check: composing {la} and {lb} overflows")
+            dev = float(np.abs(ab - ba).max())
             if dev > DEFAULT_ABELIAN_TOL:
                 failures.append(Failure("non-commuting-pair", (la, lb), dev))
     return failures
 
 
+def _matched(images, V, tol: float) -> np.ndarray:
+    """:func:`hull_gap`'s vertex match within tol, for chunks of images whose
+    difference array and numpy's operand buffers for it stay within _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (3 * V.nbytes))
+    hits = np.empty(len(images), dtype=bool)
+    for s in range(0, len(images), step):
+        diff = images[s : s + step, None] - V
+        hits[s : s + step] = np.abs(diff, out=diff).max(axis=2).min(axis=1) <= tol
+    return hits
+
+
 def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
-    failures = []
-    matched = 0
+    failures, matched = [], 0
     for label, g in labeled:
         if g.dim != K.dim:
             raise DimensionMismatchError("generator and polytope dims differ")
-        worst = 0.0
-        for v in K.vertices:
-            gap, hit = hull_gap(K, g(v), tol)
-            worst = max(worst, gap)
-            matched += hit
-        if worst > tol:
-            failures.append(Failure("not-invariant", (label,), worst))
+        images = _apply(g.matrix, g.offset, K.vertices)
+        if not np.isfinite(images).all():
+            raise NumericalError(f"invariance check: {label} maps a vertex of K out of float range")
+        hits = _matched(images, K.vertices, tol)
+        matched += int(hits.sum())
+        gaps = [hull_gap(K, x, tol)[0] for x in images[~hits]]
+        if max(gaps, default=0.0) > tol:
+            failures.append(Failure("not-invariant", (label,), max(gaps)))
     pairs = len(labeled) * K.n_vertices
     logger.debug(
         "invariance pass: %d vertex-generator pairs, %d settled by vertex match, %d by LP",
@@ -153,47 +175,72 @@ def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
 def check_invariance(generators, K: Polytope, tol: float) -> ValidationReport:
     """Every generator must map every vertex of K back into K within tol.
 
-    Each image is matched against the vertex list first; only images with
-    no vertex within tol get a hull LP.  A matched image is within tol of K,
-    so a reported residual is always the hull distance of an unmatched one.
+    Images are matched against the vertices in chunks of at most 64 KiB of
+    temporaries; only those with no vertex within tol get an LP (:func:`hull_gap`).  A
+    matched image is within tol of K, so a residual is the hull distance of an unmatched one.
     """
     labeled = [(f"g{i}", g) for i, g in enumerate(generators)]
     return _report(1, _invariance_failures(labeled, K, tol))
 
 
+def _words(node: SemigroupNode, budget: int, first: int = 0):
+    """:func:`enumerate_elements` as stacks (matrices (N, d, d), offsets (N, d)), built as
+    flat rows of one buffer; ``first`` offsets an overflow's generator label as in :func:`flatten`."""
+    if budget < 1:
+        raise ValueError("max_word_length must be >= 1")
+    labels, gens = zip(*flatten(node, first))
+    gm, go = np.array([g.matrix for g in gens]), np.array([g.offset for g in gens])
+    d, n = node.dim, node.dim * (node.dim + 1)
+    weights = np.array([1.0 + math.sqrt(e) % 1.0 for e in range(2, n + 2)])  # fixed, generic
+    words = np.append(np.eye(d).ravel(), np.zeros(d))[None]
+    keys = words @ weights
+    size, start, scale = 1, 0, float(keys[0])
+    for _ in range(budget):
+        front = words[start:size, None]
+        cand = _compose(front[..., : d * d].reshape(-1, 1, d, d), front[..., d * d :], gm, go)
+        cand = cand.reshape(-1, n)
+        if not np.isfinite(cand).all():
+            bad = labels[int(np.argmin(np.isfinite(cand).all(axis=1))) % len(gens)]
+            raise NumericalError(f"word enumeration: composing a word with {bad} overflows")
+        end = size + len(cand)
+        if end > len(words):  # grow the buffer, to twice what this length needs
+            words, keys = (np.resize(a, (2 * end,) + a.shape[1:]) for a in (words, keys))
+        words[size:end], keys[size:end] = cand, cand @ weights
+        scale = max(scale, float((np.abs(cand) @ weights).max()))
+        # words within _DEDUP_TOL have keys within win, round-off in both sums included
+        win = 2.0 * (weights.sum() * _DEDUP_TOL + (n + 2) * np.finfo(float).eps * scale)
+        order = np.argsort(keys[:end], kind="stable")
+        lo = np.searchsorted(keys[order], keys[size:end] - win, "left")
+        width = np.searchsorted(keys[order], keys[size:end] + win, "right") - lo
+        c = np.repeat(np.arange(len(cand)), width)  # candidate c, each word j in its window
+        j = order[np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)]
+        close = (j < size + c) & (np.abs(words[size + c] - words[j]).max(axis=1) <= _DEDUP_TOL)
+        c, j = c[close], j[close]
+        keep = np.ones(len(cand), dtype=bool)
+        keep[c[j < size]] = False
+        for a, b in sorted(zip(c[j >= size].tolist(), (j[j >= size] - size).tolist())):
+            keep[a] &= not keep[b]  # an earlier candidate b drops a only if b was kept
+        fresh = size + np.flatnonzero(keep)
+        if size + len(fresh) > DEFAULT_ELEMENT_CAP:
+            raise EnumerationCapError(DEFAULT_ELEMENT_CAP)
+        words[size : size + len(fresh)], keys[size : size + len(fresh)] = words[fresh], keys[fresh]
+        start, size = size, size + len(fresh)
+        if not len(fresh):
+            break
+    return words[:size, : d * d].reshape(size, d, d).copy(), words[:size, d * d :].copy()
+
+
 def enumerate_elements(node: SemigroupNode, max_word_length: int) -> list[AffineMap]:
     """Distinct products of generators up to the word length, identity included.
 
-    Deduplication is entrywise within 1e-10, far below round-off growth at
-    this scale.  Raises :class:`EnumerationCapError` past
-    ``DEFAULT_ELEMENT_CAP`` elements, which guards against free semigroups
-    that never close up.
+    Breadth first, each length's candidates (word, then generator) formed as
+    one stack; a candidate is dropped when a word kept before it is within
+    1e-10 entrywise, far below round-off growth at this scale.  That test runs
+    only on words whose keys, fixed weighted sums of their entries, lie in a
+    window that covers the tolerance and round-off in both sums.  Raises
+    :class:`EnumerationCapError` past ``DEFAULT_ELEMENT_CAP`` elements.
     """
-    if max_word_length < 1:
-        raise ValueError("max_word_length must be >= 1")
-    gens = [m for _, m in flatten(node)]
-    identity = AffineMap.identity(node.dim)
-    elements = [identity]
-    flat = [flatten_map(identity)]
-    frontier = [identity]
-    for _ in range(max_word_length):
-        fresh = []
-        for w in frontier:
-            for g in gens:
-                cand = affine_compose(w, g)
-                fc = flatten_map(cand)
-                known = np.abs(np.asarray(flat) - fc).max(axis=1).min()
-                if known <= _DEDUP_TOL:
-                    continue
-                if len(elements) >= DEFAULT_ELEMENT_CAP:
-                    raise EnumerationCapError(DEFAULT_ELEMENT_CAP)
-                elements.append(cand)
-                flat.append(fc)
-                fresh.append(cand)
-        if not fresh:
-            break
-        frontier = fresh
-    return elements
+    return [AffineMap(m, o) for m, o in zip(*_words(node, max_word_length))]
 
 
 def check_normal_factor(
@@ -215,14 +262,17 @@ def check_normal_factor(
     """
     if word_budget < 1:
         raise ValueError("word_budget must be >= 1")
-    words = enumerate_elements(normal, word_budget)
+    words = _words(normal, word_budget, first)
     h_gens = [(f"normal:{l}", m) for l, m in flatten(normal, first)]
     g_gens = [(f"quotient:{l}", m) for l, m in flatten(quotient, first + len(h_gens))]
     failures = []
     for hl, h in h_gens:
         for gl, g in g_gens:
-            target = affine_compose(h, g)
-            best = min(map_deviation(target, affine_compose(g, w)) for w in words)
+            target = _compose(h.matrix, h.offset, g.matrix, g.offset)
+            gw = _compose(g.matrix, g.offset, *words)
+            if not (np.isfinite(target).all() and np.isfinite(gw).all()):
+                raise NumericalError(f"normal relation: composing {hl}, {gl} and the words overflows")
+            best = float(np.abs(gw - target).max(axis=1).min())
             if best > tol:
                 failures.append(Failure("normal-relation", (hl, gl), best))
     return _report(1, failures)
@@ -291,9 +341,9 @@ def commuting_combination(
     {g.w : w word}, solved by the same feasibility core as everything else.
     """
     words = list(normal_words)
-    target = flatten_map(affine_compose(h, g))
-    columns = np.array([flatten_map(affine_compose(g, w)) for w in words])
-    deviation, weights = hull_fit(Polytope(columns), target)
+    target = _compose(h.matrix, h.offset, g.matrix, g.offset)
+    stack = np.array([w.matrix for w in words]), np.array([w.offset for w in words])
+    deviation, weights = hull_fit(Polytope(_compose(g.matrix, g.offset, *stack)), target)
     if deviation > tol:
         return None
     return convex_combination(words, weights / weights.sum())

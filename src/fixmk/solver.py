@@ -50,18 +50,17 @@ from .geometry import (
     affine_compose,
     as_vector,
     cesaro_average,
-    convex_combination,
     deviation_fit,
     diameter,
     feasible_point,
     hull_gap,
-    polytope_image,
+    polytope_images,
 )
 from .semigroup import (
     DEFAULT_WORD_BUDGET,
     Leaf,
     SemigroupNode,
-    enumerate_elements,
+    _words,
     flatten,
 )
 
@@ -380,24 +379,28 @@ def cross_check(
     return check
 
 
+def _mixtures(words, weights):
+    """Each row of weights mixed over the stacked words bit for bit as convex_combination mixes."""
+    (m, o), w = words, np.array(weights)
+    mixed_m, mixed_o = np.zeros((len(w),) + m.shape[1:]), np.zeros((len(w), o.shape[1]))
+    for j in range(len(m)):
+        mixed_m += w[:, j, None, None] * m[j]
+        mixed_o += w[:, j, None] * o[j]
+    return mixed_m, mixed_o
+
+
 def _sample_family(node, family, count, rng, word_budget):
+    """``count`` sampled maps of the family, as stacks (matrices, offsets)."""
     if family == "cof":
-        words = enumerate_elements(node, word_budget)
-        return [
-            convex_combination(words, rng.dirichlet(np.ones(len(words))))
-            for _ in range(count)
-        ]
+        words = _words(node, word_budget)
+        return _mixtures(words, [rng.dirichlet(np.ones(len(words[0]))) for _ in range(count)])
     if family == "coh-coq":
         if isinstance(node, Leaf):
             raise ValueError("family 'coh-coq' needs a Product node")
-        hw = enumerate_elements(node.normal, word_budget)
-        qw = enumerate_elements(node.quotient, word_budget)
-        out = []
-        for _ in range(count):
-            h = convex_combination(hw, rng.dirichlet(np.ones(len(hw))))
-            q = convex_combination(qw, rng.dirichlet(np.ones(len(qw))))
-            out.append(affine_compose(h, q))
-        return out
+        hw, qw = _words(node.normal, word_budget), _words(node.quotient, word_budget)
+        draws = [[rng.dirichlet(np.ones(len(w[0]))) for w in (hw, qw)] for _ in range(count)]
+        (h, h_o), (q, q_o) = (_mixtures(w, [d[i] for d in draws]) for i, w in enumerate((hw, qw)))
+        return h @ q, (h @ q_o[..., None])[..., 0] + h_o  # affine_compose(h, q), stacked
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -420,7 +423,6 @@ def fip_check(
     if sample_count < 2:
         raise ValueError("sample_count must be >= 2")
     rng = np.random.default_rng(seed)
-    elements = _sample_family(node, family, sample_count, rng, word_budget)
-    images = [polytope_image(el, K) for el in elements]
+    images = polytope_images(*_sample_family(node, family, sample_count, rng, word_budget), K)
     witness = feasible_point(images, tol)
     return FipReport(witness is not None, witness, family, sample_count, seed)

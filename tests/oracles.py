@@ -7,15 +7,20 @@ in the in-house simplex cannot hide behind itself.  The extension's
 constraint set has a plain reference too, one lstsq per facet combination,
 which the library's batched screen must match bit for bit, and a HiGHS
 test of whether dual-ball facets share a face, which its prune must match.
+The semigroup layer's stacked passes have their plain loops here too: the
+invariance pass one vertex image at a time, and word enumeration one
+candidate word at a time against every word kept so far.
 """
 import itertools
 
 import numpy as np
 from scipy.optimize import linprog
 
-from fixmk import NormKind
+from fixmk import NormKind, semigroup
+from fixmk.errors import EnumerationCapError
 from fixmk.extension import INVARIANT_TOL
-from fixmk.semigroup import flatten
+from fixmk.geometry import AffineMap, affine_compose, flatten_map, hull_gap, map_deviation
+from fixmk.semigroup import Leaf, flatten
 
 
 def stationary_distribution(P):
@@ -150,3 +155,86 @@ def facets_share_face(norm, facets):
     if res.status not in (0, 2):
         raise RuntimeError(f"face LP failed: {res.message}")
     return res.status == 0
+
+
+def invariance_loop(labeled, K, tol):
+    """The invariance pass, one vertex image at a time through ``hull_gap``.
+
+    Returns ([(kind, witness, residual)], matched): the not-invariant
+    failures, each residual the worst gap of its generator, and how many
+    vertex-generator pairs the vertex match settled without an LP.
+    """
+    failures, matched = [], 0
+    for label, g in labeled:
+        worst = 0.0
+        for v in K.vertices:
+            gap, hit = hull_gap(K, g(v), tol)
+            worst = max(worst, gap)
+            matched += hit
+        if worst > tol:
+            failures.append(("not-invariant", (label,), worst))
+    return failures, matched
+
+
+def validation_loop(node, K, word_budget, tol):
+    """validate_structure one generator pair, word and vertex at a time.
+
+    Returns (depth, [(kind, witness, residual)], matched), labeled as
+    ``flatten`` labels the tree; matched is :func:`invariance_loop`'s.
+    """
+    def relations(n, first):
+        labeled = flatten(n, first)
+        if isinstance(n, Leaf):
+            failures = []
+            for i, (la, a) in enumerate(labeled):
+                for lb, b in labeled[i + 1:]:
+                    dev = map_deviation(affine_compose(a, b), affine_compose(b, a))
+                    if dev > semigroup.DEFAULT_ABELIAN_TOL:
+                        failures.append(("non-commuting-pair", (la, lb), dev))
+            return 1, failures
+        left_depth, left = relations(n.normal, first)
+        right_depth, right = relations(n.quotient, first + len(flatten(n.normal)))
+        words = words_loop(n.normal, word_budget)
+        h_gens = [(f"normal:{l}", m) for l, m in flatten(n.normal, first)]
+        g_gens = [(f"quotient:{l}", m) for l, m in labeled[len(h_gens):]]
+        normal = []
+        for hl, h in h_gens:
+            for gl, g in g_gens:
+                target = affine_compose(h, g)
+                best = min(map_deviation(target, affine_compose(g, w)) for w in words)
+                if best > tol:
+                    normal.append(("normal-relation", (hl, gl), best))
+        return 1 + max(left_depth, right_depth), left + right + normal
+
+    depth, failures = relations(node, 0)
+    invariance, matched = invariance_loop(flatten(node), K, tol)
+    return depth, failures + invariance, matched
+
+
+def words_loop(node, max_word_length):
+    """Distinct words up to the length, each candidate against every kept word.
+
+    Breadth first, candidates in order (frontier word, then generator),
+    dropped when some kept word is within ``semigroup._DEDUP_TOL``
+    entrywise; ``EnumerationCapError`` past ``semigroup.DEFAULT_ELEMENT_CAP``.
+    """
+    gens = [m for _, m in flatten(node)]
+    identity = AffineMap.identity(node.dim)
+    elements, flat, frontier = [identity], [flatten_map(identity)], [identity]
+    for _ in range(max_word_length):
+        fresh = []
+        for w in frontier:
+            for g in gens:
+                cand = affine_compose(w, g)
+                fc = flatten_map(cand)
+                if np.abs(np.asarray(flat) - fc).max(axis=1).min() <= semigroup._DEDUP_TOL:
+                    continue
+                if len(elements) >= semigroup.DEFAULT_ELEMENT_CAP:
+                    raise EnumerationCapError(semigroup.DEFAULT_ELEMENT_CAP)
+                elements.append(cand)
+                flat.append(fc)
+                fresh.append(cand)
+        if not fresh:
+            break
+        frontier = fresh
+    return elements

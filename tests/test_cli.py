@@ -568,3 +568,32 @@ def test_no_input_escapes_main(command, tmp_path, capsys):
         for output in ([], ["--output", unwritable]):
             assert cli.main([command, str(path), *output]) in (0, 1, 2), path.name
             assert "Traceback" not in capsys.readouterr().err
+
+
+# --- overflow in the semigroup layer ends in an error line ---------------------------
+
+HUGE = {"matrix": [[1e200]], "offset": [0.0]}
+FLIP = {"matrix": [[-1.0]], "offset": [0.0]}
+
+# polytope vertices, tree, error line: each exited 1 with a raw ValueError traceback
+OVERFLOWS = {
+    "vertex_image": ([[1e200], [-1e200]], {"leaf": [HUGE]},
+                     "error: invariance check: g0 maps a vertex of K out of float range"),
+    "abelian_pair": ([[1.0], [-1.0]], {"leaf": [HUGE, HUGE]},
+                     "error: abelian check: composing g0 and g1 overflows"),
+    "word_enumeration": ([[1.0], [-1.0]], {"product": {"normal": {"leaf": [HUGE]}, "quotient": {"leaf": [FLIP]}}},
+                         "error: word enumeration: composing a word with g0 overflows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_semigroup_overflow_exits_one_with_an_error_line(name, tmp_path):
+    vertices, tree, line = OVERFLOWS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "kind": "structure-check",
+        "options": {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6},
+        "payload": {"polytope": {"vertices": vertices}, "semigroup": tree},
+    }))
+    code, out, err = run_cli("check", str(path))
+    assert (code, out, err) == (1, "", line + "\n")  # no traceback, no RuntimeWarning

@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from conftest import fixture_paths
 from fixmk import AffineMap, Leaf, NumericalError, Polytope, lp
-from fixmk.geometry import _deviation_lp, polytope_image
+from fixmk.geometry import _deviation_lp, polytope_images
 from fixmk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
@@ -215,7 +215,7 @@ def _fip_programs():
         for seed in range(20):
             rng = np.random.default_rng(seed)
             maps = _sample_family(p.node, p.family, p.sample_count, rng, pf.options.word_budget)
-            images = [polytope_image(m, p.polytope).vertices for m in maps]
+            images = [image.vertices for image in polytope_images(*maps, p.polytope)]
             yield _deviation_lp(images, np.zeros(p.polytope.dim), np.eye(p.polytope.dim))
 
 
@@ -231,7 +231,7 @@ def _cyclic_fip_programs(dims=range(4, 13), seeds=range(10)):
         K = Polytope.standard_simplex(d)
         for seed in seeds:
             maps = _sample_family(node, "cof", 5, np.random.default_rng(seed), 2)
-            images = [polytope_image(m, K).vertices for m in maps]
+            images = [image.vertices for image in polytope_images(*maps, K)]
             yield _deviation_lp(images, np.zeros(d), np.eye(d))
 
 

@@ -1,13 +1,20 @@
+import hashlib
 import logging
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fixmk import geometry, semigroup
 from fixmk import (
     AffineMap,
     EnumerationCapError,
     Leaf,
+    NumericalError,
     Polytope,
     Product,
     affine_compose,
@@ -269,3 +276,194 @@ def test_commuting_combination_detects_failure():
     shear = AffineMap.linear([[1.0, 1.0], [0.0, 1.0]])
     words = enumerate_elements(Leaf((shear,)), 4)
     assert commuting_combination(shear, rot90(), words, tol=1e-8) is None
+
+
+# --- the stacked passes against the plain loops -----------------------------
+
+def cube(d):
+    return Polytope.box(-np.ones(d), np.ones(d))
+
+
+def signed_permutations(perm, scaled=None):
+    """Product(sign flip of each coordinate, permutation perm) on R^d.
+
+    The flips are a normal leaf: under the permutation a flip becomes
+    another flip.  ``scaled`` (a flatten index) has its matrix scaled by
+    1 + 1e-3, which takes [-1,1]^d outside itself.
+    """
+    d = len(perm)
+    maps = [np.diag(np.where(np.arange(d) == i, -1.0, 1.0)) for i in range(d)]
+    maps.append(np.eye(d)[list(perm)])
+    if scaled is not None:
+        maps[scaled] = (1.0 + 1e-3) * maps[scaled]
+    gens = [AffineMap.linear(m) for m in maps]
+    return Product(Leaf(tuple(gens[:d])), Leaf((gens[d],)))
+
+
+def commuting_contractions(lo, width, scales, stretched=None):
+    """Leaf of diagonal scalings by ``scales`` about the centre of the box lo + [0, width]^d.
+
+    Scalings about one point commute.  ``stretched`` (a generator index)
+    scales coordinate 0 by 1.001 instead, which leaves the box.
+    """
+    scales = np.array(scales, dtype=float)
+    if stretched is not None:
+        scales[stretched, 0] = 1.001
+    centre = np.full(scales.shape[1], lo + width / 2)
+    K = Polytope.box(centre - width / 2, centre + width / 2)
+    return Leaf(tuple(AffineMap(np.diag(a), centre - a * centre) for a in scales)), K
+
+
+def _bits(depth, failures, matched):
+    return depth, [(kind, tuple(witness), float(r).hex()) for kind, witness, r in failures], matched
+
+
+def validated(node, K, budget):
+    """validate_structure's (depth, failures with residual bits, pairs settled by vertex match)."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    log = logging.getLogger("fixmk.semigroup")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        report = validate_structure(node, K, budget, 1e-9)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    (record,) = records
+    return _bits(report.depth, [(f.kind, f.witness, f.residual) for f in report.failures], record.args[1])
+
+
+def assert_words_match_the_loop(node, budget):
+    matrices, offsets = semigroup._words(node, budget)
+    words = oracles.words_loop(node, budget)
+    assert matrices.tobytes() == np.array([w.matrix for w in words]).tobytes()
+    assert offsets.tobytes() == np.array([w.offset for w in words]).tobytes()
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_signed_permutations_validate_with_no_lp_as_the_loops_do(d, data):
+    perm = data.draw(st.permutations(range(d)))
+    node, K = signed_permutations(perm), cube(d)
+    got = validated(node, K, 6)
+    assert got == _bits(*oracles.validation_loop(node, K, 6, 1e-9))
+    assert got[1] == [] and got[2] == (len(perm) + 1) * K.n_vertices  # every pair matched: no LP
+    assert_words_match_the_loop(node.normal, 6)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    st.integers(3, 6).flatmap(lambda d: st.tuples(st.permutations(range(d)), st.integers(0, d))),
+)
+def test_a_scaled_signed_permutation_is_named_as_the_loops_name_it(case):
+    perm, scaled = case
+    node, K = signed_permutations(perm, scaled), cube(len(perm))
+    got = validated(node, K, 4)
+    assert got == _bits(*oracles.validation_loop(node, K, 4, 1e-9))
+    assert [w for kind, w, _ in got[1] if kind == "not-invariant"] == [(f"g{scaled}",)]
+    assert_words_match_the_loop(node.normal, 4)
+
+
+contraction_cases = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(
+        st.floats(-2.0, 2.0),
+        st.floats(0.5, 3.0),
+        st.lists(st.lists(st.floats(-0.9, 0.9), min_size=d, max_size=d), min_size=1, max_size=3),
+    )
+)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(contraction_cases)
+def test_commuting_contractions_validate_as_the_loops_do(case):
+    node, K = commuting_contractions(*case)
+    got = validated(node, K, 6)
+    assert got == _bits(*oracles.validation_loop(node, K, 6, 1e-9))
+    assert got[1] == []
+    assert_words_match_the_loop(node, 6)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(contraction_cases.flatmap(lambda c: st.tuples(st.just(c), st.integers(0, len(c[2]) - 1))))
+def test_a_stretched_contraction_is_named_as_the_loops_name_it(case):
+    (lo, width, scales), stretched = case
+    node, K = commuting_contractions(lo, width, scales, stretched)
+    got = validated(node, K, 6)
+    assert got == _bits(*oracles.validation_loop(node, K, 6, 1e-9))
+    assert [w for _, w, _ in got[1]] == [(f"g{stretched}",)]
+    assert got[2] == 0  # no image is a vertex: every pair takes its LP
+    assert_words_match_the_loop(node, 6)
+
+
+def test_validation_memory_stays_within_half_a_mebibyte():
+    # the d=8 hyperoctahedral product: 2 x 256 images matched in 64 KiB chunks;
+    # one broadcast of all 256 images against the 256 vertices is 4 MiB
+    node = Product(Leaf((AffineMap.linear(-np.eye(8)),)), Leaf((AffineMap.linear(np.roll(np.eye(8), 1, 0)),)))
+    K = cube(8)
+    tracemalloc.start()
+    try:
+        assert validate_structure(node, K).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
+
+
+def test_enumeration_keeps_a_word_close_only_to_a_dropped_one():
+    # g1 is within 1e-10 of g0 and dropped; g2 is within 1e-10 of g1 only, so it stays
+    gens = tuple(AffineMap([[0.5]], [0.3 + k * 0.8e-10]) for k in range(3))
+    words = enumerate_elements(Leaf(gens), 1)
+    assert [w.offset[0] for w in words] == [0.0, gens[0].offset[0], gens[2].offset[0]]
+    assert_words_match_the_loop(Leaf(gens), 3)
+
+
+def two_contractions():
+    a = AffineMap(np.array([[0.5, 0.2], [0.1, 0.6]]), np.array([0.1, -0.3]))
+    b = AffineMap(np.array([[0.4, -0.3], [0.25, 0.5]]), np.array([-0.2, 0.05]))
+    return Leaf((a, b))
+
+
+def test_enumeration_reaches_the_real_cap_within_a_second():
+    assert_words_match_the_loop(two_contractions(), 8)  # 511 words, none equal
+    started = time.perf_counter()
+    with pytest.raises(EnumerationCapError) as err:
+        enumerate_elements(two_contractions(), 20)
+    assert time.perf_counter() - started < 1.0
+    assert err.value.cap == semigroup.DEFAULT_ELEMENT_CAP == 10_000
+
+
+def test_signed_permutation_words_of_d8_within_a_second():
+    # four seeded signed permutations of R^8, budget 6; the per-word loop
+    # took about 19 s to list the same 5,411 words (digest of its stacks)
+    rng = np.random.default_rng(0)
+    gens = [AffineMap.linear(np.eye(8)[rng.permutation(8)] * rng.choice([-1.0, 1.0], 8)) for _ in range(4)]
+    started = time.perf_counter()
+    words = enumerate_elements(Leaf(tuple(gens)), 6)
+    assert time.perf_counter() - started < 1.0
+    stacked = np.array([w.matrix for w in words]).tobytes() + np.array([w.offset for w in words]).tobytes()
+    assert len(words) == 5411
+    assert hashlib.sha256(stacked).hexdigest() == (
+        "abd3d2f2780447fa55b2e229fc453e361c1993c6589ca53932ad66a4c7cdccb1"
+    )
+
+
+def test_overflow_names_the_step_and_the_generator():
+    huge = AffineMap.linear([[1e200]])
+    interval = Polytope(np.array([[1.0], [-1.0]]))
+    with pytest.raises(NumericalError, match="invariance check: g0 maps a vertex"):
+        check_invariance([huge], Polytope(np.array([[1e200], [-1e200]])), 1e-9)
+    with pytest.raises(NumericalError, match="abelian check: composing g1 and g2 overflows"):
+        validate_structure(Leaf((AffineMap.identity(1), huge, huge)), interval)
+    with pytest.raises(NumericalError, match="word enumeration: composing a word with g1 overflows"):
+        enumerate_elements(Leaf((AffineMap.linear([[-1.0]]), huge)), 3)
+    big = Leaf((AffineMap.linear([[1e150]]),))  # its word of length 2 is 1e300
+    with pytest.raises(NumericalError, match="normal relation: composing normal:g0, quotient:g1 and the words"):
+        check_normal_factor(big, Leaf((AffineMap.linear([[1e10]]),)), word_budget=2)
+    h = AffineMap.linear([[1e200, 0.0], [0.0, 1.0]])
+    g = AffineMap.linear([[0.0, 1e200], [1.0, 0.0]])  # g.h and g are finite, h.g is not
+    with pytest.raises(NumericalError, match="normal relation: composing normal:g0, quotient:g1 and the words"):
+        check_normal_factor(Leaf((h,)), Leaf((g,)), word_budget=1)

@@ -31,6 +31,7 @@ from fixmk import (
     solve_exact,
     validate_structure,
 )
+from fixmk.geometry import polytope_images
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
 from fixmk.solver import DEFAULT_TOL, _sample_family
@@ -460,8 +461,29 @@ def test_fip_cyclic_shift_d6_has_a_witness_in_every_image(seed):
     K = Polytope.standard_simplex(d)
     report = fip_check(node, K, 5, "cof", seed=seed, word_budget=2)
     assert report.feasible
-    for m in _sample_family(node, "cof", 5, np.random.default_rng(seed), 2):
-        assert hull_distance(polytope_image(m, K).vertices, report.witness) <= DEFAULT_TOL
+    for image in polytope_images(*_sample_family(node, "cof", 5, np.random.default_rng(seed), 2), K):
+        assert hull_distance(image.vertices, report.witness) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("family", ["cof", "coh-coq"])
+def test_stacked_samples_equal_the_per_sample_mixtures(family):
+    # one convex_combination per sample (and factor), drawn in the same order
+    node, rng = dihedral_node(), np.random.default_rng(5)
+    matrices, offsets = _sample_family(node, family, 4, np.random.default_rng(5), 6)
+    if family == "cof":
+        words = enumerate_elements(node, 6)
+        maps = [convex_combination(words, rng.dirichlet(np.ones(len(words)))) for _ in range(4)]
+    else:
+        hw, qw = enumerate_elements(node.normal, 6), enumerate_elements(node.quotient, 6)
+        maps = []
+        for _ in range(4):
+            h = convex_combination(hw, rng.dirichlet(np.ones(len(hw))))
+            maps.append(affine_compose(h, convex_combination(qw, rng.dirichlet(np.ones(len(qw))))))
+    assert matrices.tobytes() == np.array([m.matrix for m in maps]).tobytes()
+    assert offsets.tobytes() == np.array([m.offset for m in maps]).tobytes()
+    images = polytope_images(matrices, offsets, square())
+    for image, m in zip(images, maps):
+        assert image.vertices.tobytes() == polytope_image(m, square()).vertices.tobytes()
 
 
 def test_fip_deterministic_per_seed():
