@@ -398,8 +398,8 @@ def _sample_family(node, family, count, rng, word_budget):
         if isinstance(node, Leaf):
             raise ValueError("family 'coh-coq' needs a Product node")
         hw, qw = _words(node.normal, word_budget), _words(node.quotient, word_budget)
-        draws = [[rng.dirichlet(np.ones(len(w[0]))) for w in (hw, qw)] for _ in range(count)]
-        (h, h_o), (q, q_o) = (_mixtures(w, [d[i] for d in draws]) for i, w in enumerate((hw, qw)))
+        wh, wq = zip(*([rng.dirichlet(np.ones(len(w[0]))) for w in (hw, qw)] for _ in range(count)))
+        (h, h_o), (q, q_o) = _mixtures(hw, wh), _mixtures(qw, wq)
         return h @ q, (h @ q_o[..., None])[..., 0] + h_o  # affine_compose(h, q), stacked
     raise ValueError(f"unknown family {family!r}")
 
