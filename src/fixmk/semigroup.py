@@ -193,8 +193,8 @@ def _words(node: SemigroupNode, budget: int, first: int = 0):
     d, n = node.dim, node.dim * (node.dim + 1)
     weights = np.array([1.0 + math.sqrt(e) % 1.0 for e in range(2, n + 2)])  # fixed, generic
     words = np.append(np.eye(d).ravel(), np.zeros(d))[None]
-    keys = words @ weights
-    size, start, scale = 1, 0, float(keys[0])
+    keys, size, start = words @ weights, 1, 0
+    spread, ulp = weights.sum() * _DEDUP_TOL, (n + 2) * np.finfo(float).eps
     for _ in range(budget):
         front = words[start:size, None]
         cand = _compose(front[..., : d * d].reshape(-1, 1, d, d), front[..., d * d :], gm, go)
@@ -206,15 +206,15 @@ def _words(node: SemigroupNode, budget: int, first: int = 0):
         if end > len(words):  # grow the buffer, to twice what this length needs
             words, keys = (np.resize(a, (2 * end,) + a.shape[1:]) for a in (words, keys))
         words[size:end], keys[size:end] = cand, cand @ weights
-        scale = max(scale, float((np.abs(cand) @ weights).max()))
-        # words within _DEDUP_TOL have keys within win, round-off in both sums included
-        win = 2.0 * (weights.sum() * _DEDUP_TOL + (n + 2) * np.finfo(float).eps * scale)
+        # keys of words within _DEDUP_TOL differ by spread, plus round-off growing with |entries|
+        win = 2.0 * (spread + ulp * (2.0 * (np.abs(cand) @ weights) + spread))
         order = np.argsort(keys[:end], kind="stable")
         lo = np.searchsorted(keys[order], keys[size:end] - win, "left")
         width = np.searchsorted(keys[order], keys[size:end] + win, "right") - lo
         c = np.repeat(np.arange(len(cand)), width)  # candidate c, each word j in its window
         j = order[np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)]
-        close = (j < size + c) & (np.abs(words[size + c] - words[j]).max(axis=1) <= _DEDUP_TOL)
+        c, j = c[j < size + c], j[j < size + c]
+        close = np.abs(words[size + c] - words[j]).max(axis=1) <= _DEDUP_TOL
         c, j = c[close], j[close]
         keep = np.ones(len(cand), dtype=bool)
         keep[c[j < size]] = False
