@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from fixmk import SchemaError, cli
+from fixmk import Product, SchemaError, cli
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten
 from helpers import load_tool
@@ -77,6 +77,28 @@ def test_report_snapshot_generates_the_check_family(tmp_path):
         ("hyperoctahedral_product_6.json", 64, 2, 2),
         ("leaving_contraction_box.json", 8, 1, 1),
         ("perturbed_shift_cube.json", 16, 1, 1),
+    ]
+
+
+def test_report_snapshot_generates_the_product_solve_family(tmp_path):
+    snap = load_tool("report_snapshot")
+    seen = []
+    for name, problem, variants in snap.product_solve_family():
+        path = tmp_path / name
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        pf = load_problem(path)
+        p, d = pf.payload, pf.payload.polytope.dim
+        assert pf.kind == "fixed-point" and pf.options.mode == "cross-check"
+        assert isinstance(p.node, Product)
+        ((_, negate),), ((_, shift),) = flatten(p.node.normal), flatten(p.node.quotient)
+        np.testing.assert_array_equal(negate.matrix, -np.eye(d))
+        np.testing.assert_array_equal(shift.matrix, np.roll(np.eye(d), 1, axis=0))
+        assert p.polytope.n_vertices == 2**d and np.all(np.abs(p.polytope.vertices) == 1.0)
+        np.testing.assert_array_equal(p.start, np.append(1.0, -np.ones(d - 1)))  # a vertex, not 0
+        seen.append((name, variants))
+    assert seen == [
+        (f"hyperoctahedral_product_solve_{d}.json", (("solve",), ("solve", "--mode", "cesaro")))
+        for d in (3, 6)
     ]
 
 

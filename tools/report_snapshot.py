@@ -11,7 +11,10 @@ follows: the hyperoctahedral leaf (a coordinate shift and -I) and product
 (-I normal under the shift) on [-1,1]^d at d = 3 and 6, plain and with
 ``--fip 3``; a contraction of a box that leaves it, whose images match
 no vertex, so its residual comes from the hull LP; and a cyclic shift
-perturbed by 1e-3, which pins a ``not-invariant`` residual.  Last come eight malformed
+perturbed by 1e-3, which pins a ``not-invariant`` residual.  The
+hyperoctahedral product is then solved (default mode and ``--mode
+cesaro``) at d = 3 and 6 from the cube vertex (1, -1, ..., -1), so the
+layering of a Product is pinned.  Last come eight malformed
 variants of two fixtures, whose fields disagree in shape, so the exit
 codes and error lines of malformed input are pinned too.  It writes one canonical JSON
 list of {args, exit, stdout, stderr}.  The generated problem files go to
@@ -66,6 +69,7 @@ FIP_DIMS = (6, 8)
 FIP_SEEDS = (0, 1)
 CHECK_DIMS = (3, 6)
 CHECK_VARIANTS = (("check",), ("check", "--fip", "3"))
+PRODUCT_SOLVE_VARIANTS = (("solve",), ("solve", "--mode", "cesaro"))
 
 _JSON_TIMING = re.compile(r'("timing_ms": )[-0-9.eE+]+')
 _TEXT_TIMING = re.compile(r"^(status: \S+  \()[-0-9.eE+]+( ms)", re.MULTILINE)
@@ -122,30 +126,54 @@ def _map(matrix, offset=None) -> dict:
             "offset": [0.0] * len(matrix) if offset is None else list(map(float, offset))}
 
 
-def _check_problem(semigroup: dict, vertices) -> dict:
+def _problem(semigroup: dict, vertices, kind: str = "structure-check", **payload) -> dict:
     return {
-        "kind": "structure-check",
+        "kind": kind,
         "options": {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6},
-        "payload": {"semigroup": semigroup, "polytope": {"vertices": [list(map(float, v)) for v in vertices]}},
+        "payload": {"semigroup": semigroup, "polytope": {"vertices": [list(map(float, v)) for v in vertices]},
+                    **payload},
     }
+
+
+def _hyperoctahedral(d: int):
+    """The coordinate shift and -I on R^d, and the vertices of [-1,1]^d."""
+    eye = [[float(i == j) for j in range(d)] for i in range(d)]
+    shift = _map([eye[i - 1] for i in range(d)])
+    negate = _map([[-x for x in row] for row in eye])
+    return shift, negate, list(itertools.product((-1.0, 1.0), repeat=d))
+
+
+def _hyperoctahedral_product(negate: dict, shift: dict) -> dict:
+    return {"product": {"normal": {"leaf": [negate]}, "quotient": {"leaf": [shift]}}}
 
 
 def check_family():
     """(file name, problem, variants) of each generated ``check`` problem, in snapshot order."""
     for d in CHECK_DIMS:
-        eye = [[float(i == j) for j in range(d)] for i in range(d)]
-        shift = _map([eye[i - 1] for i in range(d)])
-        negate = _map([[-x for x in row] for row in eye])
-        cube = list(itertools.product((-1.0, 1.0), repeat=d))
-        yield f"hyperoctahedral_leaf_{d}.json", _check_problem({"leaf": [shift, negate]}, cube), CHECK_VARIANTS
-        product = {"product": {"normal": {"leaf": [negate]}, "quotient": {"leaf": [shift]}}}
-        yield f"hyperoctahedral_product_{d}.json", _check_problem(product, cube), CHECK_VARIANTS
+        shift, negate, cube = _hyperoctahedral(d)
+        yield f"hyperoctahedral_leaf_{d}.json", _problem({"leaf": [shift, negate]}, cube), CHECK_VARIANTS
+        product = _hyperoctahedral_product(negate, shift)
+        yield f"hyperoctahedral_product_{d}.json", _problem(product, cube), CHECK_VARIANTS
     contraction = _map([[0.3, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.3]], [0.8, 0.1, 0.45])
     box = list(itertools.product((0.0, 1.0), repeat=3))
-    yield "leaving_contraction_box.json", _check_problem({"leaf": [contraction]}, box), (("check",),)
+    yield "leaving_contraction_box.json", _problem({"leaf": [contraction]}, box), (("check",),)
     perturbed = [[float(i == (j + 1) % 4) + 1e-3 * (i == 0) for j in range(4)] for i in range(4)]
     cube = list(itertools.product((-1.0, 1.0), repeat=4))
-    yield "perturbed_shift_cube.json", _check_problem({"leaf": [_map(perturbed)]}, cube), (("check",),)
+    yield "perturbed_shift_cube.json", _problem({"leaf": [_map(perturbed)]}, cube), (("check",),)
+
+
+def product_solve_family():
+    """(file name, problem, variants) of each generated Product ``solve`` problem, in snapshot order.
+
+    The hyperoctahedral product of :func:`check_family` (-I normal under the
+    coordinate shift) from the cube vertex (1, -1, ..., -1), not from the
+    fixed point 0, so the layered averages move it.
+    """
+    for d in CHECK_DIMS:
+        shift, negate, cube = _hyperoctahedral(d)
+        start = [1.0] + [-1.0] * (d - 1)
+        problem = _problem(_hyperoctahedral_product(negate, shift), cube, "fixed-point", start=start)
+        yield f"hyperoctahedral_product_solve_{d}.json", problem, PRODUCT_SOLVE_VARIANTS
 
 
 def malformed_family():
@@ -215,7 +243,9 @@ def snapshot(cli) -> list[dict]:
             runs.append(_run(cli, argv, shown))
     with tempfile.TemporaryDirectory() as tmp:
         generated = pathlib.Path(tmp)
-        families = itertools.chain(generated_family(), check_family(), malformed_family())
+        families = itertools.chain(
+            generated_family(), check_family(), product_solve_family(), malformed_family()
+        )
         for name, problem, variants in families:
             path = generated / name
             path.write_text(json.dumps(problem, indent=2), encoding="utf-8")
