@@ -278,17 +278,17 @@ def _power_sum(matrix: np.ndarray, offset: np.ndarray, n: int):
     return (s_m, s_o), (p_m, p_o)
 
 
-def _average(sums, n: int) -> AffineMap:
-    """The depth-n average S_n / n."""
-    s_m, s_o = sums
-    return AffineMap(s_m / n, s_o / n)
+def _average(m: AffineMap, n: int, sums=None):
+    """:func:`cesaro_average` as a (matrix, offset) pair: S_n / n, from m's S_n when given."""
+    if n < 1:
+        raise ValueError("averaging depth n must be >= 1")
+    s_m, s_o = sums or _power_sum(m.matrix, m.offset, n)[0]
+    return s_m / n, s_o / n
 
 
 def cesaro_average(m: AffineMap, n: int) -> AffineMap:
     """(1/n) * (I + m + m^2 + ... + m^(n-1))."""
-    if n < 1:
-        raise ValueError("averaging depth n must be >= 1")
-    return _average(_power_sum(m.matrix, m.offset, n)[0], n)
+    return AffineMap(*_average(m, n))
 
 
 def affine_power(m: AffineMap, n: int) -> AffineMap:

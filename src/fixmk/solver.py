@@ -10,7 +10,7 @@ Two independent routes, both from a start point x0 in K:
   generator's power sum and power are carried from one depth to the next
   (S_2n = S_n + g^n S_n, g^2n = g^n g^n), so the whole schedule up to
   depth n costs O(log n) matrix products, and depth budgets of 2^40 are
-  routine.
+  routine.  Stages are layered as raw (matrix, offset) pairs, not AffineMaps.
 
 * :func:`solve_exact` — the limit of those averages in closed form.  In
   homogeneous coordinates a generator is H = [[A, b], [0, 1]], and by the
@@ -47,9 +47,7 @@ from .geometry import (
     _average,
     _double,
     _power_sum,
-    affine_compose,
     as_vector,
-    cesaro_average,
     deviation_fit,
     diameter,
     feasible_point,
@@ -135,28 +133,37 @@ class FipReport:
     seed: int
 
 
+def _residuals(labeled, p: np.ndarray) -> dict[str, float]:
+    return {label: float(np.max(np.abs(g.matrix @ p + g.offset - p))) for label, g in labeled}
+
+
 def residual(point, node: SemigroupNode) -> dict[str, float]:
     """Per-generator max-abs residual |f(p) - p| at the point."""
-    p = as_vector(point, node.dim)
-    return {
-        label: float(np.max(np.abs(g(p) - p))) for label, g in flatten(node)
-    }
+    return _residuals(flatten(node), as_vector(point, node.dim))
 
 
-def _layered(node: SemigroupNode, stage) -> AffineMap:
-    """Leaf: compose stage(g) over its generators (they commute, so the
-    order does not matter).  Product: the normal layer after the quotient."""
+def _layered(node: SemigroupNode, stage, formed: list | None = None):
+    """The pairs stage(g) composed as affine_compose composes maps: a Leaf's from the identity, a
+    Product's normal layer after its quotient; the outer call raises as their AffineMaps would."""
+    pairs = [] if formed is None else formed
     if isinstance(node, Leaf):
-        op = AffineMap.identity(node.dim)
-        for g in node.generators:
-            op = affine_compose(op, stage(g))
-        return op
-    return affine_compose(_layered(node.normal, stage), _layered(node.quotient, stage))
+        m, o = np.eye(node.dim), np.zeros(node.dim)
+        for g in node.generators:  # they commute, so the order does not matter
+            s_m, s_o = stage(g)
+            m, o = m @ s_m, m @ s_o + o
+            pairs += [(s_m, s_o), (m, o)]
+    else:
+        (f_m, f_o), (g_m, g_o) = (_layered(c, stage, pairs) for c in (node.normal, node.quotient))
+        pairs.append((f_m @ g_m, f_m @ g_o + f_o))
+    if formed is None and not np.isfinite(np.concatenate([a.ravel() for p in pairs for a in p])).all():
+        for pair in pairs:  # one test when all is finite, else the first failing check
+            AffineMap(*pair)
+    return pairs[-1]
 
 
 def averaging_operator(node: SemigroupNode, n: int) -> AffineMap:
     """Depth-n averaging stage of the tree: each generator's depth-n average, layered."""
-    return _layered(node, lambda g: cesaro_average(g, n))
+    return AffineMap(*_layered(node, lambda g: _average(g, n)))
 
 
 def _rank(s: np.ndarray) -> int:
@@ -164,7 +171,7 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
 
 
-def _ergodic_projection(g: AffineMap, center: np.ndarray, scale: float) -> AffineMap:
+def _ergodic_projection(g: AffineMap, center: np.ndarray, scale: float):
     """The limit of g's averages in the frame y = (x - center) / scale.
 
     There g is y -> A y + b, b = (g(center) - center) / scale, so a polytope
@@ -190,7 +197,7 @@ def _ergodic_projection(g: AffineMap, center: np.ndarray, scale: float) -> Affin
             f"(s_min / s_max of [N R] is {sv[-1] / sv[0]:.1e}), so the averages do not converge"
         )
     P = kernel @ np.linalg.inv(NR)[: kernel.shape[1]]
-    return AffineMap(P[:d, :d], P[:d, d])
+    return P[:d, :d].copy(), P[:d, d].copy()
 
 
 def _start_point(node: SemigroupNode, K: Polytope, x0, tol: float) -> np.ndarray:
@@ -206,17 +213,19 @@ def _schedule(node: SemigroupNode, start: np.ndarray, n_max: int):
 
     Each generator's (S_n, g^n) is carried from one depth to the next by
     one :func:`~fixmk.geometry._double` step, so depth n costs log2(n) + 1
-    steps per generator in all.  These are the operations of the doubling
-    recursion, so each point is bit for bit ``averaging_operator(node,
-    n)(start)``.
+    steps per generator in all.  The point is m @ start + o from the layered
+    S_n / n, so bit for bit ``averaging_operator(node, n)(start)``, or its
+    ValueError when an overflow, with numpy's warning off, leaves it non-finite.
     """
-    sums = {id(g): _power_sum(g.matrix, g.offset, 1) for _, g in flatten(node)}
-    n = 1
-    while True:
-        yield n, _layered(node, lambda g: _average(sums[id(g)][0], n))(start)
-        if 2 * n > n_max:
-            return
-        sums = {key: _double(*state, n) for key, state in sums.items()}
+    sums, n = {id(g): _power_sum(g.matrix, g.offset, 1) for _, g in flatten(node)}, 1
+    while n <= n_max:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n > 1:
+                sums = {key: _double(*state, n // 2) for key, state in sums.items()}
+            m, o = _layered(node, lambda g: _average(g, n, sums[id(g)][0]))
+            p = m @ start + o
+        as_vector(p)  # a non-finite point raises as residual() raises
+        yield n, p
         n *= 2
 
 
@@ -224,11 +233,11 @@ def _cesaro_from(node, K, start, tol, n_max) -> FixedPointResult:
     """:func:`solve_cesaro` from a start point already checked to lie in K."""
     if n_max < 1:
         raise ValueError("averaging depth must be >= 1")
-    diam = diameter(K)
+    diam, labeled = diameter(K), flatten(node)
     residual_history: list[tuple[int, float]] = []
     best_point, best_res, best_max = None, None, np.inf
     for n, p in _schedule(node, start, n_max):
-        res = residual(p, node)
+        res = _residuals(labeled, p)
         worst = max(res.values())
         residual_history.append((n, worst))
         if worst < best_max:
@@ -311,12 +320,12 @@ def _exact_from(node, K, start, tol):
     """
     center, scale = K.centroid(), diameter(K) or 1.0
     try:
-        limit = _layered(node, lambda g: _ergodic_projection(g, center, scale))
+        lm, lo = _layered(node, lambda g: _ergodic_projection(g, center, scale))
     except NumericalError as exc:
         _diagnose(node, K, tol, exc)
 
     def project(x):
-        return center + scale * limit((x - center) / scale)
+        return center + scale * (lm @ as_vector((x - center) / scale) + lo)
 
     point = project(start)
     res = residual(point, node)

@@ -304,7 +304,11 @@ def test_a_passing_exact_point_runs_no_nullspace_or_deviation_lp(solve_fixtures,
 
 def _fake_projection(monkeypatch, limit):
     """Make every generator's ergodic projection the frame map ``limit(center, scale)``."""
-    monkeypatch.setattr(solver, "_ergodic_projection", lambda g, c, s: limit(c, s))
+    def projection(g, c, s):
+        m = limit(c, s)
+        return m.matrix, m.offset
+
+    monkeypatch.setattr(solver, "_ergodic_projection", projection)
 
 
 def test_translation_names_an_empty_fixed_subspace_through_the_numerical_error(monkeypatch):
