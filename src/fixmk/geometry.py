@@ -21,7 +21,7 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
   matches p against the vertex list first and needs no LP when a vertex
   lies within the tolerance, as images under permutations do.  The
   invariance pass of :mod:`fixmk.semigroup` matches a generator's images
-  in bounded chunks and calls it only on those no vertex matched.
+  the same way in bounded chunks and fits only those no vertex matched.
 * :func:`feasible_point` is p = 0, B = I: do the hulls intersect?  Its
   witness is the raw basic solution.
 * the exact solver fits an affine fixed subspace against K, to tell

@@ -28,7 +28,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationCapError, NumericalError
-from .geometry import AffineMap, Polytope, convex_combination, hull_fit, hull_gap
+from . import geometry
+from .geometry import AffineMap, Polytope, convex_combination, hull_fit
 
 DEFAULT_ABELIAN_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9
@@ -141,7 +142,7 @@ def _abelian_failures(labeled) -> list[Failure]:
 
 
 def _matched(images, V, tol: float) -> np.ndarray:
-    """:func:`hull_gap`'s vertex match within tol, for chunks of images whose
+    """:func:`~fixmk.geometry.hull_gap`'s vertex match within tol, for chunks of images whose
     difference array and numpy's operand buffers for it stay within _CHUNK_BYTES."""
     step = max(1, _CHUNK_BYTES // (3 * V.nbytes))
     hits = np.empty(len(images), dtype=bool)
@@ -161,7 +162,7 @@ def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
             raise NumericalError(f"invariance check: {label} maps a vertex of K out of float range")
         hits = _matched(images, K.vertices, tol)
         matched += int(hits.sum())
-        gaps = [hull_gap(K, x, tol)[0] for x in images[~hits]]
+        gaps = [geometry.hull_fit(K, x)[0] for x in images[~hits]]  # on the module, as spies see it
         if max(gaps, default=0.0) > tol:
             failures.append(Failure("not-invariant", (label,), max(gaps)))
     pairs = len(labeled) * K.n_vertices
@@ -176,7 +177,7 @@ def check_invariance(generators, K: Polytope, tol: float) -> ValidationReport:
     """Every generator must map every vertex of K back into K within tol.
 
     Images are matched against the vertices in chunks of at most 64 KiB of
-    temporaries; only those with no vertex within tol get an LP (:func:`hull_gap`).  A
+    temporaries; only those with no vertex within tol get an LP (:func:`hull_fit`).  A
     matched image is within tol of K, so a residual is the hull distance of an unmatched one.
     """
     labeled = [(f"g{i}", g) for i, g in enumerate(generators)]
