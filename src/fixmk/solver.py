@@ -172,7 +172,7 @@ def _rank(s: np.ndarray) -> int:
 
 
 def _ergodic_projection(g: AffineMap, center: np.ndarray, scale: float):
-    """The limit of g's averages in the frame y = (x - center) / scale.
+    """The limit of g's averages in the frame y = (x - center) / scale, as a (matrix, offset) pair.
 
     There g is y -> A y + b, b = (g(center) - center) / scale, so a polytope
     far from the origin or from unit size does not skew the homogeneous

@@ -27,7 +27,10 @@ from fixmk import (
     validate_relations,
     validate_structure,
 )
-from helpers import count_calls, dihedral_node, reflect_x, rot90, rot180, square, unit_square
+from helpers import (
+    commuting_contractions, count_calls, cube, dihedral_node, reflect_x, rot90, rot180,
+    signed_permutations, square, unit_square,
+)
 
 
 # --- abelian leaves --------------------------------------------------------
@@ -279,40 +282,6 @@ def test_commuting_combination_detects_failure():
 
 
 # --- the stacked passes against the plain loops -----------------------------
-
-def cube(d):
-    return Polytope.box(-np.ones(d), np.ones(d))
-
-
-def signed_permutations(perm, scaled=None):
-    """Product(sign flip of each coordinate, permutation perm) on R^d.
-
-    The flips are a normal leaf: under the permutation a flip becomes
-    another flip.  ``scaled`` (a flatten index) has its matrix scaled by
-    1 + 1e-3, which takes [-1,1]^d outside itself.
-    """
-    d = len(perm)
-    maps = [np.diag(np.where(np.arange(d) == i, -1.0, 1.0)) for i in range(d)]
-    maps.append(np.eye(d)[list(perm)])
-    if scaled is not None:
-        maps[scaled] = (1.0 + 1e-3) * maps[scaled]
-    gens = [AffineMap.linear(m) for m in maps]
-    return Product(Leaf(tuple(gens[:d])), Leaf((gens[d],)))
-
-
-def commuting_contractions(lo, width, scales, stretched=None):
-    """Leaf of diagonal scalings by ``scales`` about the centre of the box lo + [0, width]^d.
-
-    Scalings about one point commute.  ``stretched`` (a generator index)
-    scales coordinate 0 by 1.001 instead, which leaves the box.
-    """
-    scales = np.array(scales, dtype=float)
-    if stretched is not None:
-        scales[stretched, 0] = 1.001
-    centre = np.full(scales.shape[1], lo + width / 2)
-    K = Polytope.box(centre - width / 2, centre + width / 2)
-    return Leaf(tuple(AffineMap(np.diag(a), centre - a * centre) for a in scales)), K
-
 
 def _bits(depth, failures, matched):
     return depth, [(kind, tuple(witness), float(r).hex()) for kind, witness, r in failures], matched

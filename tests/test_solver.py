@@ -1,10 +1,11 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixmk import geometry, solver
+from fixmk import cli, geometry, solver
 from fixmk import (
     AffineMap,
     EmptyFixedSetError,
@@ -33,11 +34,13 @@ from fixmk import (
 )
 from fixmk.geometry import polytope_images
 from fixmk.schema import load_problem
+from fixmk.schema import Options, ProblemFile, SolvePayload
 from fixmk.semigroup import flatten
 from fixmk.solver import DEFAULT_TOL, _sample_family
 from conftest import FIXTURES
 from helpers import (
-    count_calls, dihedral_node, markov_node, reflect_x, rot90, square, unit_square,
+    commuting_contractions, count_calls, cube, dihedral_node, markov_node, reflect_x, rot90,
+    signed_permutations, square, unit_square,
 )
 from oracles import hull_distance
 from oracles import stationary_distribution
@@ -128,12 +131,32 @@ def _about(matrix, center):
     (markov_node(), [1.0, 0.0]),
     (Product(Leaf((_about(rot90().matrix, [0.3, 0.7]),)),
              Leaf((_about(reflect_x().matrix, [0.3, 0.7]),))), [0.9, 0.1]),
-], ids=["affine-leaf", "stochastic", "product"])
+    (signed_permutations([2, 0, 5, 1, 3, 4]), [0.9, -0.4, 0.3, -0.8, 0.5, 0.1]),
+], ids=["affine-leaf", "stochastic", "product", "signed-permutation-product-6"])
 def test_schedule_points_are_the_averaging_operator_points_bit_for_bit(node, start):
     points = list(solver._schedule(node, np.array(start), 2**30))
     assert [n for n, _ in points] == [2**k for k in range(31)]
     for n, p in points:
         assert p.tobytes() == averaging_operator(node, n)(start).tobytes(), n
+
+
+@pytest.mark.parametrize("node, message, depth", [
+    (Leaf((AffineMap.linear(2 * np.eye(2)),)), "matrix has non-finite entries", 1024),
+    (Leaf((AffineMap(2 * np.eye(2), [1e300, 0.0]),)), "vector has non-finite coordinates", 32),
+    # the normal offset overflows at depth 512 with the quotient's matrix: the offset comes first
+    (Product(Leaf((AffineMap(2 * np.eye(2), [1e160, 0.0]),)), Leaf((AffineMap.linear(4 * np.eye(2)),))),
+     "vector has non-finite coordinates", 512),
+], ids=["matrix", "offset", "offset-before-matrix"])
+def test_an_overflowing_depth_fails_as_its_averaging_operator_does(node, message, depth):
+    # pytest makes any RuntimeWarning an error, so none may escape the schedule
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_cesaro(node, unit_square(), [0.5, 0.5], 1e-8, 2**40)
+    points = solver._schedule(node, np.array([0.5, 0.5]), 2**40)
+    assert [n for n, _ in itertools.islice(points, int(np.log2(depth)))][-1] == depth // 2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        next(points)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+        averaging_operator(node, depth)
 
 
 def _commuting_stochastic_pair():
@@ -397,6 +420,39 @@ def test_markov_kakutani_on_the_simplex_matches_the_stationary_distribution(case
     pi = stationary_distribution(P)
     np.testing.assert_allclose(solve_exact(node, K, x0).point, pi, atol=1e-9)
     np.testing.assert_allclose(solve_cesaro(node, K, x0, 1e-10, 2**40).point, pi, atol=1e-6)
+
+
+# --- signed permutations and box contractions solve in every mode ------------
+
+def _solved(node, K, start, mode):
+    """``solve``'s status and report fields in one mode, at the depth budget 2^40."""
+    options = Options(mode=mode, n_max=2**40)
+    return cli.run_solve(ProblemFile("fixed-point", SolvePayload(node, K, np.array(start)), options), options)
+
+
+def _assert_solved_in_every_mode(node, K, start):
+    for mode in ("exact", "cesaro", "cross-check"):
+        status, result = _solved(node, K, start, mode)
+        assert status == "ok", (mode, result)
+        assert max(result["residuals"].values()) <= DEFAULT_TOL, mode
+    assert result["projection_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_signed_permutation_products_solve_in_every_mode(d):
+    # the flips are normal under a seeded permutation; 0 is the one fixed point
+    rng = np.random.default_rng(d)
+    _assert_solved_in_every_mode(signed_permutations(rng.permutation(d)), cube(d), rng.choice([-1.0, 1.0], d))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_box_contractions_solve_in_every_mode(seed):
+    # commuting scalings about the centre of the box, started from a vertex
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    scales = rng.uniform(-0.9, 0.9, (int(rng.integers(1, 4)), d))
+    node, K = commuting_contractions(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0), scales)
+    _assert_solved_in_every_mode(node, K, K.vertices[rng.integers(K.n_vertices)])
 
 
 # --- residual ---------------------------------------------------------------
