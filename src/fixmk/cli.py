@@ -9,16 +9,17 @@ Exit codes: 0 when the report's status is ``ok``.  1 when a solver or
 check fails: in the report's status (``disagreement`` included, when the
 two routes of a cross-check ``solve`` reach different fixed points, and an
 ``extend`` that fails for that reason), or with an ``error:`` line and no
-report when a library error stops the run, such as a numerical failure
-of the LP core, a ``start`` point outside the polytope, or an ``extend``
-problem whose constraint set needs more than 10^7 facet combinations
-(from dim 7 for max-abs and dim 14 for sum-abs, with a one-dimensional
-subspace), refused before any is built.  2, with an
-``error:`` line, on an unreadable or malformed problem file, a schema
-error (fields whose shapes disagree included), an out-of-range option
-(file or flag), an ``--output`` path that cannot be written, or a bad
-``FIXMK_LOG``.  Set ``FIXMK_LOG=debug`` (or any logging level name) for
-verbose logging on stderr.
+report when a library error stops the run, such as a numerical failure of
+the LP core, an overflow (averaging at some depth, composing maps, an
+``extend`` operator, a report value JSON cannot hold), a ``start`` point
+outside the polytope, or an ``extend`` problem whose constraint set needs
+more than 10^7 facet combinations (from dim 7 for max-abs and dim 14 for
+sum-abs, with a one-dimensional subspace), refused before any is built.
+2, with an ``error:`` line, on an unreadable or malformed problem file, a
+schema error (fields whose shapes disagree included), an out-of-range
+option (file or flag), an ``--output`` path that cannot be written, or a
+bad ``FIXMK_LOG``.  Set ``FIXMK_LOG=debug`` (or any logging level name)
+for verbose logging on stderr.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and parses nothing but ``argv``, so ``main`` may be called

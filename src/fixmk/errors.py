@@ -136,7 +136,9 @@ class NumericalError(FixmkError, RuntimeError):
 
     Raised at the simplex iteration limit, on an unbounded phase 1, on LP
     data or an LP solution that is not finite, when a deviation or probe
-    LP, feasible by construction, is reported infeasible or unbounded, and
+    LP, feasible by construction, is reported infeasible or unbounded,
     when a generator's averages have no limit the exact solver can form
-    (the kernel and range of G - I are not complementary).
+    (the kernel and range of G - I are not complementary), and when
+    composing, powering, averaging, mixing or layering maps overflows
+    (the message names the step).
     """

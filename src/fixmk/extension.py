@@ -41,7 +41,7 @@ from .errors import (
     StructureValidationError,
     ZeroFunctionalError,
 )
-from .geometry import AffineMap, NormKind, NormSpec, Polytope, _capped_probe
+from .geometry import AffineMap, NormKind, NormSpec, Polytope, _apply, _capped_probe, _finite
 from .semigroup import (
     DEFAULT_WORD_BUDGET,
     Leaf,
@@ -127,11 +127,13 @@ class ExtensionCheck:
     failures: list[str] = field(default_factory=list)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_problem(problem: ExtensionProblem) -> list[Violation]:
     """Check the operator preconditions; empty list means all hold.
 
     Per operator T: zero offset, T maps Y into Y, induced norm at most 1,
-    and g(T y) = g(y) on the basis, each within ``INVARIANT_TOL``.
+    and g(T y) = g(y) on the basis, each within ``INVARIANT_TOL``.  An overflow
+    in T's norm or in its images of the basis raises NumericalError naming T.
     """
     violations = []
     Y = problem.subspace_basis
@@ -142,10 +144,11 @@ def validate_problem(problem: ExtensionProblem) -> list[Violation]:
             violations.append(Violation("nonzero-offset", label, off))
             continue
         norm_T = problem.norm.operator_norm(op.matrix)
+        images = _apply(op.matrix, 0.0, Y)
+        _finite(f"checking operator {label}", norm_T, images)
         if norm_T > 1.0 + INVARIANT_TOL:
             violations.append(Violation("operator-norm", label, norm_T - 1.0))
-        for i, y in enumerate(Y):
-            image = op.matrix @ y
+        for i, image in enumerate(images):
             coeffs, *_ = np.linalg.lstsq(Y.T, image, rcond=None)
             stray = float(np.max(np.abs(Y.T @ coeffs - image), initial=0.0))
             if stray > INVARIANT_TOL:

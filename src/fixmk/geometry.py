@@ -31,6 +31,12 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
   deviation bound on B s, with B the subspace basis (max-abs is within 1
   of the point 0, sum-abs within 0 of conv{+-e_i}), and minimizes a
   linear objective in s over it.
+
+Stacked affine arithmetic is done here alone: :func:`_apply`, :func:`_compose`
+and :func:`_mix` on (matrix, offset) arrays run under ``np.errstate``, and each
+caller passes what it formed to :func:`_finite`, which raises NumericalError
+naming the step ("averaging at depth 1024 overflows"), so no RuntimeWarning
+escapes and ValueError is left for bad input to a constructor.
 """
 from __future__ import annotations
 
@@ -205,11 +211,41 @@ class NormSpec:
 # affine-map algebra
 
 
+def _finite(what: str, *arrays):
+    """The arrays, once every entry is finite; else :class:`NumericalError` "<what> overflows"."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{what} overflows")
+    return arrays
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _apply(m, o, x):
+    """m @ x + o for stacked maps and points x (..., d), bit for bit as AffineMap.__call__."""
+    return (m @ x[..., None])[..., 0] + o
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _compose(f, fo, g, go):
+    """Stacked f.g as a (matrix, offset) pair: f @ g and f @ go + fo."""
+    return f @ g, _apply(f, fo, go)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _mix(m, o, w):
+    """Each row of the weights w (k, N) mixed over the stacked maps m (N, d, d), o (N, d)."""
+    mixed_m, mixed_o = np.zeros((len(w),) + m.shape[1:]), np.zeros((len(w), o.shape[1]))
+    for j in range(len(m)):
+        mixed_m += w[:, j, None, None] * m[j]
+        mixed_o += w[:, j, None] * o[j]
+    return mixed_m, mixed_o
+
+
 def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
     """The map x -> f(g(x))."""
     if f.dim != g.dim:
         raise DimensionMismatchError(f"compose dims {f.dim} vs {g.dim}")
-    return AffineMap(f.matrix @ g.matrix, f.matrix @ g.offset + f.offset)
+    pair = _compose(f.matrix, f.offset, g.matrix, g.offset)
+    return AffineMap(*_finite("composing two maps", *pair))
 
 
 def map_deviation(f: AffineMap, g: AffineMap) -> float:
@@ -237,17 +273,14 @@ def convex_combination(maps, weights) -> AffineMap:
         raise InvalidWeightsError(f"negative weight {w.min():.3e}")
     if abs(w.sum() - 1.0) > _WEIGHT_TOL:
         raise InvalidWeightsError(f"weights sum to {w.sum():.12f}, expected 1")
-    dim = maps[0].dim
-    matrix = np.zeros((dim, dim))
-    offset = np.zeros(dim)
-    for wi, m in zip(w, maps):
-        if m.dim != dim:
-            raise DimensionMismatchError("maps in combination have mixed dims")
-        matrix += wi * m.matrix
-        offset += wi * m.offset
+    if any(m.dim != maps[0].dim for m in maps):
+        raise DimensionMismatchError("maps in combination have mixed dims")
+    stack = np.array([m.matrix for m in maps]), np.array([m.offset for m in maps])
+    (matrix,), (offset,) = _finite("mixing maps", *_mix(*stack, w[None]))
     return AffineMap(matrix, offset)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _double(sums, power, n: int):
     """One doubling step: (S_n, g^n) to (S_2n, g^2n), each as (matrix, offset).
 
@@ -273,8 +306,9 @@ def _power_sum(matrix: np.ndarray, offset: np.ndarray, n: int):
         return (np.zeros((d, d)), np.zeros(d)), (np.eye(d), np.zeros(d))
     (s_m, s_o), (p_m, p_o) = _double(*_power_sum(matrix, offset, n // 2), n // 2)
     if n % 2:
-        s_m, s_o = s_m + p_m, s_o + p_o
-        p_m, p_o = p_m @ matrix, p_m @ offset + p_o
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_m, s_o = s_m + p_m, s_o + p_o
+        p_m, p_o = _compose(p_m, p_o, matrix, offset)
     return (s_m, s_o), (p_m, p_o)
 
 
@@ -288,15 +322,14 @@ def _average(m: AffineMap, n: int, sums=None):
 
 def cesaro_average(m: AffineMap, n: int) -> AffineMap:
     """(1/n) * (I + m + m^2 + ... + m^(n-1))."""
-    return AffineMap(*_average(m, n))
+    return AffineMap(*_finite(f"averaging at depth {n}", *_average(m, n)))
 
 
 def affine_power(m: AffineMap, n: int) -> AffineMap:
     """n-fold composition of m with itself; n = 0 gives the identity."""
     if n < 0:
         raise ValueError("negative powers are not defined here")
-    _, (p_m, p_o) = _power_sum(m.matrix, m.offset, n)
-    return AffineMap(p_m, p_o)
+    return AffineMap(*_finite(f"power {n}", *_power_sum(m.matrix, m.offset, n)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SchemaError
+from .errors import DimensionMismatchError, NumericalError, SchemaError
 from .extension import ExtensionProblem
 from .geometry import AffineMap, NormKind, NormSpec, Polytope, as_matrix, as_vector
 from .semigroup import DEFAULT_WORD_BUDGET, Leaf, Product, SemigroupNode
@@ -364,7 +364,11 @@ def _plain(obj):
 
 
 def dumps_canonical(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, default=_plain) + "\n"
+    """Canonical JSON; a NaN or an infinity, which JSON cannot hold, raises NumericalError."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True, default=_plain, allow_nan=False) + "\n"
+    except ValueError as exc:  # "Out of range float values are not JSON compliant"
+        raise NumericalError(f"report: {exc}") from None
 
 
 def serialize_problem(pf: ProblemFile) -> str:

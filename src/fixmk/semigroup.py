@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationCapError, NumericalError
 from . import geometry
-from .geometry import AffineMap, Polytope, convex_combination, hull_fit
+from .geometry import AffineMap, Polytope, _apply, _finite, convex_combination, hull_fit
 
 DEFAULT_ABELIAN_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9
@@ -114,17 +114,10 @@ def _report(depth: int, failures: list[Failure]) -> ValidationReport:
     return ValidationReport(ok=not failures, depth=depth, failures=failures)
 
 
-def _apply(f, fo, x):
-    """f @ x + fo for stacked points x (..., d), each product formed as AffineMap forms it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (f @ x[..., None])[..., 0] + fo
-
-
 def _compose(f, fo, g, go):
-    """Stacked f.g as affine_compose forms it, flattened as flatten_map flattens it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = f @ g
-    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)), _apply(f, fo, go)], axis=-1)
+    """Stacked f.g from :func:`~fixmk.geometry._compose`, flattened as flatten_map flattens it."""
+    m, o = geometry._compose(f, fo, g, go)
+    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)), o], axis=-1)
 
 
 def _abelian_failures(labeled) -> list[Failure]:
@@ -133,8 +126,7 @@ def _abelian_failures(labeled) -> list[Failure]:
         for lb, b in labeled[i + 1 :]:
             ab = _compose(a.matrix, a.offset, b.matrix, b.offset)
             ba = _compose(b.matrix, b.offset, a.matrix, a.offset)
-            if not (np.isfinite(ab).all() and np.isfinite(ba).all()):
-                raise NumericalError(f"abelian check: composing {la} and {lb} overflows")
+            _finite(f"abelian check: composing {la} and {lb}", ab, ba)
             dev = float(np.abs(ab - ba).max())
             if dev > DEFAULT_ABELIAN_TOL:
                 failures.append(Failure("non-commuting-pair", (la, lb), dev))
@@ -271,8 +263,7 @@ def check_normal_factor(
         for gl, g in g_gens:
             target = _compose(h.matrix, h.offset, g.matrix, g.offset)
             gw = _compose(g.matrix, g.offset, *words)
-            if not (np.isfinite(target).all() and np.isfinite(gw).all()):
-                raise NumericalError(f"normal relation: composing {hl}, {gl} and the words overflows")
+            _finite(f"normal relation: composing {hl}, {gl} and the words", target, gw)
             best = float(np.abs(gw - target).max(axis=1).min())
             if best > tol:
                 failures.append(Failure("normal-relation", (hl, gl), best))

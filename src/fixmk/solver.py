@@ -44,8 +44,12 @@ from .errors import (
 from .geometry import (
     AffineMap,
     Polytope,
+    _apply,
     _average,
+    _compose,
     _double,
+    _finite,
+    _mix,
     _power_sum,
     as_vector,
     deviation_fit,
@@ -142,28 +146,21 @@ def residual(point, node: SemigroupNode) -> dict[str, float]:
     return _residuals(flatten(node), as_vector(point, node.dim))
 
 
-def _layered(node: SemigroupNode, stage, formed: list | None = None):
-    """The pairs stage(g) composed as affine_compose composes maps: a Leaf's from the identity, a
-    Product's normal layer after its quotient; the outer call raises as their AffineMaps would."""
-    pairs = [] if formed is None else formed
+def _layered(node: SemigroupNode, stage):
+    """The (matrix, offset) pairs stage(g) composed: a Leaf's from the identity, a Product's
+    normal layer after its quotient.  An overflow leaves a non-finite entry in the result."""
     if isinstance(node, Leaf):
         m, o = np.eye(node.dim), np.zeros(node.dim)
         for g in node.generators:  # they commute, so the order does not matter
-            s_m, s_o = stage(g)
-            m, o = m @ s_m, m @ s_o + o
-            pairs += [(s_m, s_o), (m, o)]
-    else:
-        (f_m, f_o), (g_m, g_o) = (_layered(c, stage, pairs) for c in (node.normal, node.quotient))
-        pairs.append((f_m @ g_m, f_m @ g_o + f_o))
-    if formed is None and not np.isfinite(np.concatenate([a.ravel() for p in pairs for a in p])).all():
-        for pair in pairs:  # one test when all is finite, else the first failing check
-            AffineMap(*pair)
-    return pairs[-1]
+            m, o = _compose(m, o, *stage(g))
+        return m, o
+    return _compose(*_layered(node.normal, stage), *_layered(node.quotient, stage))
 
 
 def averaging_operator(node: SemigroupNode, n: int) -> AffineMap:
     """Depth-n averaging stage of the tree: each generator's depth-n average, layered."""
-    return AffineMap(*_layered(node, lambda g: _average(g, n)))
+    pair = _layered(node, lambda g: _average(g, n))
+    return AffineMap(*_finite(f"averaging at depth {n}", *pair))
 
 
 def _rank(s: np.ndarray) -> int:
@@ -214,17 +211,16 @@ def _schedule(node: SemigroupNode, start: np.ndarray, n_max: int):
     Each generator's (S_n, g^n) is carried from one depth to the next by
     one :func:`~fixmk.geometry._double` step, so depth n costs log2(n) + 1
     steps per generator in all.  The point is m @ start + o from the layered
-    S_n / n, so bit for bit ``averaging_operator(node, n)(start)``, or its
-    ValueError when an overflow, with numpy's warning off, leaves it non-finite.
+    S_n / n, so bit for bit ``averaging_operator(node, n)(start)``.  A depth
+    whose layered average or point overflows raises :class:`NumericalError`.
     """
     sums, n = {id(g): _power_sum(g.matrix, g.offset, 1) for _, g in flatten(node)}, 1
     while n <= n_max:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if n > 1:
-                sums = {key: _double(*state, n // 2) for key, state in sums.items()}
-            m, o = _layered(node, lambda g: _average(g, n, sums[id(g)][0]))
-            p = m @ start + o
-        as_vector(p)  # a non-finite point raises as residual() raises
+        if n > 1:
+            sums = {key: _double(*state, n // 2) for key, state in sums.items()}
+        m, o = _layered(node, lambda g: _average(g, n, sums[id(g)][0]))
+        p = _apply(m, o, start)
+        _finite(f"averaging at depth {n}", m, o, p)
         yield n, p
         n *= 2
 
@@ -321,11 +317,12 @@ def _exact_from(node, K, start, tol):
     center, scale = K.centroid(), diameter(K) or 1.0
     try:
         lm, lo = _layered(node, lambda g: _ergodic_projection(g, center, scale))
+        _finite("layering the exact projection", lm, lo)
     except NumericalError as exc:
         _diagnose(node, K, tol, exc)
 
     def project(x):
-        return center + scale * (lm @ as_vector((x - center) / scale) + lo)
+        return center + scale * _apply(lm, lo, (x - center) / scale)
 
     point = project(start)
     res = residual(point, node)
@@ -388,29 +385,20 @@ def cross_check(
     return check
 
 
-def _mixtures(words, weights):
-    """Each row of weights mixed over the stacked words bit for bit as convex_combination mixes."""
-    (m, o), w = words, np.array(weights)
-    mixed_m, mixed_o = np.zeros((len(w),) + m.shape[1:]), np.zeros((len(w), o.shape[1]))
-    for j in range(len(m)):
-        mixed_m += w[:, j, None, None] * m[j]
-        mixed_o += w[:, j, None] * o[j]
-    return mixed_m, mixed_o
-
-
 def _sample_family(node, family, count, rng, word_budget):
     """``count`` sampled maps of the family, as stacks (matrices, offsets)."""
     if family == "cof":
         words = _words(node, word_budget)
-        return _mixtures(words, [rng.dirichlet(np.ones(len(words[0]))) for _ in range(count)])
-    if family == "coh-coq":
+        maps = _mix(*words, np.array([rng.dirichlet(np.ones(len(words[0]))) for _ in range(count)]))
+    elif family == "coh-coq":
         if isinstance(node, Leaf):
             raise ValueError("family 'coh-coq' needs a Product node")
         hw, qw = _words(node.normal, word_budget), _words(node.quotient, word_budget)
         wh, wq = zip(*([rng.dirichlet(np.ones(len(w[0]))) for w in (hw, qw)] for _ in range(count)))
-        (h, h_o), (q, q_o) = _mixtures(hw, wh), _mixtures(qw, wq)
-        return h @ q, (h @ q_o[..., None])[..., 0] + h_o  # affine_compose(h, q), stacked
-    raise ValueError(f"unknown family {family!r}")
+        maps = _compose(*_mix(*hw, np.array(wh)), *_mix(*qw, np.array(wq)))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return _finite(f"sampling the {family} family", *maps)
 
 
 def fip_check(

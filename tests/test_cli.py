@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_paths
-from fixmk import SchemaError, cli, extension, lp, schema, solver
+from fixmk import NumericalError, SchemaError, cli, extension, lp, schema, solver
 from fixmk.schema import load_problem, parse_problem, serialize_problem
 from helpers import load_tool, run_cli
 
@@ -597,3 +597,35 @@ def test_semigroup_overflow_exits_one_with_an_error_line(name, tmp_path):
     }))
     code, out, err = run_cli("check", str(path))
     assert (code, out, err) == (1, "", line + "\n")  # no traceback, no RuntimeWarning
+
+
+# --- overflow in averaging and in the extension checks ends in an error line ---------
+
+@pytest.mark.parametrize("mode", ["cross-check", "cesaro", "exact"])
+def test_an_overflowing_average_exits_one_with_an_error_line(mode):
+    # each Cesàro mode exited 1 with a raw ValueError traceback; the exact route needs no average
+    path = FIXTURES / "negative" / "overflowing_average.json"
+    code, out, err = run_cli("solve", str(path), "--mode", mode)
+    if mode == "exact":
+        assert (code, json.loads(out)["status"], err) == (0, "ok", "")
+    else:
+        assert (code, out, err) == (1, "", "error: averaging at depth 1024 overflows\n")
+
+
+@pytest.mark.parametrize("basis, entry", [([1.0, 1.0], 1e308), ([1e10, 1e10], 1e300)],
+                         ids=["operator-norm", "basis-image"])
+def test_an_overflowing_extension_operator_exits_one_with_an_error_line(basis, entry, tmp_path):
+    # the first wrote "residual": Infinity, which is not JSON, after two RuntimeWarnings
+    path = tmp_path / "overflowing_operator.json"
+    path.write_text(json.dumps({"kind": "extension", "payload": {
+        "dim": 2, "norm": "max-abs", "subspace_basis": [basis], "functional_on_subspace": [1.0],
+        "operators": {"leaf": [{"matrix": [[entry, entry], [0.0, 1.0]], "offset": [0.0, 0.0]}]},
+    }}))
+    code, out, err = run_cli("extend", str(path))
+    assert (code, out, err) == (1, "", "error: checking operator g0 overflows\n")
+
+
+def test_a_non_finite_report_value_is_a_numerical_error():
+    # JSON has no NaN or infinity, so the report is refused rather than written
+    with pytest.raises(NumericalError, match="^report: Out of range float values"):
+        schema.dumps_canonical({"residual": float("inf")})

@@ -16,6 +16,7 @@ from fixmk import (
     NumericalError,
     Polytope,
     affine_compose,
+    affine_power,
     cesaro_average,
     contains,
     convex_combination,
@@ -125,6 +126,24 @@ def test_combination_rejects_bad_weights():
         convex_combination([m, m], [0.8, 0.1])
     with pytest.raises(InvalidWeightsError):
         convex_combination([m, m], [1.5, -0.5])
+
+
+HUGE = AffineMap.linear(1e200 * np.eye(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: affine_compose(HUGE, HUGE), "composing two maps"),
+    # weights may sum to 1 + 8e-10, within the round-off allowed, which takes max_float past it
+    (lambda: convex_combination([AffineMap.linear(np.full((2, 2), np.finfo(float).max))] * 2,
+                                [0.5 + 4e-10] * 2), "mixing maps"),
+    (lambda: cesaro_average(AffineMap.linear(2 * np.eye(2)), 1024), "averaging at depth 1024"),
+    (lambda: affine_power(AffineMap.linear(2 * np.eye(2)), 1024), "power 1024"),
+    (lambda: affine_power(HUGE, 3), "power 3"),  # the odd step's product
+], ids=["compose", "mix", "average", "power", "odd-power"])
+def test_overflow_raises_a_numerical_error_naming_the_step(call, message):
+    # pytest makes any RuntimeWarning an error, so none may escape
+    with pytest.raises(NumericalError, match=f"^{message} overflows$"):
+        call()
 
 
 # --- cesaro_average -------------------------------------------------------

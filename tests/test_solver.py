@@ -140,22 +140,23 @@ def test_schedule_points_are_the_averaging_operator_points_bit_for_bit(node, sta
         assert p.tobytes() == averaging_operator(node, n)(start).tobytes(), n
 
 
-@pytest.mark.parametrize("node, message, depth", [
-    (Leaf((AffineMap.linear(2 * np.eye(2)),)), "matrix has non-finite entries", 1024),
-    (Leaf((AffineMap(2 * np.eye(2), [1e300, 0.0]),)), "vector has non-finite coordinates", 32),
-    # the normal offset overflows at depth 512 with the quotient's matrix: the offset comes first
+@pytest.mark.parametrize("node, depth", [
+    (Leaf((AffineMap.linear(2 * np.eye(2)),)), 1024),
+    (Leaf((AffineMap(2 * np.eye(2), [1e300, 0.0]),)), 32),
+    # the normal offset overflows at depth 512, before the quotient's matrix
     (Product(Leaf((AffineMap(2 * np.eye(2), [1e160, 0.0]),)), Leaf((AffineMap.linear(4 * np.eye(2)),))),
-     "vector has non-finite coordinates", 512),
+     512),
 ], ids=["matrix", "offset", "offset-before-matrix"])
-def test_an_overflowing_depth_fails_as_its_averaging_operator_does(node, message, depth):
-    # pytest makes any RuntimeWarning an error, so none may escape the schedule
-    with pytest.raises(ValueError, match=f"^{message}$"):
+def test_an_overflowing_depth_fails_as_its_averaging_operator_does(node, depth):
+    # pytest makes any RuntimeWarning an error, so none may escape
+    message = f"^averaging at depth {depth} overflows$"
+    with pytest.raises(NumericalError, match=message):
         solve_cesaro(node, unit_square(), [0.5, 0.5], 1e-8, 2**40)
     points = solver._schedule(node, np.array([0.5, 0.5]), 2**40)
     assert [n for n, _ in itertools.islice(points, int(np.log2(depth)))][-1] == depth // 2
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(NumericalError, match=message):
         next(points)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(NumericalError, match=message):
         averaging_operator(node, depth)
 
 
@@ -240,6 +241,14 @@ def test_exact_shear_raises_numerical_error():
     node = Leaf((AffineMap.linear([[1.0, 1.0], [0.0, 1.0]]),))
     with pytest.raises(NumericalError, match="not complementary"):
         solve_exact(node, square(), [0.5, 0.5])
+
+
+def test_exact_overflowing_projection_raises_numerical_error(monkeypatch):
+    # no real projection is this large; the fixed point 0 lies in the square, so the diagnosis re-raises
+    huge = (np.full((2, 2), 1e200), np.zeros(2))
+    monkeypatch.setattr(solver, "_ergodic_projection", lambda g, center, scale: huge)
+    with pytest.raises(NumericalError, match="^layering the exact projection overflows$"):
+        solve_exact(Leaf((rot90(), rot90())), square(), [0.5, 0.5])
 
 
 def test_exact_requires_start_inside():
@@ -496,6 +505,13 @@ def test_fip_product_families():
 def test_fip_coh_coq_needs_product():
     with pytest.raises(ValueError):
         fip_check(Leaf((rot90(),)), square(), 3, "coh-coq", seed=0)
+
+
+def test_fip_sampling_overflow_names_the_family():
+    # h.q of two mixtures passes float range; validation, which refuses this tree, is bypassed
+    huge = Leaf((AffineMap.linear([[1e160]]),))
+    with pytest.raises(NumericalError, match="^sampling the coh-coq family overflows$"):
+        fip_check(Product(huge, huge), Polytope(np.array([[0.0], [1.0]])), 3, "coh-coq", word_budget=1)
 
 
 def test_fip_rejects_tiny_sample():

@@ -115,6 +115,18 @@ def test_report_snapshot_writes_shape_malformed_problems(tmp_path):
     assert [v for _, v in seen] == [(("solve",),)] * 6 + [(("extend",),)] * 2
 
 
+def test_golden_reports_are_strict_json():
+    # json.loads reads NaN and Infinity, which strict JSON parsers refuse
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    reports = [run["stdout"] for run in json.loads(GOLDEN.read_text(encoding="utf-8"))
+               if run["stdout"].startswith("{")]
+    assert reports
+    for stdout in reports:
+        json.loads(stdout.replace("<masked>", "0"), parse_constant=refuse)
+
+
 def test_report_snapshot_matches_the_golden_copy(monkeypatch):
     """Every report, exit code and error line of the snapshot is as committed.
 

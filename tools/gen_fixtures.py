@@ -124,6 +124,11 @@ def main():
           solve_file(Leaf((AffineMap.translation([2.0, 0.0]),)),
                      Polytope.box([0.0, 0.0], [1.0, 1.0]), [0.0, 0.0],
                      tol=4.0, mode="exact"))
+    # K is invariant and the exact route is ok, but in the coordinate K does not span the
+    # averages grow as 2^n / n, past float range at depth 1024 before tol is reached
+    write("negative/overflowing_average.json",
+          solve_file(Leaf((AffineMap.linear([[0.5, 0.0], [0.0, 2.0]]),)),
+                     Polytope(np.array([[0.0, 0.0], [1.0, 0.0]])), [1.0, 0.0], n_max=DEEP, tol=1e-8))
 
     (ROOT / "negative" / "malformed.json").write_text(
         '{"kind": "fixed-point", "payload": {\n', encoding="utf-8")
