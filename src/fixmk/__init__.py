@@ -60,6 +60,7 @@ from .geometry import (
     polytope_image,
 )
 from .semigroup import (
+    AffineSubspace,
     Failure,
     Leaf,
     Product,
@@ -67,19 +68,18 @@ from .semigroup import (
     ValidationReport,
     check_invariance,
     check_normal_factor,
+    common_fixed_subspace,
     commuting_combination,
     enumerate_elements,
     validate_relations,
     validate_structure,
 )
 from .solver import (
-    AffineSubspace,
     ConvergenceCertificate,
     CrossCheck,
     FipReport,
     FixedPointResult,
     averaging_operator,
-    common_fixed_subspace,
     cross_check,
     fip_check,
     residual,

@@ -4,6 +4,8 @@ Subcommands: ``solve`` (common fixed point), ``check`` (structure
 validation), ``fip`` (sampled image-intersection check), ``extend``
 (invariant functional extension).  Problem files are JSON per
 :mod:`fixmk.schema`; a report is the result dataclasses as canonical JSON.
+``--word-budget`` bounds the words that fip sampling (``fip``, ``check
+--fip``) mixes; validation enumerates no words.
 
 Exit codes: 0 when the report's status is ``ok``.  1 when a solver or
 check fails: in the report's status (``disagreement`` included, when the
@@ -122,7 +124,7 @@ def _expect_kind(pf, allowed, command):
 
 def run_solve(pf, options) -> tuple[str, dict]:
     payload = pf.payload
-    report = validate_structure(payload.node, payload.polytope, options.word_budget, options.tol)
+    report = validate_structure(payload.node, payload.polytope, options.tol)
     if not report.ok:
         return "failed", {"validation": asdict(report)}
     start = payload.start if payload.start is not None else payload.polytope.centroid()
@@ -165,7 +167,7 @@ def run_solve(pf, options) -> tuple[str, dict]:
 def run_check(pf, options, fip_samples, family) -> tuple[str, dict]:
     """Validate the tree, then sample ``fip_samples`` elements of ``family`` (if any)."""
     payload = pf.payload
-    report = validate_structure(payload.node, payload.polytope, options.word_budget, options.tol)
+    report = validate_structure(payload.node, payload.polytope, options.tol)
     result = {"validation": asdict(report)}
     if not report.ok:
         return "failed", result
@@ -184,7 +186,7 @@ def run_check(pf, options, fip_samples, family) -> tuple[str, dict]:
 def run_extend(pf, options) -> tuple[str, dict]:
     problem = pf.payload.problem
     try:
-        result = invariant_extension(problem, options.tol, options.word_budget)
+        result = invariant_extension(problem, options.tol)
     except ExtensionInvariantError as exc:
         return "failed", {
             "violations": [

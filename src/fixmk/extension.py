@@ -42,14 +42,7 @@ from .errors import (
     ZeroFunctionalError,
 )
 from .geometry import AffineMap, NormKind, NormSpec, Polytope, _apply, _capped_probe, _finite
-from .semigroup import (
-    DEFAULT_WORD_BUDGET,
-    Leaf,
-    Product,
-    SemigroupNode,
-    flatten,
-    validate_relations,
-)
+from .semigroup import Leaf, Product, SemigroupNode, flatten, validate_relations
 from .solver import cross_check
 
 logger = logging.getLogger(__name__)
@@ -133,7 +126,7 @@ def validate_problem(problem: ExtensionProblem) -> list[Violation]:
 
     Per operator T: zero offset, T maps Y into Y, induced norm at most 1,
     and g(T y) = g(y) on the basis, each within ``INVARIANT_TOL``.  An overflow
-    in T's norm or in its images of the basis raises NumericalError naming T.
+    in T's norm, its images of the basis or g's drift raises NumericalError naming T.
     """
     violations = []
     Y = problem.subspace_basis
@@ -155,6 +148,7 @@ def validate_problem(problem: ExtensionProblem) -> list[Violation]:
                 violations.append(Violation("subspace-not-invariant", label, stray))
                 continue
             drift = abs(float(coeffs @ g) - float(g[i]))
+            _finite(f"checking operator {label}", drift)
             if drift > INVARIANT_TOL:
                 violations.append(Violation("functional-not-invariant", label, drift))
     return violations
@@ -339,11 +333,7 @@ def _residual_fields(problem, functional):
     return invariance, restriction
 
 
-def invariant_extension(
-    problem: ExtensionProblem,
-    tol: float = 1e-8,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-) -> ExtensionResult:
+def invariant_extension(problem: ExtensionProblem, tol: float = 1e-8) -> ExtensionResult:
     """Produce the invariant norm-preserving extension of g.
 
     Checks the preconditions once (raising :class:`ExtensionInvariantError`
@@ -372,7 +362,7 @@ def invariant_extension(
     # its relations are checked: ||T|| <= 1 keeps the dual ball, because
     # ||T^T L||_dual <= ||T|| ||L||_dual, and T(Y) within Y with g(T y) = g(y)
     # keeps the slice L|Y = g, because (T^T L)(y) = L(T y) = g(T y) = g(y).
-    relations = validate_relations(lifted, word_budget)
+    relations = validate_relations(lifted)
     if not relations.ok:
         raise StructureValidationError(relations)
 

@@ -336,6 +336,7 @@ def affine_power(m: AffineMap, n: int) -> AffineMap:
 # polytope operations
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def polytope_images(matrices, offsets, K: Polytope) -> list[Polytope]:
     """The hull of the mapped vertices under each stacked map (N, d, d), (N, d).
 
@@ -345,8 +346,10 @@ def polytope_images(matrices, offsets, K: Polytope) -> list[Polytope]:
     """
     if matrices.shape[-1] != K.dim:
         raise DimensionMismatchError(f"map dim {matrices.shape[-1]} vs polytope dim {K.dim}")
+    images = K.vertices @ np.swapaxes(matrices, 1, 2) + offsets[:, None]
+    _finite("mapping the vertices of K", images)
     hulls = []
-    for mapped in K.vertices @ np.swapaxes(matrices, 1, 2) + offsets[:, None]:
+    for mapped in images:
         mapped = mapped[np.lexsort(mapped.T[::-1])]
         hulls.append(Polytope(mapped[np.append(True, np.any(mapped[1:] != mapped[:-1], axis=1))]))
     return hulls

@@ -55,7 +55,8 @@ class Options:
     result with the Cesàro certificate, ``disagreement`` (max-abs distance
     of the two points) and ``projection_gap`` (|P c - e|, the Cesàro point
     c projected against the exact point e); its status is
-    ``disagreement`` when the gap exceeds ``tol``.
+    ``disagreement`` when the gap exceeds ``tol``.  ``word_budget`` is the
+    longest word that fip sampling mixes; it drives nothing else.
     """
 
     tol: float = DEFAULT_TOL

@@ -1,22 +1,26 @@
 """Structure trees of affine semigroups and their validation.
 
 A tree is either a :class:`Leaf` (a list of pairwise-commuting generators)
-or a :class:`Product` whose normal child commutes past the quotient child:
-for every normal generator h and quotient generator g there is a word h'
-in the normal generators with h.g = g.h'.  Trees built this way always
-admit a common fixed point on any invariant compact convex polytope, which
-is what :mod:`fixmk.solver` computes.
+or a :class:`Product` of a normal factor N with a quotient Q, where every
+quotient generator maps Fix(N), the common fixed set of N, into itself.
+That is the one use the layered Markov–Kakutani proof makes of the normal
+relation h.g = g.h': N has a fixed point in any invariant compact convex
+polytope K, so Fix(N) meets K in a non-empty compact convex set that Q
+keeps, and Q has a fixed point there.  Trees built this way always admit
+a common fixed point on K, which is what :mod:`fixmk.solver` computes.
 
-Validation is entirely numerical: commutation is checked entrywise, the
-normal relation against the stacked words up to a budget, and invariance
-by hull membership of mapped vertices.  Each generator maps all vertices
-at once, and the images are matched against the vertex list in bounded
-chunks, which settles permutations and isometries of K with no LP; only
-the images left unmatched get a hull LP.  A stacked product that
+Validation is entirely numerical and searches no words: commutation is
+checked entrywise, the normal relation on Fix(N) = p + span(Z) from one
+SVD of the stacked fixed-point equations (:func:`common_fixed_subspace`),
+and invariance by hull membership of mapped vertices.  Each generator maps
+all vertices at once, and the images are matched against the vertex list
+in bounded chunks, which settles permutations and isometries of K with no
+LP; only the images left unmatched get a hull LP.  A stacked product that
 overflows raises :class:`NumericalError` naming the step and generator.
 :func:`validate_relations` runs the first two alone, for callers that
 know invariance by other means.  Reports carry the offending generator
-labels and the worst residual so failures are actionable.
+labels and the worst residual so failures are actionable.  Words of the
+generators (:func:`enumerate_elements`) serve fip sampling alone.
 """
 from __future__ import annotations
 
@@ -37,6 +41,9 @@ DEFAULT_WORD_BUDGET = 6
 DEFAULT_ELEMENT_CAP = 10_000
 _DEDUP_TOL = 1e-10
 _CHUNK_BYTES = 64 * 1024  # bound on the temporaries of one chunk of the vertex match
+# singular values of G - I below this share of the largest count as zero: a
+# stochastic matrix whose rows sum to 1 - 1e-16 leaves one near 1e-15 * s_max
+_RANK_RTOL = 1e-10
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +117,18 @@ class ValidationReport:
     failures: list[Failure] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class AffineSubspace:
+    """point + span(basis columns); basis may have zero columns."""
+
+    point: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.shape[1]
+
+
 def _report(depth: int, failures: list[Failure]) -> ValidationReport:
     return ValidationReport(ok=not failures, depth=depth, failures=failures)
 
@@ -176,6 +195,7 @@ def check_invariance(generators, K: Polytope, tol: float) -> ValidationReport:
     return _report(1, _invariance_failures(labeled, K, tol))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing difference is just not close
 def _words(node: SemigroupNode, budget: int, first: int = 0):
     """:func:`enumerate_elements` as stacks (matrices (N, d, d), offsets (N, d)), built as
     flat rows of one buffer; ``first`` offsets an overflow's generator label as in :func:`flatten`."""
@@ -188,7 +208,7 @@ def _words(node: SemigroupNode, budget: int, first: int = 0):
     words = np.append(np.eye(d).ravel(), np.zeros(d))[None]
     keys, size, start = words @ weights, 1, 0
     spread, ulp = weights.sum() * _DEDUP_TOL, (n + 2) * np.finfo(float).eps
-    for _ in range(budget):
+    for length in range(1, budget + 1):
         front = words[start:size, None]
         cand = _compose(front[..., : d * d].reshape(-1, 1, d, d), front[..., d * d :], gm, go)
         cand = cand.reshape(-1, n)
@@ -201,6 +221,7 @@ def _words(node: SemigroupNode, budget: int, first: int = 0):
         words[size:end], keys[size:end] = cand, cand @ weights
         # keys of words within _DEDUP_TOL differ by spread, plus round-off growing with |entries|
         win = 2.0 * (spread + ulp * (2.0 * (np.abs(cand) @ weights) + spread))
+        _finite(f"word enumeration: keying the words of length {length}", keys[size:end], win)
         order = np.argsort(keys[:end], kind="stable")
         lo = np.searchsorted(keys[order], keys[size:end] - win, "left")
         width = np.searchsorted(keys[order], keys[size:end] + win, "right") - lo
@@ -236,41 +257,68 @@ def enumerate_elements(node: SemigroupNode, max_word_length: int) -> list[Affine
     return [AffineMap(m, o) for m, o in zip(*_words(node, max_word_length))]
 
 
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from descending singular values (see ``_RANK_RTOL``)."""
+    return int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
+
+
+def _affine_solution_set(M: np.ndarray, rhs: np.ndarray) -> AffineSubspace | None:
+    """Solution set of M x = rhs as point + nullspace, or None if inconsistent."""
+    U, s, Vt = np.linalg.svd(M)
+    _finite("solving the stacked fixed-point equations", s)
+    rank = _rank(s)
+    coeffs = (U[:, :rank].T @ rhs) / s[:rank] if rank else np.zeros(0)
+    point = Vt[:rank].T @ coeffs if rank else np.zeros(M.shape[1])
+    if np.max(np.abs(M @ point - rhs), initial=0.0) > 1e-9 * (1.0 + np.abs(rhs).max(initial=0.0)):
+        return None
+    return AffineSubspace(point, Vt[rank:].T.copy())
+
+
+def common_fixed_subspace(node: SemigroupNode) -> AffineSubspace | None:
+    """Solutions of g(x) = x for every generator g via one stacked system, or None."""
+    gens = [g for _, g in flatten(node)]
+    d = node.dim
+    M = np.vstack([g.matrix - np.eye(d) for g in gens])
+    rhs = np.concatenate([-g.offset for g in gens])
+    return _affine_solution_set(M, rhs)
+
+
 def check_normal_factor(
     normal: SemigroupNode,
     quotient: SemigroupNode,
-    word_budget: int = DEFAULT_WORD_BUDGET,
     tol: float = DEFAULT_RELATION_TOL,
     first: int = 0,
 ) -> ValidationReport:
-    """Resolve h.g = g.h' with h' a word in the normal generators.
+    """Every quotient generator g must map Fix(N), the normal factor's fixed set, into itself.
 
-    For each generator pair the enumerated words are scanned for the word
-    w nearest to the relation h.g = g.w; its deviation is the residual a
-    failure reports.  Witnesses are labeled as :func:`flatten` labels
-    ``Product(normal, quotient)``, prefixed ``normal:`` or ``quotient:``:
+    With Fix(N) = p + span(Z) from :func:`common_fixed_subspace`, g maps it
+    into Fix(h) iff h(g p) = g p and (A_h - I) A_g Z = 0, so the residual of
+    a pair is the larger max-abs entry of the two.  An empty Fix(N) passes, as
+    an N with no fixed point keeps no polytope and fails invariance instead.
+    Witnesses are labeled as :func:`flatten` labels ``Product(normal,
+    quotient)``, prefixed ``normal:`` or ``quotient:``:
     the normal generators are g<first>, ..., and the quotient's follow
     them.  ``first`` is the index of the normal factor's first generator in
     an enclosing tree (0 for a tree of its own).
     """
-    if word_budget < 1:
-        raise ValueError("word_budget must be >= 1")
-    words = _words(normal, word_budget, first)
     h_gens = [(f"normal:{l}", m) for l, m in flatten(normal, first)]
     g_gens = [(f"quotient:{l}", m) for l, m in flatten(quotient, first + len(h_gens))]
-    failures = []
+    fixed = common_fixed_subspace(normal)
+    if fixed is None:
+        return _report(1, [])
+    eye, failures = np.eye(normal.dim), []
     for hl, h in h_gens:
         for gl, g in g_gens:
-            target = _compose(h.matrix, h.offset, g.matrix, g.offset)
-            gw = _compose(g.matrix, g.offset, *words)
-            _finite(f"normal relation: composing {hl}, {gl} and the words", target, gw)
-            best = float(np.abs(gw - target).max(axis=1).min())
-            if best > tol:
-                failures.append(Failure("normal-relation", (hl, gl), best))
+            gz, gp = geometry._compose(g.matrix, g.offset, fixed.basis, fixed.point)
+            moved = geometry._compose(h.matrix - eye, h.offset, gz, gp)
+            _finite(f"normal relation: {hl} after {gl} on Fix(normal)", gz, gp, *moved)
+            worst = max(float(np.abs(a).max(initial=0.0)) for a in moved)
+            if worst > tol:
+                failures.append(Failure("normal-relation", (hl, gl), worst))
     return _report(1, failures)
 
 
-def _relation_failures(node, word_budget, tol, first):
+def _relation_failures(node, tol, first):
     """Height of the tree and its abelian and normal-relation failures.
 
     ``first`` is the tree-wide index of the subtree's first generator, so
@@ -278,19 +326,13 @@ def _relation_failures(node, word_budget, tol, first):
     """
     if isinstance(node, Leaf):
         return 1, _abelian_failures(flatten(node, first))
-    left_depth, left = _relation_failures(node.normal, word_budget, tol, first)
-    right_depth, right = _relation_failures(
-        node.quotient, word_budget, tol, first + len(flatten(node.normal))
-    )
-    normal = check_normal_factor(node.normal, node.quotient, word_budget, tol, first).failures
+    left_depth, left = _relation_failures(node.normal, tol, first)
+    right_depth, right = _relation_failures(node.quotient, tol, first + len(flatten(node.normal)))
+    normal = check_normal_factor(node.normal, node.quotient, tol, first).failures
     return 1 + max(left_depth, right_depth), left + right + normal
 
 
-def validate_relations(
-    node: SemigroupNode,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    tol: float = DEFAULT_RELATION_TOL,
-) -> ValidationReport:
+def validate_relations(node: SemigroupNode, tol: float = DEFAULT_RELATION_TOL) -> ValidationReport:
     """Check the tree's algebra alone: abelian leaves and normal relations.
 
     Leaves must be abelian and products need the normal relation between
@@ -298,15 +340,12 @@ def validate_relations(
     witnesses are labeled as :func:`flatten` does; the depth field records the height of the tree
     (1 for leaves, 1 + max child depth for products).
     """
-    depth, failures = _relation_failures(node, word_budget, tol, 0)
+    depth, failures = _relation_failures(node, tol, 0)
     return _report(depth, failures)
 
 
 def validate_structure(
-    node: SemigroupNode,
-    K: Polytope,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    tol: float = DEFAULT_RELATION_TOL,
+    node: SemigroupNode, K: Polytope, tol: float = DEFAULT_RELATION_TOL
 ) -> ValidationReport:
     """Validate a structure tree against the polytope K.
 
@@ -315,7 +354,7 @@ def validate_structure(
     :func:`flatten` does.  Purely deterministic: identical inputs give
     identical reports.
     """
-    relations = validate_relations(node, word_budget, tol)
+    relations = validate_relations(node, tol)
     invariance = _invariance_failures(flatten(node), K, tol)
     return _report(relations.depth, relations.failures + invariance)
 

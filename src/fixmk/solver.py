@@ -4,9 +4,10 @@ Two independent routes, both from a start point x0 in K:
 
 * :func:`solve_cesaro` — iterate the layered averaging operator.  For a
   leaf this composes the depth-n averages (1/n)(I + g + ... + g^(n-1)) of
-  its generators; for a product it composes the normal stage after the
-  quotient stage.  The image of any start point has per-generator residual
-  bounded by diameter(K)/n, so doubling n certifies convergence.  Each
+  its generators; for a product it composes the quotient stage after the
+  normal stage, the proof's order (see :func:`_layered`).  On a leaf the
+  image of any start point has per-generator residual bounded by
+  diameter(K)/n, so doubling n certifies convergence.  Each
   generator's power sum and power are carried from one depth to the next
   (S_2n = S_n + g^n S_n, g^2n = g^n g^n), so the whole schedule up to
   depth n costs O(log n) matrix products, and depth budgets of 2^40 are
@@ -62,7 +63,9 @@ from .semigroup import (
     DEFAULT_WORD_BUDGET,
     Leaf,
     SemigroupNode,
+    _rank,
     _words,
+    common_fixed_subspace,
     flatten,
 )
 
@@ -71,9 +74,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-8
 DEFAULT_N_MAX = 2**20
 _CONDITION_LIMIT = 1e8  # cond([N R]) above which a generator's projection is refused
-# singular values of G - I below this share of the largest count as zero: a
-# stochastic matrix whose rows sum to 1 - 1e-16 leaves one near 1e-15 * s_max
-_RANK_RTOL = 1e-10
 
 
 @dataclass
@@ -116,18 +116,6 @@ class CrossCheck:
         return float(np.max(np.abs(self.exact.point - self.cesaro.point)))
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
-    """point + span(basis columns); basis may have zero columns."""
-
-    point: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
-
-
 @dataclass
 class FipReport:
     feasible: bool
@@ -148,24 +136,21 @@ def residual(point, node: SemigroupNode) -> dict[str, float]:
 
 def _layered(node: SemigroupNode, stage):
     """The (matrix, offset) pairs stage(g) composed: a Leaf's from the identity, a Product's
-    normal layer after its quotient.  An overflow leaves a non-finite entry in the result."""
+    quotient layer after its normal one, as in the proof: the normal limit lands in Fix(N),
+    which every quotient generator keeps (the normal relation of :mod:`fixmk.semigroup`), so
+    the quotient's limit there is fixed by both.  An overflow leaves a non-finite entry."""
     if isinstance(node, Leaf):
         m, o = np.eye(node.dim), np.zeros(node.dim)
         for g in node.generators:  # they commute, so the order does not matter
             m, o = _compose(m, o, *stage(g))
         return m, o
-    return _compose(*_layered(node.normal, stage), *_layered(node.quotient, stage))
+    return _compose(*_layered(node.quotient, stage), *_layered(node.normal, stage))
 
 
 def averaging_operator(node: SemigroupNode, n: int) -> AffineMap:
     """Depth-n averaging stage of the tree: each generator's depth-n average, layered."""
     pair = _layered(node, lambda g: _average(g, n))
     return AffineMap(*_finite(f"averaging at depth {n}", *pair))
-
-
-def _rank(s: np.ndarray) -> int:
-    """Numerical rank from descending singular values (see ``_RANK_RTOL``)."""
-    return int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
 
 
 def _ergodic_projection(g: AffineMap, center: np.ndarray, scale: float):
@@ -261,26 +246,6 @@ def solve_cesaro(
     a missing fixed point.
     """
     return _cesaro_from(node, K, _start_point(node, K, x0, tol), tol, n_max)
-
-
-def _affine_solution_set(M: np.ndarray, rhs: np.ndarray) -> AffineSubspace | None:
-    """Solution set of M x = rhs as point + nullspace, or None if inconsistent."""
-    U, s, Vt = np.linalg.svd(M)
-    rank = _rank(s)
-    coeffs = (U[:, :rank].T @ rhs) / s[:rank] if rank else np.zeros(0)
-    point = Vt[:rank].T @ coeffs if rank else np.zeros(M.shape[1])
-    if np.max(np.abs(M @ point - rhs), initial=0.0) > 1e-9 * (1.0 + np.abs(rhs).max(initial=0.0)):
-        return None
-    return AffineSubspace(point, Vt[rank:].T.copy())
-
-
-def common_fixed_subspace(node: SemigroupNode) -> AffineSubspace | None:
-    """Solutions of g(x) = x for every generator g via one stacked system, or None."""
-    gens = [g for _, g in flatten(node)]
-    d = node.dim
-    M = np.vstack([g.matrix - np.eye(d) for g in gens])
-    rhs = np.concatenate([-g.offset for g in gens])
-    return _affine_solution_set(M, rhs)
 
 
 def _diagnose(node, K, tol, failure: Exception):

@@ -78,6 +78,15 @@ def swap12_3d():
     return AffineMap.linear([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def polygon_dihedral(m):
+    """D_m on the regular m-gon: the rotation by 2 pi / m normal under the reflection in the x-axis."""
+    t = 2 * np.pi / m
+    rotation = AffineMap.linear([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    angles = t * np.arange(m)
+    K = Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+    return Product(Leaf((rotation,)), Leaf((reflect_x(),))), K
+
+
 def cube(d):
     return Polytope.box(-np.ones(d), np.ones(d))
 

@@ -8,12 +8,15 @@ constraint set has a plain reference too, one lstsq per facet combination,
 which the library's batched screen must match bit for bit, and a HiGHS
 test of whether dual-ball facets share a face, which its prune must match.
 The semigroup layer's stacked passes have their plain loops here too: the
-invariance pass one vertex image at a time, and word enumeration one
-candidate word at a time against every word kept so far.
+invariance pass one vertex image at a time, the normal relation one
+generator pair at a time on a fixed set from scipy's ``null_space``, and
+word enumeration one candidate word at a time against every word kept so
+far.
 """
 import itertools
 
 import numpy as np
+from scipy.linalg import lstsq, null_space
 from scipy.optimize import linprog
 
 from fixmk import NormKind, semigroup
@@ -176,11 +179,39 @@ def invariance_loop(labeled, K, tol):
     return failures, matched
 
 
-def validation_loop(node, K, word_budget, tol):
-    """validate_structure one generator pair, word and vertex at a time.
+def fixed_set(maps):
+    """Common fixed set of the maps as (p, Z), p + span(Z columns), by scipy; None when empty."""
+    d = maps[0].dim
+    M = np.vstack([m.matrix - np.eye(d) for m in maps])
+    rhs = np.concatenate([-m.offset for m in maps])
+    p = lstsq(M, rhs)[0]
+    if np.abs(M @ p - rhs).max() > 1e-9 * (1.0 + np.abs(rhs).max()):
+        return None
+    return p, null_space(M)
 
-    Returns (depth, [(kind, witness, residual)], matched), labeled as
-    ``flatten`` labels the tree; matched is :func:`invariance_loop`'s.
+
+def fix_residual(fixed, h, g):
+    """How far h moves g(Fix): max |h(g p) - g p| and |A_h A_g Z - A_g Z|, 0 for an empty Fix."""
+    if fixed is None:
+        return 0.0
+    p, Z = fixed
+    gp, gz = g(p), g.matrix @ Z
+    return max(np.abs(h(gp) - gp).max(), np.abs(h.matrix @ gz - gz).max(initial=0.0))
+
+
+def word_residual(words, h, g):
+    """The word search that validation used to run: min over words w of N of |h.g - g.w|."""
+    target = affine_compose(h, g)
+    return min(map_deviation(target, affine_compose(g, w)) for w in words)
+
+
+def relation_loop(node, tol, word_budget=None):
+    """validate_relations one generator pair at a time: (depth, [(kind, witness, residual)]).
+
+    Labeled as ``flatten`` labels the tree.  The normal relation is
+    :func:`fix_residual` on each pair; given a ``word_budget`` it is
+    :func:`word_residual` over the words up to that length instead, the
+    stronger condition the word search checked.
     """
     def relations(n, first):
         labeled = flatten(n, first)
@@ -194,19 +225,28 @@ def validation_loop(node, K, word_budget, tol):
             return 1, failures
         left_depth, left = relations(n.normal, first)
         right_depth, right = relations(n.quotient, first + len(flatten(n.normal)))
-        words = words_loop(n.normal, word_budget)
         h_gens = [(f"normal:{l}", m) for l, m in flatten(n.normal, first)]
         g_gens = [(f"quotient:{l}", m) for l, m in labeled[len(h_gens):]]
+        words = None if word_budget is None else words_loop(n.normal, word_budget)
+        fixed = fixed_set([m for _, m in h_gens]) if words is None else None
         normal = []
         for hl, h in h_gens:
             for gl, g in g_gens:
-                target = affine_compose(h, g)
-                best = min(map_deviation(target, affine_compose(g, w)) for w in words)
+                best = fix_residual(fixed, h, g) if words is None else word_residual(words, h, g)
                 if best > tol:
                     normal.append(("normal-relation", (hl, gl), best))
         return 1 + max(left_depth, right_depth), left + right + normal
 
-    depth, failures = relations(node, 0)
+    return relations(node, 0)
+
+
+def validation_loop(node, K, tol, word_budget=None):
+    """validate_structure one generator pair and vertex at a time.
+
+    Returns (depth, [(kind, witness, residual)], matched): the failures of
+    :func:`relation_loop`, then of :func:`invariance_loop`, and its matched.
+    """
+    depth, failures = relation_loop(node, tol, word_budget)
     invariance, matched = invariance_loop(flatten(node), K, tol)
     return depth, failures + invariance, matched
 

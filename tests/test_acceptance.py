@@ -56,7 +56,7 @@ def test_criterion_1_both_solvers_on_every_fixture(solve_fixtures):
     dims, depths = set(), set()
     for name, pf in solve_fixtures:
         payload, opts = pf.payload, pf.options
-        report = validate_structure(payload.node, payload.polytope, opts.word_budget, opts.tol)
+        report = validate_structure(payload.node, payload.polytope, opts.tol)
         assert report.ok, f"{name}: validation failed"
         dims.add(payload.node.dim)
         depths.add(report.depth)
@@ -188,7 +188,7 @@ def test_criterion_8_invariant_extensions():
     for stem, target in expected.items():
         pf = load_problem(FIXTURES / "extension" / f"{stem}.json")
         problem = pf.payload.problem
-        result = invariant_extension(problem, pf.options.tol, pf.options.word_budget)
+        result = invariant_extension(problem, pf.options.tol)
         np.testing.assert_allclose(result.functional, target, atol=TOL)
         check = verify_extension(result, problem, TOL)
         assert check.ok

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, fixture_paths
-from fixmk import NumericalError, SchemaError, cli, extension, lp, schema, solver
+from fixmk import NumericalError, SchemaError, cli, extension, lp, schema, semigroup, solver
 from fixmk.schema import load_problem, parse_problem, serialize_problem
-from helpers import load_tool, run_cli
+from helpers import count_calls, load_tool, run_cli
 
 
 def canonical_fixture_paths():
@@ -575,28 +575,43 @@ def test_no_input_escapes_main(command, tmp_path, capsys):
 HUGE = {"matrix": [[1e200]], "offset": [0.0]}
 FLIP = {"matrix": [[-1.0]], "offset": [0.0]}
 
-# polytope vertices, tree, error line: each exited 1 with a raw ValueError traceback
+# polytope vertices, tree, check flags, error line: each exited 1 with a raw ValueError traceback
 OVERFLOWS = {
-    "vertex_image": ([[1e200], [-1e200]], {"leaf": [HUGE]},
+    "vertex_image": ([[1e200], [-1e200]], {"leaf": [HUGE]}, (),
                      "error: invariance check: g0 maps a vertex of K out of float range"),
-    "abelian_pair": ([[1.0], [-1.0]], {"leaf": [HUGE, HUGE]},
+    "abelian_pair": ([[1.0], [-1.0]], {"leaf": [HUGE, HUGE]}, (),
                      "error: abelian check: composing g0 and g1 overflows"),
-    "word_enumeration": ([[1.0], [-1.0]], {"product": {"normal": {"leaf": [HUGE]}, "quotient": {"leaf": [FLIP]}}},
-                         "error: word enumeration: composing a word with g0 overflows"),
+    # K = {0} keeps every linear map, so the tree validates and fip sampling forms the words
+    "word_enumeration": ([[0.0]], {"product": {"normal": {"leaf": [HUGE]}, "quotient": {"leaf": [FLIP]}}},
+                         ("--fip", "2"), "error: word enumeration: composing a word with g0 overflows"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOWS))
 def test_semigroup_overflow_exits_one_with_an_error_line(name, tmp_path):
-    vertices, tree, line = OVERFLOWS[name]
+    vertices, tree, flags, line = OVERFLOWS[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({
         "kind": "structure-check",
         "options": {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6},
         "payload": {"polytope": {"vertices": vertices}, "semigroup": tree},
     }))
-    code, out, err = run_cli("check", str(path))
+    code, out, err = run_cli("check", str(path), *flags)
     assert (code, out, err) == (1, "", line + "\n")  # no traceback, no RuntimeWarning
+
+
+def test_validation_enumerates_no_words(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, semigroup, "_words")
+    monkeypatch.setattr(solver, "_words", semigroup._words)  # where fip sampling looks it up
+    for path in fixture_paths("solve"):
+        assert cli.main(["check", str(path)]) == 0
+        assert cli.main(["solve", str(path), "--mode", "exact"]) == 0
+    for path in fixture_paths("extension"):
+        assert cli.main(["extend", str(path)]) == 0
+    assert calls == []
+    assert cli.main(["check", str(FIXTURES / "solve" / "dihedral_square.json"), "--fip", "2"]) == 0
+    assert calls == [1]
+    capsys.readouterr()
 
 
 # --- overflow in averaging and in the extension checks ends in an error line ---------
@@ -612,14 +627,18 @@ def test_an_overflowing_average_exits_one_with_an_error_line(mode):
         assert (code, out, err) == (1, "", "error: averaging at depth 1024 overflows\n")
 
 
-@pytest.mark.parametrize("basis, entry", [([1.0, 1.0], 1e308), ([1e10, 1e10], 1e300)],
-                         ids=["operator-norm", "basis-image"])
-def test_an_overflowing_extension_operator_exits_one_with_an_error_line(basis, entry, tmp_path):
-    # the first wrote "residual": Infinity, which is not JSON, after two RuntimeWarnings
+@pytest.mark.parametrize("basis, value, matrix", [
+    ([1.0, 1.0], 1.0, [[1e308, 1e308], [0.0, 1.0]]),
+    ([1e10, 1e10], 1.0, [[1e300, 1e300], [0.0, 1.0]]),
+    ([1.0, 0.0], 1e308, [[2.0, 0.0], [0.0, 1.0]]),
+], ids=["operator-norm", "basis-image", "functional-drift"])
+def test_an_overflowing_extension_operator_exits_one_with_an_error_line(basis, value, matrix, tmp_path):
+    # the first wrote "residual": Infinity, which is not JSON, after two RuntimeWarnings;
+    # the last exited 1 with "error: report: Out of range float values are not JSON compliant"
     path = tmp_path / "overflowing_operator.json"
     path.write_text(json.dumps({"kind": "extension", "payload": {
-        "dim": 2, "norm": "max-abs", "subspace_basis": [basis], "functional_on_subspace": [1.0],
-        "operators": {"leaf": [{"matrix": [[entry, entry], [0.0, 1.0]], "offset": [0.0, 0.0]}]},
+        "dim": 2, "norm": "max-abs", "subspace_basis": [basis], "functional_on_subspace": [value],
+        "operators": {"leaf": [{"matrix": matrix, "offset": [0.0, 0.0]}]},
     }}))
     code, out, err = run_cli("extend", str(path))
     assert (code, out, err) == (1, "", "error: checking operator g0 overflows\n")

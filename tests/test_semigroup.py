@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import fixture_paths
 from fixmk import geometry, semigroup
 from fixmk import (
     AffineMap,
@@ -23,12 +24,15 @@ from fixmk import (
     commuting_combination,
     convex_combination,
     enumerate_elements,
+    lift_operators,
     map_deviation,
     validate_relations,
     validate_structure,
 )
+from fixmk.errors import SchemaError
+from fixmk.schema import ExtensionPayload, load_problem
 from helpers import (
-    commuting_contractions, count_calls, cube, dihedral_node, reflect_x, rot90, rot180,
+    commuting_contractions, count_calls, cube, dihedral_node, polygon_dihedral, reflect_x, rot90, rot180,
     signed_permutations, square, unit_square,
 )
 
@@ -74,16 +78,108 @@ def test_normal_identity_always_ok():
 
 
 def test_normal_rotation_under_reflection():
-    # reflect . rot90 = rot270 . reflect, and rot270 = rot90^3
-    assert check_normal_factor(Leaf((rot90(),)), Leaf((reflect_x(),)), word_budget=3).ok
-    assert not check_normal_factor(Leaf((rot90(),)), Leaf((reflect_x(),)), word_budget=2).ok
+    # reflect . rot90 = rot270 . reflect: the reflection keeps Fix(rot90) = {0},
+    # whatever the length of the word rot270 = rot90^3
+    assert check_normal_factor(Leaf((rot90(),)), Leaf((reflect_x(),))).ok
 
 
 def test_normal_shear_vs_rotation_fails():
+    # rot90 turns Fix(shear) = span(e1) into span(e2), which the shear moves by 1
     shear = AffineMap.linear([[1.0, 1.0], [0.0, 1.0]])
-    report = check_normal_factor(Leaf((shear,)), Leaf((rot90(),)), word_budget=5)
-    assert not report.ok
-    assert report.failures[0].kind == "normal-relation"
+    report = check_normal_factor(Leaf((shear,)), Leaf((rot90(),)))
+    assert [(f.kind, f.witness) for f in report.failures] == [("normal-relation", ("normal:g0", "quotient:g1"))]
+    assert report.failures[0].residual == pytest.approx(1.0)
+
+
+def test_a_translation_normal_factor_fails_invariance_only():
+    # Fix of a translation is empty, so any quotient keeps it; the translation leaves K
+    node = Product(Leaf((AffineMap.translation([0.5, 0.0]),)), Leaf((rot90(),)))
+    assert check_normal_factor(node.normal, node.quotient).ok
+    report = validate_structure(node, square())
+    assert [(f.kind, f.witness) for f in report.failures] == [("not-invariant", ("g0",))]
+
+
+# --- the exact normal relation against scipy and against the word search ----
+
+def _about(matrix, centre):
+    M, c = np.array(matrix, dtype=float), np.array(centre, dtype=float)
+    return AffineMap(M, c - M @ c)
+
+
+diagonal_products = st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.sampled_from([1.0, 0.5, -1.0]), min_size=d, max_size=d), min_size=1, max_size=2),
+    st.permutations(range(d)),
+    *[st.lists(st.sampled_from(values), min_size=d, max_size=d)
+      for values in ([1.0, -1.0, 0.5, 0.0], [0.0, 0.5, -1.0], [0.0, 0.5, -1.0])],
+))
+
+
+def diagonal_product(diagonals, perm, scales, centre, quotient_centre):
+    """Commuting diagonal scalings about one centre, normal under a scaled permutation about another."""
+    normal = Leaf(tuple(_about(np.diag(a), centre) for a in diagonals))
+    return Product(normal, Leaf((_about(np.eye(len(perm))[list(perm)] * scales, quotient_centre),)))
+
+
+def named_products():
+    shear = AffineMap.linear([[1.0, 1.0], [0.0, 1.0]])
+    half = AffineMap.linear(0.5 * np.eye(2))
+    yield from (polygon_dihedral(m)[0] for m in range(3, 17))
+    yield from (dihedral_node(), Product(Leaf((shear,)), Leaf((rot90(),))),
+                Product(Leaf((AffineMap.translation([0.5, 0.0]),)), Leaf((rot90(),))),
+                Product(Leaf((half,)), Product(Leaf((shear,)), Leaf((rot90(),)))),
+                Product(Leaf((AffineMap.linear([[1.0, 0.0], [0.0, 0.5]]),)),
+                        Leaf((AffineMap.linear([[0.0, 1.0], [0.0, 1.0]]),))))
+    yield from (signed_permutations(perm, scaled) for perm in ([1, 0, 2], [2, 3, 0, 1], [4, 0, 3, 1, 2])
+                for scaled in (None, 0, len(perm)))
+
+
+def assert_exact_relation_as_the_references_see_it(node):
+    """validate_relations names the pairs the null_space loop names, and only pairs the word search names."""
+    named = [(f.kind, f.witness) for f in validate_relations(node).failures]
+    assert named == [(kind, w) for kind, w, _ in oracles.relation_loop(node, semigroup.DEFAULT_RELATION_TOL)[1]]
+    words = oracles.relation_loop(node, semigroup.DEFAULT_RELATION_TOL, word_budget=6)[1]
+    assert set(named) <= {(kind, w) for kind, w, _ in words}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagonal_products)
+def test_diagonal_products_relate_as_the_references_see_them(case):
+    assert_exact_relation_as_the_references_see_it(diagonal_product(*case))
+
+
+def test_named_products_relate_as_the_references_see_them():
+    for node in named_products():
+        assert_exact_relation_as_the_references_see_it(node)
+
+
+def corpus_trees():
+    """(name, tree, polytope or None, word budget) of every parsable fixture; extensions lifted."""
+    for path in fixture_paths("solve") + fixture_paths("fip") + fixture_paths("negative"):
+        try:
+            pf = load_problem(path)
+        except SchemaError:
+            continue
+        if isinstance(pf.payload, ExtensionPayload):
+            yield path.stem, lift_operators(pf.payload.problem.operators), None, pf.options.word_budget
+        else:
+            yield path.stem, pf.payload.node, pf.payload.polytope, pf.options.word_budget
+    for path in fixture_paths("extension"):
+        pf = load_problem(path)
+        yield path.stem, lift_operators(pf.payload.problem.operators), None, pf.options.word_budget
+
+
+def test_whatever_the_word_search_accepted_still_validates():
+    seen = 0
+    for name, node, K, budget in corpus_trees():
+        assert_exact_relation_as_the_references_see_it(node)
+        if K is None:
+            accepted = oracles.relation_loop(node, 1e-9, budget)[1] == []
+            assert validate_relations(node).ok or not accepted, name
+        else:
+            accepted = oracles.validation_loop(node, K, 1e-9, budget)[1] == []
+            assert validate_structure(node, K).ok or not accepted, name
+        seen += accepted
+    assert seen >= 19  # all but the two negative fixtures that fail validation
 
 
 # --- validate_structure ----------------------------------------------------
@@ -129,20 +225,20 @@ def test_validate_labels_abelian_witnesses_tree_wide():
 
 
 def test_validate_labels_normal_relation_witnesses_tree_wide():
-    # tree-wide, 0.5*I is g1 and the shear, which rot90 fails to normalize, is g2
+    # tree-wide, the shear is g1 and rot90, which turns Fix(shear) out of itself, is g2
     shear = AffineMap.linear([[1.0, 1.0], [0.0, 1.0]])
     half = AffineMap.linear(0.5 * np.eye(2))
-    node = Product(Leaf((rot90(),)), Product(Leaf((half,)), Leaf((shear,))))
+    node = Product(Leaf((half,)), Product(Leaf((shear,)), Leaf((rot90(),))))
     report = validate_relations(node)
     assert [(f.kind, f.witness) for f in report.failures] == [
-        ("normal-relation", ("normal:g0", "quotient:g2"))
+        ("normal-relation", ("normal:g1", "quotient:g2"))
     ]
 
 
 def test_normal_factor_labels_follow_the_product():
-    # on its own, check_normal_factor labels Product(normal, quotient) as flatten does
-    shear = AffineMap.linear([[1.0, 1.0], [0.0, 1.0]])
-    report = check_normal_factor(Leaf((rot180(), rot90())), Leaf((shear,)), word_budget=3)
+    # on its own, check_normal_factor labels Product(normal, quotient) as flatten does;
+    # rot90 turns Fix = span(e1) into span(e2), which only the reflection (g1) moves
+    report = check_normal_factor(Leaf((AffineMap.identity(2), reflect_x())), Leaf((rot90(),)))
     assert [f.witness for f in report.failures] == [("normal:g1", "quotient:g2")]
 
 
@@ -287,7 +383,7 @@ def _bits(depth, failures, matched):
     return depth, [(kind, tuple(witness), float(r).hex()) for kind, witness, r in failures], matched
 
 
-def validated(node, K, budget):
+def validated(node, K):
     """validate_structure's (depth, failures with residual bits, pairs settled by vertex match)."""
     records = []
     handler = logging.Handler(logging.DEBUG)
@@ -297,7 +393,7 @@ def validated(node, K, budget):
     log.addHandler(handler)
     log.setLevel(logging.DEBUG)
     try:
-        report = validate_structure(node, K, budget, 1e-9)
+        report = validate_structure(node, K, 1e-9)
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
@@ -318,8 +414,8 @@ def assert_words_match_the_loop(node, budget):
 def test_signed_permutations_validate_with_no_lp_as_the_loops_do(d, data):
     perm = data.draw(st.permutations(range(d)))
     node, K = signed_permutations(perm), cube(d)
-    got = validated(node, K, 6)
-    assert got == _bits(*oracles.validation_loop(node, K, 6, 1e-9))
+    got = validated(node, K)
+    assert got == _bits(*oracles.validation_loop(node, K, 1e-9))
     assert got[1] == [] and got[2] == (len(perm) + 1) * K.n_vertices  # every pair matched: no LP
     assert_words_match_the_loop(node.normal, 6)
 
@@ -331,8 +427,8 @@ def test_signed_permutations_validate_with_no_lp_as_the_loops_do(d, data):
 def test_a_scaled_signed_permutation_is_named_as_the_loops_name_it(case):
     perm, scaled = case
     node, K = signed_permutations(perm, scaled), cube(len(perm))
-    got = validated(node, K, 4)
-    assert got == _bits(*oracles.validation_loop(node, K, 4, 1e-9))
+    got = validated(node, K)
+    assert got == _bits(*oracles.validation_loop(node, K, 1e-9))
     assert [w for kind, w, _ in got[1] if kind == "not-invariant"] == [(f"g{scaled}",)]
     assert_words_match_the_loop(node.normal, 4)
 
@@ -350,8 +446,8 @@ contraction_cases = st.integers(1, 3).flatmap(
 @given(contraction_cases)
 def test_commuting_contractions_validate_as_the_loops_do(case):
     node, K = commuting_contractions(*case)
-    got = validated(node, K, 6)
-    assert got == _bits(*oracles.validation_loop(node, K, 6, 1e-9))
+    got = validated(node, K)
+    assert got == _bits(*oracles.validation_loop(node, K, 1e-9))
     assert got[1] == []
     assert_words_match_the_loop(node, 6)
 
@@ -361,8 +457,8 @@ def test_commuting_contractions_validate_as_the_loops_do(case):
 def test_a_stretched_contraction_is_named_as_the_loops_name_it(case):
     (lo, width, scales), stretched = case
     node, K = commuting_contractions(lo, width, scales, stretched)
-    got = validated(node, K, 6)
-    assert got == _bits(*oracles.validation_loop(node, K, 6, 1e-9))
+    got = validated(node, K)
+    assert got == _bits(*oracles.validation_loop(node, K, 1e-9))
     assert [w for _, w, _ in got[1]] == [(f"g{stretched}",)]
     assert got[2] == 0  # no image is a vertex: every pair takes its LP
     assert_words_match_the_loop(node, 6)
@@ -429,10 +525,16 @@ def test_overflow_names_the_step_and_the_generator():
         validate_structure(Leaf((AffineMap.identity(1), huge, huge)), interval)
     with pytest.raises(NumericalError, match="word enumeration: composing a word with g1 overflows"):
         enumerate_elements(Leaf((AffineMap.linear([[-1.0]]), huge)), 3)
-    big = Leaf((AffineMap.linear([[1e150]]),))  # its word of length 2 is 1e300
-    with pytest.raises(NumericalError, match="normal relation: composing normal:g0, quotient:g1 and the words"):
-        check_normal_factor(big, Leaf((AffineMap.linear([[1e10]]),)), word_budget=2)
+    # the words are finite, their dedup keys are not
+    with pytest.raises(NumericalError, match="^word enumeration: keying the words of length 1 overflows$"):
+        enumerate_elements(Leaf((AffineMap.translation([1.5e308, 0.0]),)), 1)
+    far = Leaf((AffineMap([[0.0]], [1e300]),))  # Fix = {1e300}, which g maps to 1e310
+    with pytest.raises(NumericalError, match="^normal relation: normal:g0 after quotient:g1 on Fix"):
+        check_normal_factor(far, Leaf((AffineMap.linear([[1e10]]),)))
+    tall = Leaf((AffineMap.linear([[1.7e308, 0.0], [1.7e308, 0.0]]),))  # s_max of A - I is inf
+    with pytest.raises(NumericalError, match="^solving the stacked fixed-point equations overflows$"):
+        check_normal_factor(tall, Leaf((AffineMap.identity(2),)))
     h = AffineMap.linear([[1e200, 0.0], [0.0, 1.0]])
-    g = AffineMap.linear([[0.0, 1e200], [1.0, 0.0]])  # g.h and g are finite, h.g is not
-    with pytest.raises(NumericalError, match="normal relation: composing normal:g0, quotient:g1 and the words"):
-        check_normal_factor(Leaf((h,)), Leaf((g,)), word_budget=1)
+    g = AffineMap.linear([[0.0, 1e200], [1.0, 0.0]])  # g maps Fix(h) = span(e2) to 1e200 e1
+    with pytest.raises(NumericalError, match="^normal relation: normal:g0 after quotient:g1 on Fix"):
+        check_normal_factor(Leaf((h,)), Leaf((g,)))

@@ -39,8 +39,8 @@ from fixmk.semigroup import flatten
 from fixmk.solver import DEFAULT_TOL, _sample_family
 from conftest import FIXTURES
 from helpers import (
-    commuting_contractions, count_calls, cube, dihedral_node, markov_node, reflect_x, rot90,
-    signed_permutations, square, unit_square,
+    commuting_contractions, count_calls, cube, dihedral_node, markov_node, polygon_dihedral, reflect_x,
+    rot90, signed_permutations, square, unit_square,
 )
 from oracles import hull_distance
 from oracles import stationary_distribution
@@ -60,9 +60,10 @@ def test_averaging_rotation_collapses_at_four():
 
 
 def test_averaging_product_matches_hand_expansion():
+    # the quotient's average after the normal one, the layered proof's order
     op = averaging_operator(dihedral_node(), 2)
     R, S, I = rot90().matrix, reflect_x().matrix, np.eye(2)
-    expected = ((I + R) / 2) @ ((I + S) / 2)
+    expected = ((I + S) / 2) @ ((I + R) / 2)
     np.testing.assert_allclose(op.matrix, expected, atol=1e-15)
     np.testing.assert_allclose(op.offset, np.zeros(2), atol=1e-15)
 
@@ -143,9 +144,10 @@ def test_schedule_points_are_the_averaging_operator_points_bit_for_bit(node, sta
 @pytest.mark.parametrize("node, depth", [
     (Leaf((AffineMap.linear(2 * np.eye(2)),)), 1024),
     (Leaf((AffineMap(2 * np.eye(2), [1e300, 0.0]),)), 32),
-    # the normal offset overflows at depth 512, before the quotient's matrix
+    # the quotient's matrix times the normal offset overflows at depth 256; each
+    # factor's average alone overflows only at 512
     (Product(Leaf((AffineMap(2 * np.eye(2), [1e160, 0.0]),)), Leaf((AffineMap.linear(4 * np.eye(2)),))),
-     512),
+     256),
 ], ids=["matrix", "offset", "offset-before-matrix"])
 def test_an_overflowing_depth_fails_as_its_averaging_operator_does(node, depth):
     # pytest makes any RuntimeWarning an error, so none may escape
@@ -481,6 +483,40 @@ def test_fixed_point_is_fixed_by_all_words():
             assert np.max(np.abs(w(p) - p)) <= 1e-8
 
 
+# --- trees that only the exact normal relation accepts ------------------------
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_dihedral_groups_of_the_polygon_solve_in_every_mode(m):
+    # rejected for m >= 8 while the relation was a search of words up to length 6;
+    # n_max 2^40 as in the corpus: at 2^20 averaging stops at residual ~1e-6 (diam / n)
+    node, K = polygon_dihedral(m)
+    assert validate_structure(node, K).ok
+    start = K.vertices[1]
+    exact, check = solve_exact(node, K, start), cross_check(node, K, start, n_max=2**40)
+    np.testing.assert_allclose([exact.point, check.exact.point], np.zeros((2, 2)), atol=1e-15)
+    cesaro = solve_cesaro(node, K, start, n_max=2**40)
+    assert cesaro.max_residual <= DEFAULT_TOL
+    np.testing.assert_allclose(cesaro.point, [0.0, 0.0], atol=1e-7)  # |r p - p| = 2 sin(pi / m) |p|
+    for family in ("cof", "coh-coq"):
+        assert fip_check(node, K, 3, family, seed=m).feasible
+
+
+def test_the_quotient_is_layered_after_the_normal_factor():
+    # h = diag(1, 1/2) fixes the x1-axis and g(x) = (x2, x2) maps it to 0, the one
+    # common fixed point.  Layered normal-after-quotient, P_N P_Q (0.5, 0.5) = (0.5, 0)
+    # is not fixed by g; the proof's order P_Q P_N lands on 0.
+    node = Product(Leaf((AffineMap.linear([[1.0, 0.0], [0.0, 0.5]]),)),
+                   Leaf((AffineMap.linear([[0.0, 1.0], [0.0, 1.0]]),)))
+    start = [0.5, 0.5]
+    assert validate_structure(node, square()).ok
+    assert solve_exact(node, square(), start).point.tolist() == [0.0, 0.0]
+    check = cross_check(node, square(), start, n_max=2**40)
+    assert check.exact.point.tolist() == [0.0, 0.0] and check.projection_gap <= DEFAULT_TOL
+    cesaro = solve_cesaro(node, square(), start, n_max=2**40)
+    assert cesaro.max_residual <= DEFAULT_TOL
+    np.testing.assert_allclose(cesaro.point, [0.0, 0.0], atol=1e-7)
+
+
 # --- fip_check ---------------------------------------------------------------
 
 def test_fip_identity_leaf():
@@ -512,6 +548,13 @@ def test_fip_sampling_overflow_names_the_family():
     huge = Leaf((AffineMap.linear([[1e160]]),))
     with pytest.raises(NumericalError, match="^sampling the coh-coq family overflows$"):
         fip_check(Product(huge, huge), Polytope(np.array([[0.0], [1.0]])), 3, "coh-coq", word_budget=1)
+
+
+def test_fip_image_overflow_is_a_numerical_error():
+    # a tree never validated: its image of K was a raw ValueError from Polytope, after a warning
+    huge, K = Leaf((AffineMap.linear([[1e200]]),)), Polytope(np.array([[1e200], [-1e200]]))
+    with pytest.raises(NumericalError, match="^mapping the vertices of K overflows$"):
+        fip_check(huge, K, 3, "cof", word_budget=1)
 
 
 def test_fip_rejects_tiny_sample():
@@ -595,7 +638,6 @@ def test_feasible_witness_lies_in_composed_image(seed):
 def test_validated_structures_have_fixed_points(solve_fixtures):
     for name, pf in solve_fixtures:
         payload = pf.payload
-        report = validate_structure(payload.node, payload.polytope,
-                                    pf.options.word_budget, pf.options.tol)
+        report = validate_structure(payload.node, payload.polytope, pf.options.tol)
         assert report.ok, f"{name} failed validation: {report.failures}"
         assert 1 <= report.depth <= 3

@@ -102,6 +102,23 @@ def test_report_snapshot_generates_the_product_solve_family(tmp_path):
     ]
 
 
+def test_report_snapshot_generates_the_dihedral_polygon_family(tmp_path):
+    snap = load_tool("report_snapshot")
+    seen = []
+    for name, problem, variants in snap.dihedral_family():
+        path = tmp_path / name
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        pf = load_problem(path)
+        p, m = pf.payload, pf.payload.polytope.n_vertices
+        assert pf.kind == "fixed-point" and pf.options.word_budget == 6 < m - 1
+        ((_, rotation),), ((_, reflection),) = flatten(p.node.normal), flatten(p.node.quotient)
+        np.testing.assert_allclose(np.linalg.matrix_power(rotation.matrix, m), np.eye(2), atol=1e-12)
+        np.testing.assert_array_equal(reflection.matrix, np.diag([1.0, -1.0]))
+        np.testing.assert_array_equal(p.start, p.polytope.vertices[1])
+        seen.append((name, variants))
+    assert seen == [(f"dihedral_polygon_{m}.json", (("check",), ("solve",))) for m in (8, 16)]
+
+
 def test_report_snapshot_writes_shape_malformed_problems(tmp_path):
     snap = load_tool("report_snapshot")
     seen = []

@@ -14,7 +14,11 @@ no vertex, so its residual comes from the hull LP; and a cyclic shift
 perturbed by 1e-3, which pins a ``not-invariant`` residual.  The
 hyperoctahedral product is then solved (default mode and ``--mode
 cesaro``) at d = 3 and 6 from the cube vertex (1, -1, ..., -1), so the
-layering of a Product is pinned.  Last come eight malformed
+layering of a Product is pinned.  The dihedral group D_m on the regular
+m-gon (the rotation by 2 pi / m normal under a reflection) follows at m = 8
+and 16, checked and solved in the default mode from the vertex at angle
+2 pi / m; its relation r.s = s.r^(m-1) needs a word longer than the
+default word budget, so it pins the exact normal relation.  Last come eight malformed
 variants of two fixtures, whose fields disagree in shape, so the exit
 codes and error lines of malformed input are pinned too.  It writes one canonical JSON
 list of {args, exit, stdout, stderr}.  The generated problem files go to
@@ -42,6 +46,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import re
@@ -70,6 +75,8 @@ FIP_SEEDS = (0, 1)
 CHECK_DIMS = (3, 6)
 CHECK_VARIANTS = (("check",), ("check", "--fip", "3"))
 PRODUCT_SOLVE_VARIANTS = (("solve",), ("solve", "--mode", "cesaro"))
+DIHEDRAL_ORDERS = (8, 16)
+DIHEDRAL_VARIANTS = (("check",), ("solve",))
 
 _JSON_TIMING = re.compile(r'("timing_ms": )[-0-9.eE+]+')
 _TEXT_TIMING = re.compile(r"^(status: \S+  \()[-0-9.eE+]+( ms)", re.MULTILINE)
@@ -176,6 +183,18 @@ def product_solve_family():
         yield f"hyperoctahedral_product_solve_{d}.json", problem, PRODUCT_SOLVE_VARIANTS
 
 
+def dihedral_family():
+    """(file name, problem, variants) of D_m on the regular m-gon, in snapshot order."""
+    for m in DIHEDRAL_ORDERS:
+        t = 2 * math.pi / m
+        rotation = _map([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        reflection = _map([[1.0, 0.0], [0.0, -1.0]])
+        polygon = [(math.cos(t * k), math.sin(t * k)) for k in range(m)]
+        tree = {"product": {"normal": {"leaf": [rotation]}, "quotient": {"leaf": [reflection]}}}
+        problem = _problem(tree, polygon, "fixed-point", start=list(polygon[1]))
+        yield f"dihedral_polygon_{m}.json", problem, DIHEDRAL_VARIANTS
+
+
 def malformed_family():
     """(file name, problem, variants) of each shape-malformed problem, in snapshot order.
 
@@ -244,7 +263,8 @@ def snapshot(cli) -> list[dict]:
     with tempfile.TemporaryDirectory() as tmp:
         generated = pathlib.Path(tmp)
         families = itertools.chain(
-            generated_family(), check_family(), product_solve_family(), malformed_family()
+            generated_family(), check_family(), product_solve_family(), dihedral_family(),
+            malformed_family(),
         )
         for name, problem, variants in families:
             path = generated / name
