@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,7 +173,9 @@ def subspace_norm(problem: ExtensionProblem) -> float:
     else:
         vertices, cap = np.vstack([np.eye(n), -np.eye(n)]), 0.0
     coords = _capped_probe([vertices], np.zeros(n), Y.T, cap, -g)
-    return max(float(g @ coords), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (norm,) = _finite("the norm of g on the subspace", g @ coords)
+    return max(float(norm), 0.0)
 
 
 def normalize_problem(problem: ExtensionProblem) -> tuple[ExtensionProblem, float]:
@@ -181,14 +183,7 @@ def normalize_problem(problem: ExtensionProblem) -> tuple[ExtensionProblem, floa
     scale = subspace_norm(problem)
     if scale <= 0.0:
         raise ZeroFunctionalError("functional vanishes on the subspace")
-    scaled = ExtensionProblem(
-        problem.dim,
-        problem.norm,
-        problem.subspace_basis,
-        problem.functional_on_subspace / scale,
-        problem.operators,
-    )
-    return scaled, scale
+    return replace(problem, functional_on_subspace=problem.functional_on_subspace / scale), scale
 
 
 def _share_a_face(norm: NormSpec, facet_sets: np.ndarray) -> np.ndarray:

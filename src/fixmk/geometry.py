@@ -10,13 +10,21 @@ Every hull question is one linear program, the deviation LP, solved by
 the dense simplex core (:mod:`fixmk.lp`): given vertex sets V_1..V_J, a
 point p and a basis B (d x r), find convex weights lam_j per set and
 coordinates s minimizing the max-abs deviation t between each hull
-point V_j^T lam_j and the shared point p + B s.  Split into equalities
-with s = s+ - s- and slacks u, w >= 0, the columns are
-lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
-(upper, lower) per coordinate followed by its weight-sum row.
+point V_j^T lam_j and the shared point p + B s (in equality form by
+:func:`_deviation_lp`).
+
+Callers pass p as it is: :func:`_frame` alone picks the frame, in which
+:func:`deviation_fit` and :func:`_capped_probe` solve for (V_j - o) / 2^k
+against the origin, o in p + span(B), and map t, s and the weights back.
+Data whose reach from p (the largest |V_j - p|) is at most
+2^10 * min(1, spread), spread being the widest set's coordinate range,
+keep o = p and k = 0, the program as posed before; others take o at
+their centroid's least-squares fit in p + span(B), with 2^k just above
+their reach from o (or 1 within [2^-10, 2^10]); the probe also divides
+each column of B and its objective by a power of two.  Powers of two
+scale exactly, so the simplex's absolute tolerance keeps its meaning.
 
 * :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
-  It shifts the vertices by -p and fits them against the point 0.
   Membership within a tolerance goes through :func:`hull_gap`, which
   matches p against the vertex list first and needs no LP when a vertex
   lies within the tolerance, as images under permutations do.  The
@@ -27,10 +35,7 @@ lam_1..lam_J | s+ | s- | t | u | w, and each set owns the rows
 * the exact solver fits an affine fixed subspace against K, to tell
   whether the fixed set meets K.
 * the extension's subspace norm is one probe of the deviation LP capped
-  at t <= cap (:func:`_capped_probe`): it writes the unit ball as a
-  deviation bound on B s, with B the subspace basis (max-abs is within 1
-  of the point 0, sum-abs within 0 of conv{+-e_i}), and minimizes a
-  linear objective in s over it.
+  at t <= cap (:func:`fixmk.extension.subspace_norm`).
 
 Stacked affine arithmetic is done here alone: :func:`_apply`, :func:`_compose`
 and :func:`_mix` on (matrix, offset) arrays run under ``np.errstate``, and each
@@ -51,6 +56,7 @@ from .lp import OPTIMAL, solve_lp
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 _WEIGHT_TOL = 1e-9  # round-off allowed in convex weights: sign and sum
+_IN_SCALE = 2.0**10  # deviation LP data within this (times min(1, spread)) of the point keep it
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -150,11 +156,7 @@ class Polytope:
     def box(cls, lower, upper) -> "Polytope":
         lo = as_vector(lower)
         hi = as_vector(upper, lo.shape[0])
-        corners = [
-            [pair[i] for pair, i in zip(zip(lo, hi), choice)]
-            for choice in itertools.product((0, 1), repeat=lo.shape[0])
-        ]
-        return cls(np.array(corners))
+        return cls(np.array(list(itertools.product(*zip(lo, hi)))))
 
     @classmethod
     def standard_simplex(cls, dim: int) -> "Polytope":
@@ -194,9 +196,7 @@ class NormSpec:
 
     def unit_ball(self) -> Polytope:
         if self.kind is NormKind.MAX_ABS:
-            return Polytope(
-                np.array(list(itertools.product((-1.0, 1.0), repeat=self.dim)))
-            )
+            return Polytope(np.array(list(itertools.product((-1.0, 1.0), repeat=self.dim))))
         eye = np.eye(self.dim)
         return Polytope(np.vstack([eye, -eye]))
 
@@ -360,12 +360,31 @@ def polytope_image(m: AffineMap, K: Polytope) -> Polytope:
     return polytope_images(m.matrix[None], m.offset[None], K)[0]
 
 
-def _deviation_lp(vertex_sets, point, basis):
-    """Equality form of the deviation LP, plus its column offsets (s+, s-, t).
+def _power_of_two(size: float) -> float:
+    """1 for a size of 0 or in [2^-10, 2^10]; else the power of two 2^e with size < 2^e <= 2 size."""
+    if size == 0.0 or 1.0 / _IN_SCALE <= size <= _IN_SCALE:
+        return 1.0
+    return 2.0 ** min(np.frexp(size)[1], 1023)  # 2^1024 is out of float range
+
+
+def _frame(vertex_sets, point, basis):
+    """The vertex sets as (V - o) / 2^k, with o = point + basis @ shift: (sets, shift, 2^k)."""
+    shifted = [V - point for V in vertex_sets] if point.any() else list(vertex_sets)
+    spread = max((V.max(axis=0) - V.min(axis=0)).max() for V in vertex_sets)
+    if max(np.abs(S).max() for S in shifted) <= _IN_SCALE * min(1.0, spread):
+        return shifted, 0.0, 1.0
+    shift = np.linalg.lstsq(basis, np.vstack(vertex_sets).mean(axis=0) - point, rcond=None)[0]
+    shifted = [V - (point + basis @ shift) for V in vertex_sets]
+    scale = _power_of_two(max(np.abs(S).max() for S in shifted))
+    return [S / scale for S in shifted], shift, scale
+
+
+def _deviation_lp(vertex_sets, basis):
+    """Equality form of the deviation LP against the origin, plus its column offsets (s+, s-, t).
 
     Columns: lam_1..lam_J | s+ (r) | s- (r) | t | u (J*d) | w (J*d).  Each
     set j owns 2d + 1 rows: for every coordinate i an upper row
-    V_j[:, i] @ lam_j - B[i] @ s - t + u_ji = p_i and a lower row with
+    V_j[:, i] @ lam_j - B[i] @ s - t + u_ji = 0 and a lower row with
     + t - w_ji in place of - t + u_ji, then sum(lam_j) = 1.
     """
     d, r = basis.shape
@@ -375,11 +394,11 @@ def _deviation_lp(vertex_sets, point, basis):
     u0, w0 = t + 1, t + 1 + J * d
     A = np.zeros((J * (2 * d + 1), w0 + J * d))
     b = np.zeros(A.shape[0])
+    b[2 * d :: 2 * d + 1] = 1.0
     lam0 = 0
     for j, V in enumerate(vertex_sets):
-        block = slice(j * (2 * d + 1), (j + 1) * (2 * d + 1))
         lam = slice(lam0, lam0 + V.shape[0])
-        rows = A[block]  # a view: writes land in A
+        rows = A[j * (2 * d + 1) : (j + 1) * (2 * d + 1)]  # a view: writes land in A
         up, low = rows[0:-1:2], rows[1:-1:2]
         rows[:-1, lam] = np.repeat(V.T, 2, axis=0)
         rows[:-1, sp:sn] -= np.repeat(basis, 2, axis=0)
@@ -389,7 +408,6 @@ def _deviation_lp(vertex_sets, point, basis):
         up[:, u0 + j * d : u0 + (j + 1) * d] += np.eye(d)
         low[:, w0 + j * d : w0 + (j + 1) * d] -= np.eye(d)
         rows[-1, lam] = 1.0
-        b[block] = np.append(np.repeat(point, 2), 1.0)
         lam0 = lam.stop
     return A, b, (sp, sn, t)
 
@@ -400,45 +418,45 @@ def deviation_fit(vertex_sets, point, basis):
     Returns (t, point + basis @ s, weights) at the optimum, where weights
     stacks the convex weights of all sets in order.
     """
-    A, b, (sp, sn, t) = _deviation_lp(vertex_sets, point, basis)
+    sets, shift, scale = _frame(vertex_sets, point, basis)
+    A, b, (sp, sn, t) = _deviation_lp(sets, basis)
     c = np.zeros(A.shape[1])
     c[t] = 1.0
     res = solve_lp(c, A, b)
     if res.status != OPTIMAL:  # the system is always feasible for large t
         raise NumericalError(f"deviation LP unexpectedly {res.status}")
-    return max(res.value, 0.0), point + basis @ (res.x[sp:sn] - res.x[sn:t]), res.x[:sp]
+    s = shift + scale * (res.x[sp:sn] - res.x[sn:t])
+    return scale * max(res.value, 0.0), point + basis @ s, res.x[:sp]
 
 
 def _capped_probe(vertex_sets, point, basis, cap, direction):
     """A minimizer s of direction @ s over the deviation LP capped at t <= cap."""
-    A, b, (sp, sn, t) = _deviation_lp(vertex_sets, point, basis)
+    sets, shift, scale = _frame(vertex_sets, point, basis)
+    columns = np.array([_power_of_two(size) for size in np.abs(basis).max(axis=0)])
+    A, b, (sp, sn, t) = _deviation_lp(sets, basis / columns)
+    objective = direction / _power_of_two(float(np.abs(direction).max(initial=0.0))) / columns
+    objective = objective / _power_of_two(float(np.abs(objective).max(initial=0.0)))
     n_rows, n_cols = A.shape
     A_probe = np.zeros((n_rows + 1, n_cols + 1))
     A_probe[:n_rows, :n_cols] = A
     A_probe[n_rows, [t, n_cols]] = 1.0  # t + slack = cap
     c = np.zeros(n_cols + 1)
-    c[sp:sn] = direction
-    c[sn:t] = -direction
-    res = solve_lp(c, A_probe, np.append(b, cap))
+    c[sp:sn] = objective
+    c[sn:t] = -objective
+    res = solve_lp(c, A_probe, np.append(b, cap / scale))
     if res.status != OPTIMAL:
         raise NumericalError(f"probe LP unexpectedly {res.status}")
-    return res.x[sp:sn] - res.x[sn:t]
+    return shift + scale * (res.x[sp:sn] - res.x[sn:t]) / columns
 
 
 def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:
     """Best max-abs deviation between x and the hull, plus achieving weights.
 
     The deviation LP with an empty basis: t = 0 (up to arithmetic) iff x
-    is in the hull.  It is posed for the shifted vertices V - x against the
-    point 0, the same program because the weights sum to 1.  With x on
-    the right-hand side instead, the simplex reported a false unbounded
-    phase 1, or a positive deviation, for some points of a hull that
-    spans only 2e-8 in one coordinate (pinned in the tests).
+    is in the hull.
     """
     point = as_vector(x, K.dim)
-    deviation, _, weights = deviation_fit(
-        [K.vertices - point], np.zeros(K.dim), np.zeros((K.dim, 0))
-    )
+    deviation, _, weights = deviation_fit([K.vertices], point, np.zeros((K.dim, 0)))
     return deviation, weights
 
 
@@ -486,8 +504,7 @@ def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL):
     if not sets:
         raise ValueError("need at least one polytope")
     d = sets[0].dim
-    for K in sets:
-        if K.dim != d:
-            raise DimensionMismatchError("polytopes have mixed dims")
+    if any(K.dim != d for K in sets):
+        raise DimensionMismatchError("polytopes have mixed dims")
     deviation, point, _ = deviation_fit([K.vertices for K in sets], np.zeros(d), np.eye(d))
     return None if deviation > tol else point

@@ -259,9 +259,7 @@ def _diagnose(node, K, tol, failure: Exception):
             "empty-fixed-subspace",
             "the stacked fixed-point equations are inconsistent",
         )
-    # the point shifts the vertices, as in hull_fit: on the right-hand side a
-    # far-off point, such as (1e8, 1e8), made the simplex call this program infeasible
-    gap, _, _ = deviation_fit([K.vertices - sub.point], np.zeros(K.dim), sub.basis)
+    gap, _, _ = deviation_fit([K.vertices], sub.point, sub.basis)
     if gap > tol:
         raise EmptyFixedSetError(
             "fixed-set-outside-polytope",

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import fixture_paths
-from fixmk import AffineMap, Leaf, NumericalError, Polytope, lp
+from conftest import FIXTURES, fixture_paths
+from fixmk import AffineMap, Leaf, NormKind, NormSpec, NumericalError, Polytope, geometry, lp
+from fixmk.extension import ExtensionProblem, subspace_norm
 from fixmk.geometry import _deviation_lp, polytope_images
 from fixmk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from fixmk.schema import load_problem
-from fixmk.semigroup import flatten
-from fixmk.solver import _sample_family, common_fixed_subspace
+from fixmk.semigroup import flatten, validate_structure
+from fixmk.solver import _sample_family, common_fixed_subspace, fip_check
 from helpers import count_calls
 
 
@@ -137,9 +140,7 @@ def test_pivots_follow_the_pricing_rules(case, monkeypatch):
         assert state["bland"] > 0
     else:
         programs = _hull_fit_programs() if case == "hull-fit" else _cyclic_fip_programs(dims=(6, 8))
-        for A, b, (_, _, t) in programs:
-            c = np.zeros(A.shape[1])
-            c[t] = 1.0
+        for c, A, b in _min_t(programs):
             assert solve_lp(c, A, b).status == OPTIMAL
     assert state["checked"] > 0
 
@@ -177,34 +178,49 @@ def _solve_fixtures():
     return [load_problem(p) for p in fixture_paths("solve")]
 
 
+def _with_point(program, point):
+    """A deviation LP with the point on the right-hand side: b holds (p_i, p_i) per coordinate."""
+    A, b, columns = program
+    blocks = A.shape[0] // (2 * point.shape[0] + 1)
+    return A, np.tile(np.append(np.repeat(point, 2), 1.0), blocks), columns
+
+
+def _min_t(programs):
+    """(c, A, b) per deviation LP, with c minimizing t, as deviation_fit solves it."""
+    for A, b, (_, _, t) in programs:
+        c = np.zeros(A.shape[1])
+        c[t] = 1.0
+        yield c, A, b
+
+
 def _hull_fit_programs():
     """hull fit of every generator's image of every vertex, per solve fixture.
 
     Each image comes as the program hull_fit solves (vertices shifted by
-    the image, against the point 0) and with the image on the right-hand side.
+    the image, against the origin) and with the image on the right-hand side.
     """
     for pf in _solve_fixtures():
         K = pf.payload.polytope
         for _, g in flatten(pf.payload.node):
             for v in K.vertices:
                 empty = np.zeros((K.dim, 0))
-                yield _deviation_lp([K.vertices - g(v)], np.zeros(K.dim), empty)
-                yield _deviation_lp([K.vertices], g(v), empty)
+                yield _deviation_lp([K.vertices - g(v)], empty)
+                yield _with_point(_deviation_lp([K.vertices], empty), g(v))
 
 
 def _subspace_fit_programs():
     """each solve fixture's common fixed subspace against its polytope.
 
     Each comes as the program solve_exact solves (vertices shifted by the
-    subspace's point, against the point 0) and with the point on the
+    subspace's point, against the origin) and with the point on the
     right-hand side.
     """
     for pf in _solve_fixtures():
         sub = common_fixed_subspace(pf.payload.node)
         if sub is not None:
             V = pf.payload.polytope.vertices
-            yield _deviation_lp([V - sub.point], np.zeros(V.shape[1]), sub.basis)
-            yield _deviation_lp([V], sub.point, sub.basis)
+            yield _deviation_lp([V - sub.point], sub.basis)
+            yield _with_point(_deviation_lp([V], sub.basis), sub.point)
 
 
 def _fip_programs():
@@ -216,7 +232,7 @@ def _fip_programs():
             rng = np.random.default_rng(seed)
             maps = _sample_family(p.node, p.family, p.sample_count, rng, pf.options.word_budget)
             images = [image.vertices for image in polytope_images(*maps, p.polytope)]
-            yield _deviation_lp(images, np.zeros(p.polytope.dim), np.eye(p.polytope.dim))
+            yield _deviation_lp(images, np.eye(p.polytope.dim))
 
 
 def _cyclic_fip_programs(dims=range(4, 13), seeds=range(10)):
@@ -232,18 +248,47 @@ def _cyclic_fip_programs(dims=range(4, 13), seeds=range(10)):
         for seed in seeds:
             maps = _sample_family(node, "cof", 5, np.random.default_rng(seed), 2)
             images = [image.vertices for image in polytope_images(*maps, K)]
-            yield _deviation_lp(images, np.zeros(d), np.eye(d))
+            yield _deviation_lp(images, np.eye(d))
+
+
+def _framed_programs():
+    """(c, A, b) of every LP the library solves on far or small data, framed as it poses them.
+
+    The hull fits of [-1,1]^2 translated by 1e9, 1e12 and 1e300; fip_check of
+    C_3 on the standard simplex translated by (1e6, 1e6, 1e6); the capped
+    probe of subspace_norm for g in {1e-9, 1e-12, 1e-200} on span(1, 1) and
+    for the basis (1e-9, 1e-9), in both norms; and the invariance hull fits
+    of centered_box_contraction with its coordinates scaled by 1e6.
+    """
+    programs = []
+    solve = geometry.solve_lp
+    square = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+    c3 = Leaf((AffineMap.linear(np.roll(np.eye(3), 1, axis=0)),))
+    box = load_problem(FIXTURES / "solve" / "centered_box_contraction.json").payload
+    box_maps = [AffineMap(g.matrix, 1e6 * g.offset) for _, g in flatten(box.node)]
+    extensions = [([[1.0, 1.0]], [g]) for g in (1e-9, 1e-12, 1e-200)] + [([[1e-9, 1e-9]], [1e-9])]
+    swap = Leaf((AffineMap.linear([[0.0, 1.0], [1.0, 0.0]]),))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "solve_lp", lambda c, A, b: programs.append((c, A, b)) or solve(c, A, b))
+        for shift in (1e9, 1e12, 1e300):
+            for v in square.vertices:
+                geometry.hull_fit(square, v + [shift, 0.0])
+        assert fip_check(c3, Polytope(np.eye(3) + 1e6), 5).feasible
+        for kind, (basis, g) in itertools.product(NormKind, extensions):
+            assert subspace_norm(ExtensionProblem(2, NormSpec(kind, 2), basis, g, swap)) > 0.0
+        validate_structure(Leaf(tuple(box_maps)), Polytope(1e6 * box.polytope.vertices))
+    return programs
 
 
 @pytest.mark.parametrize(
-    "programs", [_hull_fit_programs, _subspace_fit_programs, _fip_programs, _cyclic_fip_programs],
-    ids=["hull-fit", "subspace-fit", "fip-images", "cyclic-fip"],
+    "programs",
+    [lambda: _min_t(_hull_fit_programs()), lambda: _min_t(_subspace_fit_programs()),
+     lambda: _min_t(_fip_programs()), lambda: _min_t(_cyclic_fip_programs()), _framed_programs],
+    ids=["hull-fit", "subspace-fit", "fip-images", "cyclic-fip", "framed"],
 )
 def test_deviation_lp_matches_highs_on_corpus_shapes(programs):
     count = 0
-    for A, b, (_, _, t) in programs():
-        c = np.zeros(A.shape[1])
-        c[t] = 1.0
+    for c, A, b in programs():
         ours = solve_lp(c, A, b)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * A.shape[1], method="highs")
         assert ref.success and ours.status == OPTIMAL
@@ -255,10 +300,8 @@ def test_deviation_lp_matches_highs_on_corpus_shapes(programs):
 
 def test_cyclic_fip_programs_stay_within_pivot_budget(monkeypatch):
     pivots = count_calls(monkeypatch, lp, "_pivot")
-    programs = list(_cyclic_fip_programs(dims=(8,)))
-    for A, b, (_, _, t) in programs:
-        c = np.zeros(A.shape[1])
-        c[t] = 1.0
+    programs = list(_min_t(_cyclic_fip_programs(dims=(8,))))
+    for c, A, b in programs:
         assert solve_lp(c, A, b).status == OPTIMAL
     assert len(pivots) / len(programs) <= 300
 

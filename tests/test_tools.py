@@ -132,6 +132,30 @@ def test_report_snapshot_writes_shape_malformed_problems(tmp_path):
     assert [v for _, v in seen] == [(("solve",),)] * 6 + [(("extend",),)] * 2
 
 
+def test_report_snapshot_generates_the_frame_family(tmp_path):
+    snap = load_tool("report_snapshot")
+    seen = []
+    for name, problem, variants in snap.frame_family():
+        path = tmp_path / name
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        pf = load_problem(path)
+        seen.append((name, pf.kind, variants))
+        if name == "centered_box_contraction_micro.json":
+            unscaled = load_problem(FIXTURES / "solve" / "centered_box_contraction.json").payload
+            np.testing.assert_array_equal(pf.payload.polytope.vertices, 1e6 * unscaled.polytope.vertices)
+            np.testing.assert_array_equal(pf.payload.start, 1e6 * unscaled.start)
+            for (_, g), (_, h) in zip(flatten(pf.payload.node), flatten(unscaled.node), strict=True):
+                np.testing.assert_array_equal(g.matrix, h.matrix)
+                np.testing.assert_array_equal(g.offset, 1e6 * h.offset)
+    assert seen == [
+        ("far_translation_square.json", "structure-check", (("check",),)),
+        ("cyclic_shift_far_simplex.json", "fip-check", (("fip",),)),
+        ("small_functional_max-abs.json", "extension", (("extend",),)),
+        ("small_functional_sum-abs.json", "extension", (("extend",),)),
+        ("centered_box_contraction_micro.json", "fixed-point", (("solve",),)),
+    ]
+
+
 def test_golden_reports_are_strict_json():
     # json.loads reads NaN and Infinity, which strict JSON parsers refuse
     def refuse(name):

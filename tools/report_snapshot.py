@@ -18,9 +18,15 @@ layering of a Product is pinned.  The dihedral group D_m on the regular
 m-gon (the rotation by 2 pi / m normal under a reflection) follows at m = 8
 and 16, checked and solved in the default mode from the vertex at angle
 2 pi / m; its relation r.s = s.r^(m-1) needs a word longer than the
-default word budget, so it pins the exact normal relation.  Last come eight malformed
+default word budget, so it pins the exact normal relation.  Then come eight malformed
 variants of two fixtures, whose fields disagree in shape, so the exit
-codes and error lines of malformed input are pinned too.  It writes one canonical JSON
+codes and error lines of malformed input are pinned too.  Last come far
+and small data, which the deviation LP solves in a power-of-two frame:
+``check`` of [-1,1]^2 translated by (1e9, 0), ``fip`` of the cyclic
+shift C_3 on the standard simplex translated by (1e6, 1e6, 1e6),
+``extend`` of g = 1e-9 on span(1, 1) under the swap in both norms, and
+``solve`` of centered_box_contraction with its coordinates scaled by
+1e6.  It writes one canonical JSON
 list of {args, exit, stdout, stderr}.  The generated problem files go to
 a temporary directory, so the fixture corpus stays as committed.  The
 report's ``timing_ms`` is masked (in JSON and in the text format's status
@@ -133,10 +139,13 @@ def _map(matrix, offset=None) -> dict:
             "offset": [0.0] * len(matrix) if offset is None else list(map(float, offset))}
 
 
+OPTIONS = {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6}
+
+
 def _problem(semigroup: dict, vertices, kind: str = "structure-check", **payload) -> dict:
     return {
         "kind": kind,
-        "options": {"mode": "cross-check", "n_max": 2**40, "seed": 0, "tol": 1e-8, "word_budget": 6},
+        "options": OPTIONS,
         "payload": {"semigroup": semigroup, "polytope": {"vertices": [list(map(float, v)) for v in vertices]},
                     **payload},
     }
@@ -226,6 +235,33 @@ def malformed_family():
         yield f"malformed_{name}.json", problem, ((command,),)
 
 
+def _eye(d: int) -> list[list[float]]:
+    return [[float(i == j) for j in range(d)] for i in range(d)]
+
+
+def frame_family():
+    """(file name, problem, variants) of far or small data, in snapshot order."""
+    square = list(itertools.product((-1.0, 1.0), repeat=2))
+    yield "far_translation_square.json", _problem({"leaf": [_map(_eye(2), [1e9, 0.0])]}, square), (("check",),)
+    c3 = {"leaf": [_map([_eye(3)[i - 1] for i in range(3)])]}
+    far_simplex = [[x + 1e6 for x in row] for row in _eye(3)]
+    problem = _problem(c3, far_simplex, "fip-check", family="cof", sample_count=5)
+    yield "cyclic_shift_far_simplex.json", problem, (("fip",),)
+    swap = _map([[0.0, 1.0], [1.0, 0.0]])
+    for norm in ("max-abs", "sum-abs"):
+        problem = {"kind": "extension", "options": OPTIONS, "payload": {
+            "dim": 2, "functional_on_subspace": [1e-9], "norm": norm, "operators": {"leaf": [swap]},
+            "subspace_basis": [[1.0, 1.0]]}}
+        yield f"small_functional_{norm}.json", problem, (("extend",),)
+    box = json.loads((FIXTURES / "solve" / "centered_box_contraction.json").read_text(encoding="utf-8"))
+    payload = box["payload"]
+    payload["polytope"]["vertices"] = [[1e6 * x for x in v] for v in payload["polytope"]["vertices"]]
+    payload["start"] = [1e6 * x for x in payload["start"]]
+    payload["semigroup"]["leaf"] = [{**g, "offset": [1e6 * x for x in g["offset"]]}
+                                    for g in payload["semigroup"]["leaf"]]
+    yield "centered_box_contraction_micro.json", box, (("solve",),)
+
+
 def load_cli(src: pathlib.Path):
     """Import fixmk.cli from the source tree src, refusing any other copy."""
     sys.path.insert(0, str(src))
@@ -264,7 +300,7 @@ def snapshot(cli) -> list[dict]:
         generated = pathlib.Path(tmp)
         families = itertools.chain(
             generated_family(), check_family(), product_solve_family(), dihedral_family(),
-            malformed_family(),
+            malformed_family(), frame_family(),
         )
         for name, problem, variants in families:
             path = generated / name
