@@ -6,11 +6,11 @@ arrays, and a polytope is the convex hull of an explicit vertex list
 operations below are pure functions, so everything here is safe to share
 between threads.
 
-Every hull question is one linear program, the deviation LP, solved by
-the dense simplex core (:mod:`fixmk.lp`): given vertex sets V_1..V_J, a
-point p and a basis B (d x r), find convex weights lam_j per set and
-coordinates s minimizing the max-abs deviation t between each hull
-point V_j^T lam_j and the shared point p + B s (in equality form by
+Every hull question but membership is one linear program, the deviation
+LP, solved by the dense simplex core (:mod:`fixmk.lp`): given vertex sets
+V_1..V_J, a point p and a basis B (d x r), find convex weights lam_j per
+set and coordinates s minimizing the max-abs deviation t between each
+hull point V_j^T lam_j and the shared point p + B s (in equality form by
 :func:`_deviation_lp`).
 
 Callers pass p as it is: :func:`_frame` alone picks the frame, in which
@@ -25,11 +25,14 @@ each column of B and its objective by a power of two.  Powers of two
 scale exactly, so the simplex's absolute tolerance keeps its meaning.
 
 * :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
-  Membership within a tolerance goes through :func:`hull_gap`, which
-  matches p against the vertex list first and needs no LP when a vertex
-  lies within the tolerance, as images under permutations do.  The
-  invariance pass of :mod:`fixmk.semigroup` matches a generator's images
-  the same way in bounded chunks and fits only those no vertex matched.
+  Membership within a tolerance goes through :func:`hull_gap` in three
+  steps, each a proof that p lies within the tolerance: a vertex within
+  it, as images under permutations are; else convex weights from one
+  least-squares solve whose residual, round-off included, is within it,
+  as the centroid's uniform weights and a simplex's barycentric
+  coordinates always are; else the LP.  The invariance pass of
+  :mod:`fixmk.semigroup` matches a generator's images the same way in
+  bounded chunks and fits only those no vertex matched, with no weights.
 * :func:`feasible_point` is p = 0, B = I: do the hulls intersect?  Its
   witness is the raw basic solution.
 * the exact solver fits an affine fixed subspace against K, to tell
@@ -460,21 +463,49 @@ def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:
     return deviation, weights
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _weight_gap(K: Polytope, point: np.ndarray, tol: float) -> float | None:
+    """|sum lam_i (v_i - x)|_inf for least-squares convex weights lam, when it proves x within tol.
+
+    lam is the minimum-norm solution of sum lam_i (v_i - x) = 0, sum lam_i = 1
+    in :func:`_frame`'s coordinates, its negative entries clipped to 0 and
+    the rest renormalized, so it is convex and the residual bounds the hull
+    distance from above.  None when the residual plus its round-off, about
+    N eps max|v_i - x|, exceeds tol, or anything on the way is not finite.
+    """
+    (S,), _, scale = _frame([K.vertices], point, np.zeros((K.dim, 0)))
+    if not np.isfinite(S).all():
+        return None
+    system = np.vstack([S.T, np.ones(len(S))])
+    lam = np.maximum(np.linalg.lstsq(system, np.append(np.zeros(K.dim), 1.0), rcond=None)[0], 0.0)
+    total = lam.sum()
+    if not 0.0 < total < np.inf:  # all weights clipped away, or not finite
+        return None
+    gap = scale * float(np.abs(S.T @ (lam / total)).max())
+    roundoff = scale * (len(S) + 2) * np.finfo(float).eps * float(np.abs(S).max())
+    return gap if gap + roundoff <= tol else None
+
+
 def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
     """Max-abs gap from x to the hull, exact wherever it exceeds tol.
 
     First x is matched against the vertex list: when some vertex lies
     within tol of x (max-abs), that gap is returned and no LP is solved.
-    It bounds the hull distance from above, so x is within tol of K.
-    Otherwise the gap is the hull distance from :func:`hull_fit`.  Either
-    way gap <= tol iff the hull distance is, and a gap above tol is the
-    hull distance itself.
+    Then least-squares convex weights (:func:`_weight_gap`) are tried:
+    when their residual, round-off included, is within tol, it is
+    returned, again with no LP.  Both bound the hull distance from above,
+    so x is within tol of K.  Otherwise the gap is the hull distance from
+    :func:`hull_fit`.  Either way gap <= tol iff the hull distance is, and
+    a gap above tol is the hull distance itself.
     Returns (gap, matched), matched True when the vertex match settled it.
     """
     point = as_vector(x, K.dim)
     nearest = float(np.abs(K.vertices - point).max(axis=1).min())
     if nearest <= tol:
         return nearest, True
+    gap = _weight_gap(K, point, tol)
+    if gap is not None:
+        return gap, False
     return hull_fit(K, point)[0], False
 
 

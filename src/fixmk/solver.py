@@ -19,9 +19,12 @@ Two independent routes, both from a start point x0 in K:
   projection P_g = [N 0] [N R]^-1 onto the kernel N of H - I along its
   range R, both from one SVD in a frame centred on K and scaled by its
   diameter.  P layers the P_g as the averages are layered, and the point
-  is P x0: once it is fixed and lies in K it is a proof.  Only when a check
-  fails do the stacked fixed-point equations, then one deviation LP of
-  :mod:`fixmk.geometry`, run, to name a fixed set that is empty or misses K.
+  is P x0: once it is fixed and lies in K it is a proof.  "Lies in K" is
+  proved as the start's is, by :func:`~fixmk.geometry.hull_gap`: a vertex
+  within tolerance, else least-squares convex weights whose residual is,
+  else the hull-distance LP.  Only when a check fails do the stacked
+  fixed-point equations, then one deviation LP of :mod:`fixmk.geometry`,
+  run, to name a fixed set that is empty or misses K.
 
 On every validated input both routes land on the same point, with
 residual below tolerance.  :func:`cross_check` runs both from one start

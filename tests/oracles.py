@@ -78,11 +78,12 @@ def brute_min_dual_norm(problem):
     return res.fun, res.x[:n]
 
 
-def hull_distance(V, x):
+def hull_distance(V, x, feasibility_tol=1e-7):
     """Max-abs distance from x to the hull of the rows of V, by HiGHS.
 
     Variables (lam, t): minimize t  s.t.  -t <= V^T lam - x <= t,
-    sum(lam) = 1, lam >= 0.
+    sum(lam) = 1, lam >= 0.  HiGHS reads a distance below its primal and
+    dual feasibility tolerance (1e-7 by default) of the data's size as 0.
     """
     V = np.asarray(V, dtype=float)
     k, d = V.shape
@@ -92,7 +93,9 @@ def hull_distance(V, x):
     b_ub = np.concatenate([x, -np.asarray(x, dtype=float)])
     A_eq = np.append(np.ones(k), 0.0)[None, :]
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * (k + 1), method="highs")
+                  bounds=[(0, None)] * (k + 1), method="highs",
+                  options={"primal_feasibility_tolerance": feasibility_tol,
+                           "dual_feasibility_tolerance": feasibility_tol})
     if not res.success:
         raise RuntimeError(f"hull distance LP failed: {res.message}")
     return res.fun

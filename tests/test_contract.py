@@ -94,6 +94,20 @@ def test_generated_check_and_fip_files_keep_the_contract(seed, tmp_path):
             run_main(tmp_path, "fip", fip)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_generated_solve_files_keep_the_contract(seed, tmp_path):
+    # the start and the exact point are checked to lie in K: vertex match, weights, then LP
+    rng = np.random.default_rng(seed)
+    for size in MAGNITUDES:
+        for _ in range(3):
+            d = int(rng.integers(1, 4))
+            vertices, center = _polytope(rng, d, size)
+            payload = {"polytope": {"vertices": vertices}, "semigroup": _tree(rng, d, size, center)}
+            run_main(tmp_path, "solve", _problem("fixed-point", **payload))
+            start = rng.dirichlet(np.ones(len(vertices))) @ np.array(vertices)
+            run_main(tmp_path, "solve", _problem("fixed-point", **payload, start=start.tolist()))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_generated_extend_files_keep_the_contract(seed, tmp_path):
     rng = np.random.default_rng(seed)

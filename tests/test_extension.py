@@ -456,14 +456,14 @@ def test_extension_rescales_back():
 
 
 def test_extension_fits_no_constraint_set_vertex(monkeypatch):
-    # validate_problem implies the lifted tree keeps K, so the only hull fits
-    # left are the cross-check's one membership check of its start point and
-    # the exact route's check of its result
+    # validate_problem implies the lifted tree keeps K, so the only membership
+    # checks left are the cross-check's of its start point and the exact
+    # route's of its result, and convex weights settle both without a fit
     calls = []
     original = geometry.hull_fit
     monkeypatch.setattr(geometry, "hull_fit", lambda K, x: calls.append(1) or original(K, x))
     invariant_extension(s3_problem())
-    assert len(calls) == 2
+    assert len(calls) == 0
 
 
 def test_extension_raises_every_violation():

@@ -27,7 +27,7 @@ from fixmk import (
     polytope_image,
 )
 from fixmk.lp import INFEASIBLE, LPResult
-from helpers import count_calls, rot90, rot180, square, unit_square
+from helpers import count_calls, cube, rot90, rot180, square, unit_square
 from oracles import hull_distance
 
 entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -299,20 +299,82 @@ def test_hull_gap_matches_vertices_without_lp(monkeypatch):
     assert calls == []
 
 
+def test_hull_gap_settles_interior_points_by_weights_without_lp(monkeypatch):
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    K = Polytope.standard_simplex(6)
+    barycentric = np.random.default_rng(0).dirichlet(np.ones(6))
+    for P, x in ((square(), [0.0, 0.0]), (square(), [0.3, -0.2]), (K, K.centroid()),
+                 (K, barycentric)):
+        gap, matched = hull_gap(P, x, 1e-9)
+        assert gap <= 1e-15 and not matched
+    assert calls == []
+
+
 def test_hull_gap_falls_back_to_hull_distance(monkeypatch):
+    # [0.9, 0.9] lies in the square, but its minimum-norm weights go negative
     K = square()
     calls = count_calls(monkeypatch, geometry, "solve_lp")
-    for x in ([0.0, 0.0], [1.0 + 1e-6, 1.0], [2.0, 0.5]):
+    for x in ([1.0 + 1e-6, 1.0], [2.0, 0.5], [0.9, 0.9]):
         expected = geometry.hull_fit(K, x)[0]
         calls.clear()
         assert hull_gap(K, x, 1e-9) == (expected, False)
         assert len(calls) == 1
+    assert hull_gap(K, [0.9, 0.9], 1e-9)[0] <= 1e-9
 
 
 def test_contains_just_outside_runs_the_lp(monkeypatch):
     calls = count_calls(monkeypatch, geometry, "solve_lp")
     assert not contains(square(), [1.0 + 1e-6, 1.0], 1e-9)
     assert len(calls) == 1
+
+
+def _unit_shapes(rng):
+    """Vertex sets of unit size: simplices, cubes, clouds, a flat set and a set with repeats."""
+    for d in range(1, 5):
+        yield np.vstack([np.zeros(d), np.eye(d)])
+        yield np.eye(d)  # the standard simplex, flat in R^d
+        yield cube(d).vertices
+        yield rng.normal(size=(d + int(rng.integers(1, 6)), d))
+        yield rng.normal(size=(d + 3, 2)) @ rng.normal(size=(2, d)) + rng.normal(size=d)
+        cloud = rng.normal(size=(d + 2, d))
+        yield cloud[rng.integers(len(cloud), size=2 * len(cloud))]
+
+
+def _points(rng, V, tol):
+    """Points in the hull of V (deep, and on faces) and outside it by 10 tol to 1."""
+    n = len(V)
+    yield rng.dirichlet(np.ones(n)) @ V
+    face = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+    yield face @ V / face.sum() if face.any() else V[0]
+    i, center = rng.integers(n), V.mean(axis=0)
+    away = V[i] - center if np.abs(V[i] - center).max() > 0 else rng.normal(size=V.shape[1])
+    yield V[i] + 10.0 ** rng.uniform(np.log10(10 * tol), 0.0) * away / np.abs(away).max()
+    yield center + 10.0 ** rng.uniform(np.log10(10 * tol), 0.0) * rng.normal(size=V.shape[1])
+
+
+def test_hull_gap_weights_are_sound_against_highs(monkeypatch):
+    # a gap settled by weights bounds HiGHS's hull distance from above, and
+    # away from tol the verdicts agree; HiGHS sees V - x exactly, divided by
+    # a power of two (the translate by 1e9 subtracts exactly: Sterbenz), and
+    # resolves 1e-10 of the scale; tol is 1e-8 of the scale, but at least the
+    # simplex's absolute 1e-8
+    fits = count_calls(monkeypatch, geometry, "hull_fit")
+    rng = np.random.default_rng(20)
+    weighed = 0
+    for unit in _unit_shapes(rng):
+        for scale, shift in [(2.0**k, 0.0) for k in (-20, -10, 0, 10, 20)] + [(1.0, 1e9)]:
+            V, tol = scale * unit + shift, 1e-8 * max(1.0, scale)
+            for x in _points(rng, V, tol):
+                fits.clear()
+                gap, matched = hull_gap(Polytope(V), x, tol)
+                distance = scale * hull_distance((V - x) / scale, np.zeros(V.shape[1]), 1e-10)
+                roundoff = len(V) * np.finfo(float).eps * np.abs(V - x).max() + 1e-10 * scale
+                if not matched and not fits:
+                    weighed += 1
+                    assert distance <= gap + roundoff, (unit, scale, shift, x)
+                if not tol / 2 <= distance <= 2 * tol:
+                    assert (gap <= tol) == (distance <= tol), (unit, scale, shift, x, gap, distance)
+    assert weighed >= 100
 
 
 def test_feasible_point_single_polytope():

@@ -449,6 +449,42 @@ def _assert_solved_in_every_mode(node, K, start):
     assert result["projection_gap"] <= 1e-12
 
 
+def _cyclic_shift(d):
+    return Leaf((AffineMap.linear(np.roll(np.eye(d), 1, axis=0)),))
+
+
+def test_solving_the_cyclic_shift_from_a_simplex_vertex_runs_no_lp(monkeypatch):
+    # vertices map to vertices, the start is a vertex, and the centroid P x0 is
+    # settled by its uniform convex weights
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    K = Polytope.standard_simplex(40)
+    status, result = _solved(_cyclic_shift(40), K, K.vertices[0], "cross-check")
+    assert status == "ok"
+    np.testing.assert_allclose(result["point"], K.centroid(), atol=1e-12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("node, K", [(signed_permutations([1, 2, 0]), cube(3)),
+                                     (_cyclic_shift(5), Polytope.standard_simplex(5))],
+                         ids=["cube", "simplex"])
+def test_solving_without_a_start_settles_the_centroid_without_lp(node, K, monkeypatch):
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    status, _ = cli.run_solve(ProblemFile("fixed-point", SolvePayload(node, K), Options()), Options())
+    assert status == "ok" and calls == []
+
+
+def test_the_invariance_pass_still_fits_every_unmatched_image(monkeypatch):
+    # x -> x/2 + 1/4 maps no vertex of [0,1]^6 to a vertex, and the invariance
+    # pass tries no weights: one fit per vertex
+    pf = load_problem(FIXTURES / "solve" / "centered_box_contraction.json")
+    calls = count_calls(monkeypatch, geometry, "hull_fit")
+    assert validate_structure(pf.payload.node, pf.payload.polytope).ok
+    assert len(calls) == 64
+    calls.clear()
+    assert cli.run_solve(pf, pf.options)[0] == "ok"
+    assert len(calls) == 64  # the vertex start and the exact point need none
+
+
 @pytest.mark.parametrize("d", range(3, 9))
 def test_signed_permutation_products_solve_in_every_mode(d):
     # the flips are normal under a seeded permutation; 0 is the one fixed point
