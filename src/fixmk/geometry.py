@@ -25,14 +25,19 @@ each column of B and its objective by a power of two.  Powers of two
 scale exactly, so the simplex's absolute tolerance keeps its meaning.
 
 * :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
-  Membership within a tolerance goes through :func:`hull_gap` in three
-  steps, each a proof that p lies within the tolerance: a vertex within
-  it, as images under permutations are; else convex weights from one
-  least-squares solve whose residual, round-off included, is within it,
-  as the centroid's uniform weights and a simplex's barycentric
-  coordinates always are; else the LP.  The invariance pass of
-  :mod:`fixmk.semigroup` matches a generator's images the same way in
-  bounded chunks and fits only those no vertex matched, with no weights.
+  Membership within a tolerance goes through one ladder,
+  :func:`hull_gaps`, on a stack of points (:func:`hull_gap` for one
+  point, the invariance pass of :mod:`fixmk.semigroup` for a generator's
+  vertex images).  Its first three steps each prove a point within the
+  tolerance: a vertex within it, found in bounded chunks, as images
+  under permutations are; else convex weights from one least-squares
+  solve whose residual, round-off included, is within it, as the
+  centroid's uniform weights and a simplex's barycentric coordinates
+  always are; else nonnegative least-squares weights (Lawson and
+  Hanson's active-set method, a few small least-squares solves) passing
+  the same test, as every point inside K away from round-off of its
+  boundary does.  Only a point left after those gets the LP, so the
+  simplex measures how far a point lies outside K.
 * :func:`feasible_point` is p = 0, B = I: do the hulls intersect?  Its
   witness is the raw basic solution.
 * the exact solver fits an affine fixed subspace against K, to tell
@@ -60,6 +65,9 @@ from .lp import OPTIMAL, solve_lp
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 _WEIGHT_TOL = 1e-9  # round-off allowed in convex weights: sign and sum
 _IN_SCALE = 2.0**10  # deviation LP data within this (times min(1, spread)) of the point keep it
+_CHUNK_BYTES = 64 * 1024  # bound on the temporaries of one chunk of the vertex match
+_NNLS_SOLVES = 3  # least-squares solves per vertex before NNLS leaves a point to the LP
+LADDER = ("vertex match", "weights", "NNLS", "LP")  # the steps of hull_gaps, in order
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -463,50 +471,123 @@ def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:
     return deviation, weights
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _weight_gap(K: Polytope, point: np.ndarray, tol: float) -> float | None:
-    """|sum lam_i (v_i - x)|_inf for least-squares convex weights lam, when it proves x within tol.
+def _vertex_gaps(points: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Max-abs distance from each point to its nearest row of V, for chunks of points whose
+    difference array and numpy's operand buffers for it stay within _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (3 * V.nbytes))
+    gaps = np.empty(len(points))
+    for s in range(0, len(points), step):
+        diff = points[s : s + step, None] - V
+        gaps[s : s + step] = np.abs(diff, out=diff).max(axis=2).min(axis=1)
+    return gaps
 
-    lam is the minimum-norm solution of sum lam_i (v_i - x) = 0, sum lam_i = 1
-    in :func:`_frame`'s coordinates, its negative entries clipped to 0 and
-    the rest renormalized, so it is convex and the residual bounds the hull
-    distance from above.  None when the residual plus its round-off, about
-    N eps max|v_i - x|, exceeds tol, or anything on the way is not finite.
+
+def _nnls(A: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray | None:
+    """lam >= 0 minimizing |A lam - b|_2 (Lawson and Hanson, 1974, ch. 23), or None.
+
+    The active-set method: the column whose gradient entry w = A^T (b - A lam)
+    is largest enters the passive set, which is solved by least squares; a
+    solution with entries <= 0 is met by stepping from lam towards it until
+    the first entry reaches 0 and dropping every entry at 0.  Stops when no
+    entry of w exceeds its round-off, or when an entering entry solves to
+    <= 0 (it entered on round-off).  None once ``cap`` least-squares solves
+    did not reach that: the caller treats the point as not settled.
     """
-    (S,), _, scale = _frame([K.vertices], point, np.zeros((K.dim, 0)))
-    if not np.isfinite(S).all():
-        return None
-    system = np.vstack([S.T, np.ones(len(S))])
-    lam = np.maximum(np.linalg.lstsq(system, np.append(np.zeros(K.dim), 1.0), rcond=None)[0], 0.0)
+    n = A.shape[1]
+    lam, passive = np.zeros(n), np.zeros(n, dtype=bool)
+    floor = 10 * max(A.shape) * np.finfo(float).eps * np.abs(A).max() * np.abs(b).max()
+    w, solves = A.T @ b, 0
+    while not passive.all():
+        free = np.flatnonzero(~passive)
+        entering = free[np.argmax(w[free])]
+        if w[entering] <= floor:
+            break
+        passive[entering] = True
+        while True:
+            solves += 1
+            if solves > cap:
+                return None
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if s[passive].min() > 0:
+                break
+            if entering >= 0 and s[entering] <= 0:  # it entered on round-off: lam is optimal
+                return lam
+            down = passive & (s <= 0)  # lam > 0 on each: the denominators are positive
+            lam += (lam[down] / (lam[down] - s[down])).min() * (s - lam)
+            passive &= lam > 0
+            lam[~passive], entering = 0.0, -1  # only the first solve can turn the entering entry down
+        lam = s
+        w = A.T @ (b - A @ lam)
+    return lam
+
+
+def _weight_gap(S: np.ndarray, lam: np.ndarray, roundoff: float, tol: float) -> float | None:
+    """|S^T lam|_inf for the convex weights lam / sum(lam), when it plus its round-off is within
+    tol; else None, also when the sum is 0 or not finite."""
     total = lam.sum()
     if not 0.0 < total < np.inf:  # all weights clipped away, or not finite
         return None
-    gap = scale * float(np.abs(S.T @ (lam / total)).max())
-    roundoff = scale * (len(S) + 2) * np.finfo(float).eps * float(np.abs(S).max())
+    gap = float(np.abs(S.T @ (lam / total)).max())
     return gap if gap + roundoff <= tol else None
 
 
-def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
-    """Max-abs gap from x to the hull, exact wherever it exceeds tol.
+@np.errstate(over="ignore", invalid="ignore")
+def _weighed(K: Polytope, point: np.ndarray, tol: float) -> tuple[float, int] | None:
+    """Steps 2 and 3 of the ladder for one point: (gap, step), or None when neither settles it.
 
-    First x is matched against the vertex list: when some vertex lies
-    within tol of x (max-abs), that gap is returned and no LP is solved.
-    Then least-squares convex weights (:func:`_weight_gap`) are tried:
-    when their residual, round-off included, is within tol, it is
-    returned, again with no LP.  Both bound the hull distance from above,
-    so x is within tol of K.  Otherwise the gap is the hull distance from
-    :func:`hull_fit`.  Either way gap <= tol iff the hull distance is, and
-    a gap above tol is the hull distance itself.
-    Returns (gap, matched), matched True when the vertex match settled it.
+    Both solve sum lam_i (v_i - x) = 0, sum lam_i = 1 for the rows v_i - x
+    of S, in :func:`_frame`'s coordinates, the first d equations divided by
+    the reach max|S| so that they weigh as much as the last: step 2 for
+    the minimum-norm lam, its negative entries clipped to 0, step 3 for
+    lam >= 0 by :func:`_nnls`, within ``_NNLS_SOLVES`` least-squares
+    solves per vertex.  Either settles x when the residual of its convex
+    weights on S, plus its round-off (N + 2) eps reach, is within tol.
     """
-    point = as_vector(x, K.dim)
-    nearest = float(np.abs(K.vertices - point).max(axis=1).min())
-    if nearest <= tol:
-        return nearest, True
-    gap = _weight_gap(K, point, tol)
+    (S,), _, scale = _frame([K.vertices], point, np.zeros((K.dim, 0)))
+    reach = float(np.abs(S).max())
+    if not 0.0 < reach < np.inf:
+        return None
+    roundoff, tol = (len(S) + 2) * np.finfo(float).eps * reach, tol / scale
+    A, b = np.vstack([S.T / reach, np.ones(len(S))]), np.append(np.zeros(K.dim), 1.0)
+    gap = _weight_gap(S, np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0), roundoff, tol)
     if gap is not None:
-        return gap, False
-    return hull_fit(K, point)[0], False
+        return scale * gap, 1
+    lam = _nnls(A, b, _NNLS_SOLVES * len(S))
+    gap = None if lam is None else _weight_gap(S, lam, roundoff, tol)
+    return None if gap is None else (scale * gap, 2)
+
+
+def _settle(K: Polytope, point: np.ndarray, tol: float) -> tuple[float, int]:
+    """Steps 2 to 4 of the ladder for one point no vertex matched: (gap, step)."""
+    return _weighed(K, point, tol) or (hull_fit(K, point)[0], 3)
+
+
+def hull_gaps(K: Polytope, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The membership ladder on a stack of points (N, d): (gaps, steps).
+
+    steps[i] indexes LADDER, the step that settled points[i]: a vertex
+    within tol (gap: the nearest vertex's distance); else least-squares,
+    then NNLS convex weights whose residual, round-off included, is within
+    tol (gap: that residual); else :func:`hull_fit` (gap: the hull
+    distance).  Each bounds the hull distance from above, so gap <= tol iff
+    the hull distance is, and a gap above tol is the hull distance itself.
+    Each point goes through :func:`_settle` at most once.
+    """
+    gaps = _vertex_gaps(points, K.vertices)
+    steps = np.zeros(len(points), dtype=int)
+    for i in np.flatnonzero(gaps > tol):
+        gaps[i], steps[i] = _settle(K, points[i], tol)
+    return gaps, steps
+
+
+def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
+    """Max-abs gap from x to the hull, exact wherever it exceeds tol: :func:`hull_gaps` on x.
+
+    Returns (gap, matched), matched True when a vertex within tol settled it.
+    """
+    gaps, steps = hull_gaps(K, as_vector(x, K.dim)[None], tol)
+    return float(gaps[0]), bool(steps[0] == 0)
 
 
 def contains(K: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:

@@ -13,9 +13,12 @@ Validation is entirely numerical and searches no words: commutation is
 checked entrywise, the normal relation on Fix(N) = p + span(Z) from one
 SVD of the stacked fixed-point equations (:func:`common_fixed_subspace`),
 and invariance by hull membership of mapped vertices.  Each generator maps
-all vertices at once, and the images are matched against the vertex list
-in bounded chunks, which settles permutations and isometries of K with no
-LP; only the images left unmatched get a hull LP.  A stacked product that
+all vertices at once, and the images go through the membership ladder of
+:func:`~fixmk.geometry.hull_gaps`: a vertex match in bounded chunks
+settles permutations and isometries of K, convex weights from least
+squares, then nonnegative least squares settle images inside K, and only
+the images left over, outside K or within round-off of its boundary, get
+a hull LP, which gives a failure its residual.  A stacked product that
 overflows raises :class:`NumericalError` naming the step and generator.
 :func:`validate_relations` runs the first two alone, for callers that
 know invariance by other means.  Reports carry the offending generator
@@ -40,7 +43,6 @@ DEFAULT_RELATION_TOL = 1e-9
 DEFAULT_WORD_BUDGET = 6
 DEFAULT_ELEMENT_CAP = 10_000
 _DEDUP_TOL = 1e-10
-_CHUNK_BYTES = 64 * 1024  # bound on the temporaries of one chunk of the vertex match
 # singular values of G - I below this share of the largest count as zero: a
 # stochastic matrix whose rows sum to 1 - 1e-16 leaves one near 1e-15 * s_max
 _RANK_RTOL = 1e-10
@@ -152,34 +154,22 @@ def _abelian_failures(labeled) -> list[Failure]:
     return failures
 
 
-def _matched(images, V, tol: float) -> np.ndarray:
-    """:func:`~fixmk.geometry.hull_gap`'s vertex match within tol, for chunks of images whose
-    difference array and numpy's operand buffers for it stay within _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (3 * V.nbytes))
-    hits = np.empty(len(images), dtype=bool)
-    for s in range(0, len(images), step):
-        diff = images[s : s + step, None] - V
-        hits[s : s + step] = np.abs(diff, out=diff).max(axis=2).min(axis=1) <= tol
-    return hits
-
-
 def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
-    failures, matched = [], 0
+    failures, steps = [], []
     for label, g in labeled:
         if g.dim != K.dim:
             raise DimensionMismatchError("generator and polytope dims differ")
         images = _apply(g.matrix, g.offset, K.vertices)
         if not np.isfinite(images).all():
             raise NumericalError(f"invariance check: {label} maps a vertex of K out of float range")
-        hits = _matched(images, K.vertices, tol)
-        matched += int(hits.sum())
-        gaps = [geometry.hull_fit(K, x)[0] for x in images[~hits]]  # on the module, as spies see it
-        if max(gaps, default=0.0) > tol:
-            failures.append(Failure("not-invariant", (label,), max(gaps)))
-    pairs = len(labeled) * K.n_vertices
+        gaps, settled = geometry.hull_gaps(K, images, tol)  # on the module, as spies see it
+        steps += settled.tolist()
+        worst = float(gaps.max())
+        if worst > tol:
+            failures.append(Failure("not-invariant", (label,), worst))
     logger.debug(
-        "invariance pass: %d vertex-generator pairs, %d settled by vertex match, %d by LP",
-        pairs, matched, pairs - matched,
+        "invariance pass: %d vertex-generator pairs: %d by vertex match, %d by weights, "
+        "%d by NNLS, %d by LP", len(steps), *(steps.count(i) for i in range(len(geometry.LADDER))),
     )
     return failures
 
@@ -187,9 +177,11 @@ def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
 def check_invariance(generators, K: Polytope, tol: float) -> ValidationReport:
     """Every generator must map every vertex of K back into K within tol.
 
-    Images are matched against the vertices in chunks of at most 64 KiB of
-    temporaries; only those with no vertex within tol get an LP (:func:`hull_fit`).  A
-    matched image is within tol of K, so a residual is the hull distance of an unmatched one.
+    Each generator's images go through :func:`~fixmk.geometry.hull_gaps`:
+    a vertex match in chunks of at most 64 KiB of temporaries, least-squares
+    and NNLS convex weights, and an LP (:func:`hull_fit`) only for an image
+    none of those settle.  Every settled image is within tol of K, so a
+    residual is the hull distance of an image the LP measured.
     """
     labeled = [(f"g{i}", g) for i, g in enumerate(generators)]
     return _report(1, _invariance_failures(labeled, K, tol))

@@ -20,11 +20,14 @@ Two independent routes, both from a start point x0 in K:
   range R, both from one SVD in a frame centred on K and scaled by its
   diameter.  P layers the P_g as the averages are layered, and the point
   is P x0: once it is fixed and lies in K it is a proof.  "Lies in K" is
-  proved as the start's is, by :func:`~fixmk.geometry.hull_gap`: a vertex
-  within tolerance, else least-squares convex weights whose residual is,
-  else the hull-distance LP.  Only when a check fails do the stacked
-  fixed-point equations, then one deviation LP of :mod:`fixmk.geometry`,
-  run, to name a fixed set that is empty or misses K.
+  proved as the start's is, by the membership ladder of
+  :func:`~fixmk.geometry.hull_gap`: a vertex within tolerance, else
+  least-squares, then nonnegative least-squares convex weights whose
+  residual is, else the hull-distance LP, which a point inside K away
+  from round-off of its boundary never reaches.  Only when a check fails
+  do the stacked fixed-point equations, then one deviation LP of
+  :mod:`fixmk.geometry`, run, to name a fixed set that is empty or
+  misses K.
 
 On every validated input both routes land on the same point, with
 residual below tolerance.  :func:`cross_check` runs both from one start

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 import fixmk
-from fixmk import AffineMap, Leaf, Polytope, Product
+from fixmk import AffineMap, Leaf, Polytope, Product, geometry
 
 # the child process imports the same fixmk as the tests, however it was found
 _SRC = str(pathlib.Path(fixmk.__file__).resolve().parent.parent)
@@ -39,6 +39,21 @@ def count_calls(monkeypatch, module, name):
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a: calls.append(1) or original(*a))
     return calls
+
+
+def ladder_entries(monkeypatch):
+    """Wrap geometry._settle, the ladder past the vertex match, so each point that enters it
+    appends (point as a tuple, name of the step that settled it) to the returned list."""
+    entries = []
+    original = geometry._settle
+
+    def settle(K, point, tol):
+        gap, step = original(K, point, tol)
+        entries.append((tuple(point.tolist()), geometry.LADDER[step]))
+        return gap, step
+
+    monkeypatch.setattr(geometry, "_settle", settle)
+    return entries
 
 
 def rot90():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import nnls
 
 from fixmk import geometry
 from fixmk import (
@@ -311,15 +312,57 @@ def test_hull_gap_settles_interior_points_by_weights_without_lp(monkeypatch):
 
 
 def test_hull_gap_falls_back_to_hull_distance(monkeypatch):
-    # [0.9, 0.9] lies in the square, but its minimum-norm weights go negative
     K = square()
     calls = count_calls(monkeypatch, geometry, "solve_lp")
-    for x in ([1.0 + 1e-6, 1.0], [2.0, 0.5], [0.9, 0.9]):
+    for x in ([1.0 + 1e-6, 1.0], [2.0, 0.5]):
         expected = geometry.hull_fit(K, x)[0]
         calls.clear()
         assert hull_gap(K, x, 1e-9) == (expected, False)
         assert len(calls) == 1
-    assert hull_gap(K, [0.9, 0.9], 1e-9)[0] <= 1e-9
+
+
+def test_hull_gap_settles_negative_minimum_norm_weights_by_nnls(monkeypatch):
+    # [0.9, 0.9] lies in the square, but its minimum-norm weights go negative
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    gaps, steps = geometry.hull_gaps(square(), np.array([[0.9, 0.9], [0.3, 0.95]]), 1e-9)
+    assert [geometry.LADDER[step] for step in steps] == ["NNLS", "NNLS"] and gaps.max() <= 1e-15
+    assert hull_gap(square(), [0.9, 0.9], 1e-9) == (gaps[0], False)
+    assert calls == []
+
+
+def test_nnls_past_its_cap_leaves_the_point_to_the_lp(monkeypatch):
+    S = square().vertices - [0.9, 0.9]
+    A, b = np.vstack([S.T, np.ones(4)]), np.array([0.0, 0.0, 1.0])
+    assert geometry._nnls(A, b, 1) is None
+    assert geometry._nnls(A, b, 12).min() >= 0.0
+    monkeypatch.setattr(geometry, "_NNLS_SOLVES", 0)
+    fits = count_calls(monkeypatch, geometry, "hull_fit")
+    gap, matched = hull_gap(square(), [0.9, 0.9], 1e-9)
+    assert gap <= 1e-9 and not matched and len(fits) == 1
+
+
+def _nnls_systems(rng):
+    """(A, b) up to d = 12: random, rank-deficient, and the weight systems of point clouds,
+    clouds with repeated vertices and the standard simplex (flat in R^d), at points in and
+    outside their hulls."""
+    for d in range(1, 13):
+        n = int(rng.integers(1, 3 * d + 4))
+        yield rng.normal(size=(d, n)), rng.normal(size=d)
+        yield rng.normal(size=(d, 2)) @ rng.normal(size=(2, n)), rng.normal(size=d)
+        cloud = rng.normal(size=(d + 2, d))
+        repeated = cloud[rng.integers(len(cloud), size=2 * len(cloud))]
+        for V in (cloud, repeated, np.eye(d)):
+            for x in (rng.dirichlet(np.ones(len(V))) @ V, V.mean(axis=0) + rng.normal(size=d)):
+                yield np.vstack([(V - x).T, np.ones(len(V))]), np.append(np.zeros(d), 1.0)
+
+
+def test_nnls_matches_scipy():
+    for A, b in _nnls_systems(np.random.default_rng(7)):
+        lam = geometry._nnls(A, b, 3 * A.shape[1])
+        _, rnorm = nnls(A, b)
+        assert lam is not None and lam.min() >= 0.0
+        scale = np.abs(A).max() * np.abs(b).max()
+        assert abs(np.linalg.norm(A @ lam - b) - rnorm) <= 1e-12 * scale, (A, b)
 
 
 def test_contains_just_outside_runs_the_lp(monkeypatch):
@@ -360,21 +403,22 @@ def test_hull_gap_weights_are_sound_against_highs(monkeypatch):
     # simplex's absolute 1e-8
     fits = count_calls(monkeypatch, geometry, "hull_fit")
     rng = np.random.default_rng(20)
-    weighed = 0
+    weighed = {"weights": 0, "NNLS": 0}
     for unit in _unit_shapes(rng):
         for scale, shift in [(2.0**k, 0.0) for k in (-20, -10, 0, 10, 20)] + [(1.0, 1e9)]:
             V, tol = scale * unit + shift, 1e-8 * max(1.0, scale)
             for x in _points(rng, V, tol):
                 fits.clear()
-                gap, matched = hull_gap(Polytope(V), x, tol)
+                (gap,), (step,) = geometry.hull_gaps(Polytope(V), x[None], tol)
+                assert (geometry.LADDER[step] == "LP") == bool(fits)
                 distance = scale * hull_distance((V - x) / scale, np.zeros(V.shape[1]), 1e-10)
                 roundoff = len(V) * np.finfo(float).eps * np.abs(V - x).max() + 1e-10 * scale
-                if not matched and not fits:
-                    weighed += 1
+                if geometry.LADDER[step] in weighed:
+                    weighed[geometry.LADDER[step]] += 1
                     assert distance <= gap + roundoff, (unit, scale, shift, x)
                 if not tol / 2 <= distance <= 2 * tol:
                     assert (gap <= tol) == (distance <= tol), (unit, scale, shift, x, gap, distance)
-    assert weighed >= 100
+    assert weighed["weights"] >= 100 and weighed["NNLS"] >= 46  # 46 at the first run
 
 
 def test_feasible_point_single_polytope():

@@ -31,9 +31,10 @@ from fixmk import (
 )
 from fixmk.errors import SchemaError
 from fixmk.schema import ExtensionPayload, load_problem
+from fixmk.semigroup import flatten
 from helpers import (
-    commuting_contractions, count_calls, cube, dihedral_node, polygon_dihedral, reflect_x, rot90, rot180,
-    signed_permutations, square, unit_square,
+    commuting_contractions, count_calls, cube, dihedral_node, ladder_entries, polygon_dihedral, reflect_x,
+    rot90, rot180, signed_permutations, square, unit_square,
 )
 
 
@@ -244,8 +245,10 @@ def test_normal_factor_labels_follow_the_product():
 
 def test_validate_fits_each_vertex_generator_pair_once(monkeypatch):
     # commuting contractions: no image of a vertex is a vertex, so every
-    # pair needs its hull fit, and none needs two
-    calls = count_calls(monkeypatch, geometry, "hull_fit")
+    # pair enters the ladder past the vertex match, and none enters twice;
+    # the images are interior, and weights settle them all
+    entries = ladder_entries(monkeypatch)
+    fits = count_calls(monkeypatch, geometry, "hull_fit")
     node = Product(
         Product(
             Leaf((AffineMap.linear(0.5 * np.eye(2)),)),
@@ -255,7 +258,9 @@ def test_validate_fits_each_vertex_generator_pair_once(monkeypatch):
     )
     K = square()
     assert validate_structure(node, K).ok
-    assert len(calls) == K.n_vertices * 3
+    images = [tuple(g(v).tolist()) for _, g in flatten(node) for v in K.vertices]
+    assert sorted(point for point, _ in entries) == sorted(images)
+    assert len(entries) == K.n_vertices * 3 and fits == []
 
 
 def test_validate_vertex_permuting_tree_solves_no_lp(monkeypatch):
@@ -295,7 +300,15 @@ def test_invariance_pass_logs_match_and_lp_counts(caplog):
         assert validate_structure(node, square()).ok
     records = [r for r in caplog.records if r.name.startswith("fixmk")]
     assert [r.getMessage() for r in records] == [
-        "invariance pass: 8 vertex-generator pairs, 4 settled by vertex match, 4 by LP"
+        "invariance pass: 8 vertex-generator pairs: 4 by vertex match, 4 by weights, 0 by NNLS, 0 by LP"
+    ]
+    # images near the corner (0.9, 0.9) have negative minimum-norm weights; 1.5 I leaves K
+    caplog.clear()
+    near_corner = AffineMap(0.05 * np.eye(2), [0.85, 0.85])
+    with caplog.at_level(logging.DEBUG, logger="fixmk"):
+        assert not check_invariance([near_corner, AffineMap.linear(1.5 * np.eye(2))], square(), 1e-9).ok
+    assert [r.getMessage() for r in caplog.records if r.name.startswith("fixmk")] == [
+        "invariance pass: 8 vertex-generator pairs: 0 by vertex match, 0 by weights, 4 by NNLS, 4 by LP"
     ]
 
 

@@ -37,10 +37,10 @@ from fixmk.schema import load_problem
 from fixmk.schema import Options, ProblemFile, SolvePayload
 from fixmk.semigroup import flatten
 from fixmk.solver import DEFAULT_TOL, _sample_family
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_paths
 from helpers import (
-    commuting_contractions, count_calls, cube, dihedral_node, markov_node, polygon_dihedral, reflect_x,
-    rot90, signed_permutations, square, unit_square,
+    commuting_contractions, count_calls, cube, dihedral_node, ladder_entries, markov_node, polygon_dihedral,
+    reflect_x, rot90, signed_permutations, square, unit_square,
 )
 from oracles import hull_distance
 from oracles import stationary_distribution
@@ -474,15 +474,89 @@ def test_solving_without_a_start_settles_the_centroid_without_lp(node, K, monkey
 
 
 def test_the_invariance_pass_still_fits_every_unmatched_image(monkeypatch):
-    # x -> x/2 + 1/4 maps no vertex of [0,1]^6 to a vertex, and the invariance
-    # pass tries no weights: one fit per vertex
+    # x -> x/2 + 1/4 maps no vertex of [0,1]^6 to a vertex: each of the 64
+    # images enters the ladder past the vertex match once, and NNLS weights
+    # settle it with no LP
     pf = load_problem(FIXTURES / "solve" / "centered_box_contraction.json")
-    calls = count_calls(monkeypatch, geometry, "hull_fit")
-    assert validate_structure(pf.payload.node, pf.payload.polytope).ok
-    assert len(calls) == 64
-    calls.clear()
+    K, ((_, g),) = pf.payload.polytope, flatten(pf.payload.node)
+    images = sorted(tuple(g(v).tolist()) for v in K.vertices)
+    entries = ladder_entries(monkeypatch)
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    assert validate_structure(pf.payload.node, K).ok
+    assert sorted(point for point, _ in entries) == images
+    assert {step for _, step in entries} == {"NNLS"}
+    entries.clear()
     assert cli.run_solve(pf, pf.options)[0] == "ok"
-    assert len(calls) == 64  # the vertex start and the exact point need none
+    assert sorted(point for point, _ in entries[:64]) == images
+    assert [step for _, step in entries[64:]] == ["weights"]  # the exact point; the vertex start is matched
+    assert calls == []
+
+
+def _solve_problems():
+    """Every solve fixture and the cyclic shift C_d on the simplex from a seeded vertex, d = 8..40,
+    as (name, problem file)."""
+    for path in fixture_paths("solve"):
+        yield path.stem, load_problem(path)
+    rng = np.random.default_rng(0)
+    for d in range(8, 41):
+        K = Polytope.standard_simplex(d)
+        options = Options(mode="cross-check", n_max=2**40)
+        payload = SolvePayload(_cyclic_shift(d), K, K.vertices[rng.integers(d)])
+        yield f"simplex-d{d}", ProblemFile("fixed-point", payload, options)
+
+
+def test_validating_and_solving_the_solve_problems_runs_no_lp(monkeypatch):
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    for name, pf in _solve_problems():
+        assert validate_structure(pf.payload.node, pf.payload.polytope, pf.options.tol).ok, name
+        assert cli.run_solve(pf, pf.options)[0] == "ok", name
+        assert calls == [], name
+
+
+def test_solving_from_an_off_centre_start_on_a_cube_runs_no_lp(monkeypatch):
+    # the start's minimum-norm weights go negative, and NNLS weights settle it
+    calls = count_calls(monkeypatch, geometry, "solve_lp")
+    start = [0.9, 0.9, -0.8]
+    gaps, steps = geometry.hull_gaps(cube(3), np.array([start]), 1e-9)
+    assert geometry.LADDER[steps[0]] == "NNLS"
+    status, result = _solved(signed_permutations([1, 2, 0]), cube(3), start, "cross-check")
+    assert status == "ok" and calls == []
+    np.testing.assert_allclose(result["point"], np.zeros(3), atol=1e-12)
+
+
+def _invariance_cases(rng):
+    """Box contractions (some stretched out of the box) and signed permutations (some scaled out
+    of the cube), each as (node, K)."""
+    for d in range(1, 5):
+        for stretched in (None, 0):
+            scales = rng.uniform(-0.9, 0.9, (int(rng.integers(1, 4)), d))
+            yield commuting_contractions(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0), scales, stretched)
+    for d in range(2, 6):
+        for scaled in (None, d):
+            yield signed_permutations(rng.permutation(d), scaled), cube(d)
+
+
+def test_invariance_pass_gaps_are_sound_against_highs(monkeypatch):
+    # every image the ladder settles without an LP has a HiGHS hull distance
+    # within its gap, round-off included
+    seen, original = [], geometry.hull_gaps
+
+    def spy(K, points, tol):
+        gaps, steps = original(K, points, tol)
+        seen.append((K, points, gaps, steps))
+        return gaps, steps
+
+    monkeypatch.setattr(geometry, "hull_gaps", spy)
+    counts = [0] * len(geometry.LADDER)
+    for node, K in _invariance_cases(np.random.default_rng(3)):
+        validate_structure(node, K)
+    for K, points, gaps, steps in seen:
+        for x, gap, step in zip(points, gaps, steps):
+            counts[step] += 1
+            if geometry.LADDER[step] != "LP":
+                roundoff = K.n_vertices * np.finfo(float).eps * np.abs(K.vertices - x).max() + 1e-10
+                assert hull_distance(K.vertices, x, 1e-10) <= gap + roundoff, (K.vertices, x)
+    assert all(counts), counts  # every step ran
 
 
 @pytest.mark.parametrize("d", range(3, 9))
