@@ -49,15 +49,12 @@ from .geometry import (
     NormSpec,
     Polytope,
     affine_compose,
-    affine_power,
     cesaro_average,
     contains,
     convex_combination,
     diameter,
     feasible_point,
     hull_gap,
-    map_deviation,
-    polytope_image,
 )
 from .semigroup import (
     AffineSubspace,
@@ -66,11 +63,8 @@ from .semigroup import (
     Product,
     SemigroupNode,
     ValidationReport,
-    check_invariance,
     check_normal_factor,
     common_fixed_subspace,
-    commuting_combination,
-    enumerate_elements,
     validate_relations,
     validate_structure,
 )

@@ -21,7 +21,9 @@ sum-abs, with a one-dimensional subspace), refused before any is built.
 schema error (fields whose shapes disagree included), an out-of-range
 option (file or flag), an ``--output`` path that cannot be written, or a
 bad ``FIXMK_LOG``.  Set ``FIXMK_LOG=debug`` (or any logging level name)
-for verbose logging on stderr.
+for verbose logging on stderr.  A ``tol`` below about 1e-9 * max(1, the
+extent of the data) is not honoured: the LP core's tolerance is absolute
+(see :func:`fixmk.geometry.hull_gaps`).
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and parses nothing but ``argv``, so ``main`` may be called

@@ -259,21 +259,6 @@ def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
     return AffineMap(*_finite("composing two maps", *pair))
 
 
-def map_deviation(f: AffineMap, g: AffineMap) -> float:
-    """Max entrywise deviation between two maps (matrix and offset)."""
-    if f.dim != g.dim:
-        raise DimensionMismatchError(f"deviation dims {f.dim} vs {g.dim}")
-    return max(
-        float(np.max(np.abs(f.matrix - g.matrix))),
-        float(np.max(np.abs(f.offset - g.offset))),
-    )
-
-
-def flatten_map(m: AffineMap) -> np.ndarray:
-    """Entries of matrix and offset as one flat vector (row-major)."""
-    return np.concatenate([m.matrix.ravel(), m.offset])
-
-
 def convex_combination(maps, weights) -> AffineMap:
     """Entrywise weighted mixture of affine maps with convex weights."""
     maps = list(maps)
@@ -336,13 +321,6 @@ def cesaro_average(m: AffineMap, n: int) -> AffineMap:
     return AffineMap(*_finite(f"averaging at depth {n}", *_average(m, n)))
 
 
-def affine_power(m: AffineMap, n: int) -> AffineMap:
-    """n-fold composition of m with itself; n = 0 gives the identity."""
-    if n < 0:
-        raise ValueError("negative powers are not defined here")
-    return AffineMap(*_finite(f"power {n}", *_power_sum(m.matrix, m.offset, n)[1]))
-
-
 # ---------------------------------------------------------------------------
 # polytope operations
 
@@ -364,11 +342,6 @@ def polytope_images(matrices, offsets, K: Polytope) -> list[Polytope]:
         mapped = mapped[np.lexsort(mapped.T[::-1])]
         hulls.append(Polytope(mapped[np.append(True, np.any(mapped[1:] != mapped[:-1], axis=1))]))
     return hulls
-
-
-def polytope_image(m: AffineMap, K: Polytope) -> Polytope:
-    """Hull of the mapped vertices; affine maps carry hulls to hulls."""
-    return polytope_images(m.matrix[None], m.offset[None], K)[0]
 
 
 def _power_of_two(size: float) -> float:
@@ -572,7 +545,11 @@ def hull_gaps(K: Polytope, points: np.ndarray, tol: float) -> tuple[np.ndarray, 
     tol (gap: that residual); else :func:`hull_fit` (gap: the hull
     distance).  Each bounds the hull distance from above, so gap <= tol iff
     the hull distance is, and a gap above tol is the hull distance itself.
-    Each point goes through :func:`_settle` at most once.
+    Each point goes through :func:`_settle` at most once.  The LP resolves
+    a gap only to about 1e-9 times :func:`_frame`'s 2^k (1 for data near the
+    point), as the simplex's tolerance is absolute, so a smaller tol is not
+    honoured: on [-2^-10, 2^-10], a point 3.95e-11 outside reads as inside at
+    tol 9.8e-13.
     """
     gaps = _vertex_gaps(points, K.vertices)
     steps = np.zeros(len(points), dtype=int)
@@ -585,13 +562,17 @@ def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
     """Max-abs gap from x to the hull, exact wherever it exceeds tol: :func:`hull_gaps` on x.
 
     Returns (gap, matched), matched True when a vertex within tol settled it.
+    A tol below the LP's resolution (see :func:`hull_gaps`) is not honoured.
     """
     gaps, steps = hull_gaps(K, as_vector(x, K.dim)[None], tol)
     return float(gaps[0]), bool(steps[0] == 0)
 
 
 def contains(K: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-    """True iff convex weights over the vertices reproduce x within tol."""
+    """True iff convex weights over the vertices reproduce x within tol.
+
+    A tol below the LP's resolution (see :func:`hull_gaps`) is not honoured.
+    """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     return hull_gap(K, x, tol)[0] <= tol

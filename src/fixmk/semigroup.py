@@ -23,7 +23,7 @@ overflows raises :class:`NumericalError` naming the step and generator.
 :func:`validate_relations` runs the first two alone, for callers that
 know invariance by other means.  Reports carry the offending generator
 labels and the worst residual so failures are actionable.  Words of the
-generators (:func:`enumerate_elements`) serve fip sampling alone.
+generators (:func:`_words`) serve fip sampling alone.
 """
 from __future__ import annotations
 
@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationCapError, NumericalError
 from . import geometry
-from .geometry import AffineMap, Polytope, _apply, _finite, convex_combination, hull_fit
+# hull_fit is unused here, but perfbench/selftest.py expects this copy of it and wraps it
+from .geometry import AffineMap, Polytope, _apply, _finite, hull_fit
 
 DEFAULT_ABELIAN_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9
@@ -135,20 +136,14 @@ def _report(depth: int, failures: list[Failure]) -> ValidationReport:
     return ValidationReport(ok=not failures, depth=depth, failures=failures)
 
 
-def _compose(f, fo, g, go):
-    """Stacked f.g from :func:`~fixmk.geometry._compose`, flattened as flatten_map flattens it."""
-    m, o = geometry._compose(f, fo, g, go)
-    return np.concatenate([m.reshape(m.shape[:-2] + (-1,)), o], axis=-1)
-
-
 def _abelian_failures(labeled) -> list[Failure]:
     failures = []
     for i, (la, a) in enumerate(labeled):
         for lb, b in labeled[i + 1 :]:
-            ab = _compose(a.matrix, a.offset, b.matrix, b.offset)
-            ba = _compose(b.matrix, b.offset, a.matrix, a.offset)
-            _finite(f"abelian check: composing {la} and {lb}", ab, ba)
-            dev = float(np.abs(ab - ba).max())
+            ab = geometry._compose(a.matrix, a.offset, b.matrix, b.offset)
+            ba = geometry._compose(b.matrix, b.offset, a.matrix, a.offset)
+            _finite(f"abelian check: composing {la} and {lb}", *ab, *ba)
+            dev = max(float(np.abs(x - y).max()) for x, y in zip(ab, ba))
             if dev > DEFAULT_ABELIAN_TOL:
                 failures.append(Failure("non-commuting-pair", (la, lb), dev))
     return failures
@@ -174,23 +169,20 @@ def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
     return failures
 
 
-def check_invariance(generators, K: Polytope, tol: float) -> ValidationReport:
-    """Every generator must map every vertex of K back into K within tol.
-
-    Each generator's images go through :func:`~fixmk.geometry.hull_gaps`:
-    a vertex match in chunks of at most 64 KiB of temporaries, least-squares
-    and NNLS convex weights, and an LP (:func:`hull_fit`) only for an image
-    none of those settle.  Every settled image is within tol of K, so a
-    residual is the hull distance of an image the LP measured.
-    """
-    labeled = [(f"g{i}", g) for i, g in enumerate(generators)]
-    return _report(1, _invariance_failures(labeled, K, tol))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing difference is just not close
 def _words(node: SemigroupNode, budget: int, first: int = 0):
-    """:func:`enumerate_elements` as stacks (matrices (N, d, d), offsets (N, d)), built as
-    flat rows of one buffer; ``first`` offsets an overflow's generator label as in :func:`flatten`."""
+    """Distinct products of generators up to the word length, identity included, as stacks
+    (matrices (N, d, d), offsets (N, d)).
+
+    Breadth first, each length's candidates (word, then generator) formed as
+    one stack of flat rows in one buffer; a candidate is dropped when a word
+    kept before it is within 1e-10 entrywise, far below round-off growth at
+    this scale.  That test runs only on words whose keys, fixed weighted sums
+    of their entries, lie in a window that covers the tolerance and round-off
+    in both sums.  Raises :class:`EnumerationCapError` past
+    ``DEFAULT_ELEMENT_CAP`` words; ``first`` offsets an overflow's generator
+    label as in :func:`flatten`.
+    """
     if budget < 1:
         raise ValueError("max_word_length must be >= 1")
     labels, gens = zip(*flatten(node, first))
@@ -202,8 +194,8 @@ def _words(node: SemigroupNode, budget: int, first: int = 0):
     spread, ulp = weights.sum() * _DEDUP_TOL, (n + 2) * np.finfo(float).eps
     for length in range(1, budget + 1):
         front = words[start:size, None]
-        cand = _compose(front[..., : d * d].reshape(-1, 1, d, d), front[..., d * d :], gm, go)
-        cand = cand.reshape(-1, n)
+        m, o = geometry._compose(front[..., : d * d].reshape(-1, 1, d, d), front[..., d * d :], gm, go)
+        cand = np.concatenate([m.reshape(-1, d * d), o.reshape(-1, d)], axis=1)
         if not np.isfinite(cand).all():
             bad = labels[int(np.argmin(np.isfinite(cand).all(axis=1))) % len(gens)]
             raise NumericalError(f"word enumeration: composing a word with {bad} overflows")
@@ -234,19 +226,6 @@ def _words(node: SemigroupNode, budget: int, first: int = 0):
         if not len(fresh):
             break
     return words[:size, : d * d].reshape(size, d, d).copy(), words[:size, d * d :].copy()
-
-
-def enumerate_elements(node: SemigroupNode, max_word_length: int) -> list[AffineMap]:
-    """Distinct products of generators up to the word length, identity included.
-
-    Breadth first, each length's candidates (word, then generator) formed as
-    one stack; a candidate is dropped when a word kept before it is within
-    1e-10 entrywise, far below round-off growth at this scale.  That test runs
-    only on words whose keys, fixed weighted sums of their entries, lie in a
-    window that covers the tolerance and round-off in both sums.  Raises
-    :class:`EnumerationCapError` past ``DEFAULT_ELEMENT_CAP`` elements.
-    """
-    return [AffineMap(m, o) for m, o in zip(*_words(node, max_word_length))]
 
 
 def _rank(s: np.ndarray) -> int:
@@ -350,23 +329,3 @@ def validate_structure(
     invariance = _invariance_failures(flatten(node), K, tol)
     return _report(relations.depth, relations.failures + invariance)
 
-
-def commuting_combination(
-    h: AffineMap,
-    g: AffineMap,
-    normal_words,
-    tol: float = 1e-8,
-) -> AffineMap | None:
-    """Convex combination h'' of normal words with h.g = g.h'', or None.
-
-    Works at the level of convex hulls rather than single words: flattening
-    maps to vectors turns the search into hull membership of h.g among
-    {g.w : w word}, solved by the same feasibility core as everything else.
-    """
-    words = list(normal_words)
-    target = _compose(h.matrix, h.offset, g.matrix, g.offset)
-    stack = np.array([w.matrix for w in words]), np.array([w.offset for w in words])
-    deviation, weights = hull_fit(Polytope(_compose(g.matrix, g.offset, *stack)), target)
-    if deviation > tol:
-        return None
-    return convex_combination(words, weights / weights.sum())

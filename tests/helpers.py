@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 import fixmk
-from fixmk import AffineMap, Leaf, Polytope, Product, geometry
+from fixmk import AffineMap, Leaf, Polytope, Product, convex_combination, geometry, semigroup
 
 # the child process imports the same fixmk as the tests, however it was found
 _SRC = str(pathlib.Path(fixmk.__file__).resolve().parent.parent)
@@ -54,6 +54,36 @@ def ladder_entries(monkeypatch):
 
     monkeypatch.setattr(geometry, "_settle", settle)
     return entries
+
+
+def enumerate_elements(node, max_word_length):
+    """The words of the tree's generators up to the length, identity included, as maps."""
+    return [AffineMap(m, o) for m, o in zip(*semigroup._words(node, max_word_length))]
+
+
+def polytope_image(m, K):
+    """The hull of K's vertices under one map."""
+    return geometry.polytope_images(m.matrix[None], m.offset[None], K)[0]
+
+
+def _flat(matrices, offsets):
+    return np.concatenate([matrices.reshape(matrices.shape[:-2] + (-1,)), offsets], axis=-1)
+
+
+def commuting_combination(h, g, words, tol=1e-8):
+    """A convex combination h'' of the words with h.g = g.h'' within tol, or None.
+
+    Flattening maps to vectors makes this hull membership of h.g among
+    {g.w : w a word}, one hull fit; the fit's weights mix the words.
+    """
+    words = list(words)
+    target = _flat(*geometry._compose(h.matrix, h.offset, g.matrix, g.offset))
+    stack = np.array([w.matrix for w in words]), np.array([w.offset for w in words])
+    images = Polytope(_flat(*geometry._compose(g.matrix, g.offset, *stack)))
+    deviation, weights = geometry.hull_fit(images, target)
+    if deviation > tol:
+        return None
+    return convex_combination(words, weights / weights.sum())
 
 
 def rot90():

@@ -22,8 +22,18 @@ from scipy.optimize import linprog
 from fixmk import NormKind, semigroup
 from fixmk.errors import EnumerationCapError
 from fixmk.extension import INVARIANT_TOL
-from fixmk.geometry import AffineMap, affine_compose, flatten_map, hull_gap, map_deviation
+from fixmk.geometry import AffineMap, affine_compose, hull_gap
 from fixmk.semigroup import Leaf, flatten
+
+
+def flatten_map(m):
+    """Entries of matrix and offset as one flat vector (row-major)."""
+    return np.concatenate([m.matrix.ravel(), m.offset])
+
+
+def map_deviation(f, g):
+    """Max entrywise deviation between two maps, matrix and offset."""
+    return float(np.abs(flatten_map(f) - flatten_map(g)).max())
 
 
 def stationary_distribution(P):

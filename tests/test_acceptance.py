@@ -26,11 +26,8 @@ from fixmk import (
     contains,
     convex_combination,
     diameter,
-    enumerate_elements,
     feasible_point,
     fip_check,
-    map_deviation,
-    polytope_image,
     residual,
     solve_cesaro,
     solve_exact,
@@ -39,10 +36,10 @@ from fixmk import (
     invariant_extension,
     verify_extension,
 )
-from fixmk.semigroup import commuting_combination, flatten
+from fixmk.semigroup import flatten
 from fixmk.schema import load_problem
-from helpers import run_cli
-from oracles import brute_min_dual_norm, stationary_distribution
+from helpers import commuting_combination, enumerate_elements, polytope_image, run_cli
+from oracles import brute_min_dual_norm, map_deviation, stationary_distribution
 
 TOL = 1e-8
 

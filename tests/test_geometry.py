@@ -17,19 +17,16 @@ from fixmk import (
     NumericalError,
     Polytope,
     affine_compose,
-    affine_power,
     cesaro_average,
     contains,
     convex_combination,
     diameter,
     feasible_point,
     hull_gap,
-    map_deviation,
-    polytope_image,
 )
 from fixmk.lp import INFEASIBLE, LPResult
-from helpers import count_calls, cube, rot90, rot180, square, unit_square
-from oracles import hull_distance
+from helpers import count_calls, cube, polytope_image, rot90, rot180, square, unit_square
+from oracles import hull_distance, map_deviation
 
 entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -138,9 +135,8 @@ HUGE = AffineMap.linear(1e200 * np.eye(2))
     (lambda: convex_combination([AffineMap.linear(np.full((2, 2), np.finfo(float).max))] * 2,
                                 [0.5 + 4e-10] * 2), "mixing maps"),
     (lambda: cesaro_average(AffineMap.linear(2 * np.eye(2)), 1024), "averaging at depth 1024"),
-    (lambda: affine_power(AffineMap.linear(2 * np.eye(2)), 1024), "power 1024"),
-    (lambda: affine_power(HUGE, 3), "power 3"),  # the odd step's product
-], ids=["compose", "mix", "average", "power", "odd-power"])
+    (lambda: cesaro_average(HUGE, 3), "averaging at depth 3"),  # through the odd step of the power sum
+], ids=["compose", "mix", "average", "odd-average"])
 def test_overflow_raises_a_numerical_error_naming_the_step(call, message):
     # pytest makes any RuntimeWarning an error, so none may escape
     with pytest.raises(NumericalError, match=f"^{message} overflows$"):
@@ -202,16 +198,18 @@ def bounded_maps(draw):
 @given(bounded_maps(), st.sampled_from([1, 2, 4, 16, 128, 1024]))
 def test_cesaro_telescoping(h, n):
     # p = avg(x)  =>  p - h(p) = (x - h^n(x)) / n
-    from fixmk import affine_power
-
     x = np.linspace(-1.0, 1.0, h.dim)
     p = cesaro_average(h, n)(x)
     lhs = p - h(p)
-    hn = affine_power(h, n)(x)
+    # h^n from the homogeneous (d+1)x(d+1) matrix, apart from the power sum cesaro_average uses
+    homogeneous = np.eye(h.dim + 1)
+    homogeneous[:-1, :-1], homogeneous[:-1, -1] = h.matrix, h.offset
+    hn = (np.linalg.matrix_power(homogeneous, n) @ np.append(x, 1.0))[:-1]
+    assert np.isfinite(hn).all()
     np.testing.assert_allclose(lhs, (x - hn) / n, atol=1e-10)
 
 
-# --- polytope_image -------------------------------------------------------
+# --- polytope images ------------------------------------------------------
 
 def test_image_identity_keeps_vertices():
     K = square()

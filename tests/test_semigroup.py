@@ -19,13 +19,9 @@ from fixmk import (
     Polytope,
     Product,
     affine_compose,
-    check_invariance,
     check_normal_factor,
-    commuting_combination,
     convex_combination,
-    enumerate_elements,
     lift_operators,
-    map_deviation,
     validate_relations,
     validate_structure,
 )
@@ -33,9 +29,10 @@ from fixmk.errors import SchemaError
 from fixmk.schema import ExtensionPayload, load_problem
 from fixmk.semigroup import flatten
 from helpers import (
-    commuting_contractions, count_calls, cube, dihedral_node, ladder_entries, polygon_dihedral, reflect_x,
-    rot90, rot180, signed_permutations, square, unit_square,
+    commuting_combination, commuting_contractions, count_calls, cube, dihedral_node, enumerate_elements,
+    ladder_entries, polygon_dihedral, reflect_x, rot90, rot180, signed_permutations, square, unit_square,
 )
+from oracles import map_deviation
 
 
 # --- abelian leaves --------------------------------------------------------
@@ -57,15 +54,15 @@ def test_abelian_rotation_vs_reflection_fails():
     assert report.failures[0].residual == pytest.approx(2.0)
 
 
-# --- check_invariance ------------------------------------------------------
+# --- invariance ------------------------------------------------------------
 
 def test_invariance_identity_and_rotation():
-    assert check_invariance([AffineMap.identity(2)], square(), 1e-9).ok
-    assert check_invariance([rot90()], square(), 1e-9).ok
+    assert validate_structure(Leaf((AffineMap.identity(2),)), square(), 1e-9).ok
+    assert validate_structure(Leaf((rot90(),)), square(), 1e-9).ok
 
 
 def test_invariance_translation_fails():
-    report = check_invariance([AffineMap.translation([2.0, 0.0])], unit_square(), 1e-9)
+    report = validate_structure(Leaf((AffineMap.translation([2.0, 0.0]),)), unit_square(), 1e-9)
     assert not report.ok
     assert report.failures[0].kind == "not-invariant"
     assert report.failures[0].residual == pytest.approx(2.0, abs=1e-7)
@@ -278,7 +275,7 @@ def test_invariance_matches_rounded_rotation_without_fit(monkeypatch):
     c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
     rotation = AffineMap.linear([[c, -s], [s, c]])
     assert np.abs(rotation.matrix - rot90().matrix).max() > 0
-    assert check_invariance([rotation], square(), 1e-9).ok
+    assert validate_structure(Leaf((rotation,)), square(), 1e-9).ok
     assert calls == []
 
 
@@ -288,7 +285,7 @@ def test_invariance_near_miss_still_fits_and_reports_hull_distance(monkeypatch):
     K = square()
     expected = max(geometry.hull_fit(K, g(v))[0] for v in K.vertices)
     calls = count_calls(monkeypatch, geometry, "hull_fit")
-    report = check_invariance([g], K, 1e-9)
+    report = validate_structure(Leaf((g,)), K, 1e-9)
     assert len(calls) == K.n_vertices
     assert [(f.kind, f.residual) for f in report.failures] == [("not-invariant", expected)]
     assert expected == pytest.approx(1e-7, rel=1e-6)
@@ -306,10 +303,15 @@ def test_invariance_pass_logs_match_and_lp_counts(caplog):
     caplog.clear()
     near_corner = AffineMap(0.05 * np.eye(2), [0.85, 0.85])
     with caplog.at_level(logging.DEBUG, logger="fixmk"):
-        assert not check_invariance([near_corner, AffineMap.linear(1.5 * np.eye(2))], square(), 1e-9).ok
+        report = validate_structure(Leaf((near_corner, AffineMap.linear(1.5 * np.eye(2)))), square(), 1e-9)
     assert [r.getMessage() for r in caplog.records if r.name.startswith("fixmk")] == [
         "invariance pass: 8 vertex-generator pairs: 0 by vertex match, 0 by weights, 4 by NNLS, 4 by LP"
     ]
+    # the two maps do not commute; the invariance pass reports only 1.5 I, by its LP gap
+    assert [(f.kind, f.witness) for f in report.failures] == [
+        ("non-commuting-pair", ("g0", "g1")), ("not-invariant", ("g1",))
+    ]
+    assert report.failures[1].residual == pytest.approx(0.5, abs=1e-7)
 
 
 def test_validate_is_deterministic():
@@ -322,7 +324,7 @@ def test_validate_is_deterministic():
     ]
 
 
-# --- enumerate_elements ----------------------------------------------------
+# --- word enumeration ------------------------------------------------------
 
 def test_enumerate_identity_leaf():
     els = enumerate_elements(Leaf((AffineMap.identity(3),)), 5)
@@ -533,7 +535,7 @@ def test_overflow_names_the_step_and_the_generator():
     huge = AffineMap.linear([[1e200]])
     interval = Polytope(np.array([[1.0], [-1.0]]))
     with pytest.raises(NumericalError, match="invariance check: g0 maps a vertex"):
-        check_invariance([huge], Polytope(np.array([[1e200], [-1e200]])), 1e-9)
+        validate_structure(Leaf((huge,)), Polytope(np.array([[1e200], [-1e200]])), 1e-9)
     with pytest.raises(NumericalError, match="abelian check: composing g1 and g2 overflows"):
         validate_structure(Leaf((AffineMap.identity(1), huge, huge)), interval)
     with pytest.raises(NumericalError, match="word enumeration: composing a word with g1 overflows"):

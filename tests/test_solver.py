@@ -22,11 +22,8 @@ from fixmk import (
     convex_combination,
     cross_check,
     diameter,
-    enumerate_elements,
     feasible_point,
     fip_check,
-    map_deviation,
-    polytope_image,
     residual,
     solve_cesaro,
     solve_exact,
@@ -39,10 +36,10 @@ from fixmk.semigroup import flatten
 from fixmk.solver import DEFAULT_TOL, _sample_family
 from conftest import FIXTURES, fixture_paths
 from helpers import (
-    commuting_contractions, count_calls, cube, dihedral_node, ladder_entries, markov_node, polygon_dihedral,
-    reflect_x, rot90, signed_permutations, square, unit_square,
+    commuting_contractions, count_calls, cube, dihedral_node, enumerate_elements, ladder_entries, markov_node,
+    polygon_dihedral, polytope_image, reflect_x, rot90, signed_permutations, square, unit_square,
 )
-from oracles import hull_distance
+from oracles import hull_distance, map_deviation
 from oracles import stationary_distribution
 
 
