@@ -4,8 +4,12 @@ Subcommands: ``solve`` (common fixed point), ``check`` (structure
 validation), ``fip`` (sampled image-intersection check), ``extend``
 (invariant functional extension).  Problem files are JSON per
 :mod:`fixmk.schema`; a report is the result dataclasses as canonical JSON.
-``--word-budget`` bounds the words that fip sampling (``fip``, ``check
---fip``) mixes; validation enumerates no words.
+Options (:class:`fixmk.schema.Options`, from the file or a flag): ``solve``
+reads ``tol``, ``n_max`` and ``mode``; ``check --fip`` and ``fip`` read
+``tol``, ``seed`` and ``word_budget``, the longest word fip sampling mixes
+(plain ``check`` reads ``tol``); ``extend`` reads ``tol`` only, its
+cross-check depth fixed at 2^40 (``extension._CROSSCHECK_N_MAX``).  Every
+subcommand accepts the others, range-checked, and ignores them.
 
 Exit codes: 0 when the report's status is ``ok``.  1 when a solver or
 check fails: in the report's status (``disagreement`` included, when the

@@ -135,8 +135,8 @@ class NumericalError(FixmkError, RuntimeError):
     """The LP core or the exact solver failed in floating point, so no answer can be trusted.
 
     Raised at the simplex iteration limit, on an unbounded phase 1, on LP
-    data or an LP solution that is not finite, when a deviation or probe
-    LP, feasible by construction, is reported infeasible or unbounded,
+    data or an LP solution that is not finite, when a deviation LP,
+    feasible by construction, is reported infeasible or unbounded,
     when a generator's averages have no limit the exact solver can form
     (the kernel and range of G - I are not complementary), and when
     composing, powering, averaging, mixing or layering maps overflows

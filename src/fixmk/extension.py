@@ -10,8 +10,8 @@ The whole pipeline stays inside the polytope machinery: the candidate set
 norm menu is max-abs / sum-abs precisely so its ball and dual ball are
 polytopes), the operators act on it by transposition, and the fixed-point
 solver picks the invariant point.  Each question is asked once: the
-preconditions by :func:`validate_problem`, the norm of g on Y by one probe
-of the deviation LP of :mod:`fixmk.geometry`, and the lifted tree's
+preconditions by :func:`validate_problem`, the norm of g on Y by one capped
+deviation LP of :mod:`fixmk.geometry`, and the lifted tree's
 abelian and normal relations by :func:`fixmk.semigroup.validate_relations`.
 The constraint set's invariance needs no check of its own, because the
 preconditions imply it.  Its vertices come from facet combinations of the
@@ -41,7 +41,7 @@ from .errors import (
     StructureValidationError,
     ZeroFunctionalError,
 )
-from .geometry import AffineMap, NormKind, NormSpec, Polytope, _apply, _capped_probe, _finite
+from .geometry import AffineMap, NormKind, NormSpec, Polytope, _apply, _finite, deviation_fit
 from .semigroup import Leaf, Product, SemigroupNode, flatten, validate_relations
 from .solver import cross_check
 
@@ -157,9 +157,9 @@ def validate_problem(problem: ExtensionProblem) -> list[Violation]:
 def subspace_norm(problem: ExtensionProblem) -> float:
     """||g|| on Y: the largest g . t over coordinates t with Y^T t in the unit ball.
 
-    One capped probe of the deviation LP with basis Y^T: the max-abs ball
-    is {Y^T t within 1 of the point 0}, the sum-abs ball is
-    {Y^T t within 0 of conv{+-e_i}}.
+    One call of :func:`fixmk.geometry.deviation_fit` with basis Y^T,
+    capped and minimizing -g . t: the max-abs ball is {Y^T t within 1 of
+    the point 0}, the sum-abs ball is {Y^T t within 0 of conv{+-e_i}}.
     """
     Y = problem.subspace_basis
     g = problem.functional_on_subspace
@@ -172,7 +172,7 @@ def subspace_norm(problem: ExtensionProblem) -> float:
         vertices, cap = np.zeros((1, n)), 1.0
     else:
         vertices, cap = np.vstack([np.eye(n), -np.eye(n)]), 0.0
-    coords = _capped_probe([vertices], np.zeros(n), Y.T, cap, -g)
+    _, coords, _ = deviation_fit([vertices], np.zeros(n), Y.T, cap, -g)
     with np.errstate(over="ignore", invalid="ignore"):
         (norm,) = _finite("the norm of g on the subspace", g @ coords)
     return max(float(norm), 0.0)

@@ -13,37 +13,38 @@ set and coordinates s minimizing the max-abs deviation t between each
 hull point V_j^T lam_j and the shared point p + B s (in equality form by
 :func:`_deviation_lp`).
 
-Callers pass p as it is: :func:`_frame` alone picks the frame, in which
-:func:`deviation_fit` and :func:`_capped_probe` solve for (V_j - o) / 2^k
-against the origin, o in p + span(B), and map t, s and the weights back.
-Data whose reach from p (the largest |V_j - p|) is at most
-2^10 * min(1, spread), spread being the widest set's coordinate range,
-keep o = p and k = 0, the program as posed before; others take o at
-their centroid's least-squares fit in p + span(B), with 2^k just above
-their reach from o (or 1 within [2^-10, 2^10]); the probe also divides
-each column of B and its objective by a power of two.  Powers of two
+:func:`deviation_fit` alone poses, solves and maps back every deviation
+LP: it minimizes t, or, given a cap and a direction, direction @ s subject
+to t <= cap.  Callers pass p as it is, and :func:`_frame` picks the frame:
+(V_j - o) / 2^k against the origin, o in p + span(B).  Data whose reach
+from p (the largest |V_j - p|) is at most 2^10 * min(1, spread), spread
+being the widest set's coordinate range, keep o = p and k = 0, the program
+as posed before; others take o at their centroid's least-squares fit in
+p + span(B), with 2^k just above their reach from o (or 1 within
+[2^-10, 2^10]).  Each column of B, and a direction, is divided by a power
+of two too (1 for I, an orthonormal B and an empty B).  Powers of two
 scale exactly, so the simplex's absolute tolerance keeps its meaning.
 
 * :func:`hull_fit` is J = 1 with an empty basis: is p in the hull?
   Membership within a tolerance goes through one ladder,
   :func:`hull_gaps`, on a stack of points (:func:`hull_gap` for one
   point, the invariance pass of :mod:`fixmk.semigroup` for a generator's
-  vertex images).  Its first three steps each prove a point within the
+  vertex images).  Its first two steps each prove a point within the
   tolerance: a vertex within it, found in bounded chunks, as images
-  under permutations are; else convex weights from one least-squares
-  solve whose residual, round-off included, is within it, as the
-  centroid's uniform weights and a simplex's barycentric coordinates
-  always are; else nonnegative least-squares weights (Lawson and
-  Hanson's active-set method, a few small least-squares solves) passing
-  the same test, as every point inside K away from round-off of its
-  boundary does.  Only a point left after those gets the LP, so the
+  under permutations are; else nonnegative least-squares weights whose
+  residual, round-off included, is within it.  That step's first solve
+  is the minimum-norm least-squares one, which settles the centroid's
+  uniform weights and a simplex's positive barycentric coordinates; where
+  it goes negative, Lawson and Hanson's active-set method (a few small
+  least-squares solves) settles every point inside K away from round-off
+  of its boundary.  Only a point left after those gets the LP, so the
   simplex measures how far a point lies outside K.
 * :func:`feasible_point` is p = 0, B = I: do the hulls intersect?  Its
   witness is the raw basic solution.
 * the exact solver fits an affine fixed subspace against K, to tell
   whether the fixed set meets K.
-* the extension's subspace norm is one probe of the deviation LP capped
-  at t <= cap (:func:`fixmk.extension.subspace_norm`).
+* the extension's subspace norm is one capped deviation LP with a
+  direction (:func:`fixmk.extension.subspace_norm`).
 
 Stacked affine arithmetic is done here alone: :func:`_apply`, :func:`_compose`
 and :func:`_mix` on (matrix, offset) arrays run under ``np.errstate``, and each
@@ -67,7 +68,7 @@ _WEIGHT_TOL = 1e-9  # round-off allowed in convex weights: sign and sum
 _IN_SCALE = 2.0**10  # deviation LP data within this (times min(1, spread)) of the point keep it
 _CHUNK_BYTES = 64 * 1024  # bound on the temporaries of one chunk of the vertex match
 _NNLS_SOLVES = 3  # least-squares solves per vertex before NNLS leaves a point to the LP
-LADDER = ("vertex match", "weights", "NNLS", "LP")  # the steps of hull_gaps, in order
+LADDER = ("vertex match", "weights", "LP")  # the steps of hull_gaps, in order
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -363,20 +364,22 @@ def _frame(vertex_sets, point, basis):
     return [S / scale for S in shifted], shift, scale
 
 
-def _deviation_lp(vertex_sets, basis):
+def _deviation_lp(vertex_sets, basis, cap=None):
     """Equality form of the deviation LP against the origin, plus its column offsets (s+, s-, t).
 
     Columns: lam_1..lam_J | s+ (r) | s- (r) | t | u (J*d) | w (J*d).  Each
     set j owns 2d + 1 rows: for every coordinate i an upper row
     V_j[:, i] @ lam_j - B[i] @ s - t + u_ji = 0 and a lower row with
-    + t - w_ji in place of - t + u_ji, then sum(lam_j) = 1.
+    + t - w_ji in place of - t + u_ji, then sum(lam_j) = 1.  A cap adds a
+    last row t + slack = cap, its slack the last column.
     """
     d, r = basis.shape
     J = len(vertex_sets)
     sp = sum(V.shape[0] for V in vertex_sets)
     sn, t = sp + r, sp + 2 * r
     u0, w0 = t + 1, t + 1 + J * d
-    A = np.zeros((J * (2 * d + 1), w0 + J * d))
+    capped = cap is not None
+    A = np.zeros((J * (2 * d + 1) + capped, w0 + J * d + capped))
     b = np.zeros(A.shape[0])
     b[2 * d :: 2 * d + 1] = 1.0
     lam0 = 0
@@ -393,44 +396,35 @@ def _deviation_lp(vertex_sets, basis):
         low[:, w0 + j * d : w0 + (j + 1) * d] -= np.eye(d)
         rows[-1, lam] = 1.0
         lam0 = lam.stop
+    if capped:
+        A[-1, [t, -1]] = 1.0
+        b[-1] = cap
     return A, b, (sp, sn, t)
 
 
-def deviation_fit(vertex_sets, point, basis):
-    """Least max-abs deviation t between point + span(basis) and every hull.
+def deviation_fit(vertex_sets, point, basis, cap=None, direction=None):
+    """The deviation LP between point + span(basis) and every hull: (t, s, weights).
 
-    Returns (t, point + basis @ s, weights) at the optimum, where weights
-    stacks the convex weights of all sets in order.
+    Without a direction it minimizes the max-abs deviation t; with one, it
+    minimizes direction @ s subject to t <= cap.  s holds the coordinates of
+    the shared point point + basis @ s, and weights stacks the convex
+    weights of all sets in order.
     """
     sets, shift, scale = _frame(vertex_sets, point, basis)
-    A, b, (sp, sn, t) = _deviation_lp(sets, basis)
-    c = np.zeros(A.shape[1])
-    c[t] = 1.0
-    res = solve_lp(c, A, b)
-    if res.status != OPTIMAL:  # the system is always feasible for large t
-        raise NumericalError(f"deviation LP unexpectedly {res.status}")
-    s = shift + scale * (res.x[sp:sn] - res.x[sn:t])
-    return scale * max(res.value, 0.0), point + basis @ s, res.x[:sp]
-
-
-def _capped_probe(vertex_sets, point, basis, cap, direction):
-    """A minimizer s of direction @ s over the deviation LP capped at t <= cap."""
-    sets, shift, scale = _frame(vertex_sets, point, basis)
     columns = np.array([_power_of_two(size) for size in np.abs(basis).max(axis=0)])
-    A, b, (sp, sn, t) = _deviation_lp(sets, basis / columns)
-    objective = direction / _power_of_two(float(np.abs(direction).max(initial=0.0))) / columns
-    objective = objective / _power_of_two(float(np.abs(objective).max(initial=0.0)))
-    n_rows, n_cols = A.shape
-    A_probe = np.zeros((n_rows + 1, n_cols + 1))
-    A_probe[:n_rows, :n_cols] = A
-    A_probe[n_rows, [t, n_cols]] = 1.0  # t + slack = cap
-    c = np.zeros(n_cols + 1)
-    c[sp:sn] = objective
-    c[sn:t] = -objective
-    res = solve_lp(c, A_probe, np.append(b, cap / scale))
-    if res.status != OPTIMAL:
-        raise NumericalError(f"probe LP unexpectedly {res.status}")
-    return shift + scale * (res.x[sp:sn] - res.x[sn:t]) / columns
+    A, b, (sp, sn, t) = _deviation_lp(sets, basis / columns, None if cap is None else cap / scale)
+    c = np.zeros(A.shape[1])
+    if direction is None:
+        c[t] = 1.0
+    else:
+        objective = direction / _power_of_two(float(np.abs(direction).max(initial=0.0))) / columns
+        c[sp:sn] = objective / _power_of_two(float(np.abs(objective).max(initial=0.0)))
+        c[sn:t] = -c[sp:sn]
+    res = solve_lp(c, A, b)
+    if res.status != OPTIMAL:  # the program is feasible for a large t, and a cap is met when asked
+        raise NumericalError(f"deviation LP unexpectedly {res.status}")
+    s = shift + scale * (res.x[sp:sn] - res.x[sn:t]) / columns
+    return scale * max(0.0, res.x[t]), s, res.x[:sp]
 
 
 def hull_fit(K: Polytope, x) -> tuple[float, np.ndarray]:
@@ -458,14 +452,20 @@ def _vertex_gaps(points: np.ndarray, V: np.ndarray) -> np.ndarray:
 def _nnls(A: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray | None:
     """lam >= 0 minimizing |A lam - b|_2 (Lawson and Hanson, 1974, ch. 23), or None.
 
-    The active-set method: the column whose gradient entry w = A^T (b - A lam)
-    is largest enters the passive set, which is solved by least squares; a
-    solution with entries <= 0 is met by stepping from lam towards it until
-    the first entry reaches 0 and dropping every entry at 0.  Stops when no
-    entry of w exceeds its round-off, or when an entering entry solves to
-    <= 0 (it entered on round-off).  None once ``cap`` least-squares solves
-    did not reach that: the caller treats the point as not settled.
+    The first solve is the unconstrained minimum-norm least-squares one:
+    when all its entries are positive it is the answer.  Otherwise the
+    active-set method runs from lam = 0: the column whose gradient entry
+    w = A^T (b - A lam) is largest enters the passive set, which is solved
+    by least squares; a solution with entries <= 0 is met by stepping from
+    lam towards it until the first entry reaches 0 and dropping every entry
+    at 0.  Stops when no entry of w exceeds its round-off, or when an
+    entering entry solves to <= 0 (it entered on round-off).  None once
+    ``cap`` least-squares solves past the first did not reach that: the
+    caller treats the point as not settled.
     """
+    lam = np.linalg.lstsq(A, b, rcond=None)[0]
+    if lam.min() > 0:
+        return lam
     n = A.shape[1]
     lam, passive = np.zeros(n), np.zeros(n, dtype=bool)
     floor = 10 * max(A.shape) * np.finfo(float).eps * np.abs(A).max() * np.abs(b).max()
@@ -489,72 +489,55 @@ def _nnls(A: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray | None:
             down = passive & (s <= 0)  # lam > 0 on each: the denominators are positive
             lam += (lam[down] / (lam[down] - s[down])).min() * (s - lam)
             passive &= lam > 0
-            lam[~passive], entering = 0.0, -1  # only the first solve can turn the entering entry down
+            lam[~passive], entering = 0.0, -1  # only its first solve can turn the entering entry down
         lam = s
         w = A.T @ (b - A @ lam)
     return lam
 
 
-def _weight_gap(S: np.ndarray, lam: np.ndarray, roundoff: float, tol: float) -> float | None:
-    """|S^T lam|_inf for the convex weights lam / sum(lam), when it plus its round-off is within
-    tol; else None, also when the sum is 0 or not finite."""
-    total = lam.sum()
-    if not 0.0 < total < np.inf:  # all weights clipped away, or not finite
-        return None
-    gap = float(np.abs(S.T @ (lam / total)).max())
-    return gap if gap + roundoff <= tol else None
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _weighed(K: Polytope, point: np.ndarray, tol: float) -> tuple[float, int] | None:
-    """Steps 2 and 3 of the ladder for one point: (gap, step), or None when neither settles it.
+def _weighed(K: Polytope, point: np.ndarray, tol: float) -> float | None:
+    """Step 2 of the ladder for one point: the gap its convex weights prove, or None.
 
-    Both solve sum lam_i (v_i - x) = 0, sum lam_i = 1 for the rows v_i - x
-    of S, in :func:`_frame`'s coordinates, the first d equations divided by
-    the reach max|S| so that they weigh as much as the last: step 2 for
-    the minimum-norm lam, its negative entries clipped to 0, step 3 for
-    lam >= 0 by :func:`_nnls`, within ``_NNLS_SOLVES`` least-squares
-    solves per vertex.  Either settles x when the residual of its convex
-    weights on S, plus its round-off (N + 2) eps reach, is within tol.
+    Solves sum lam_i (v_i - x) = 0, sum lam_i = 1 for lam >= 0 by :func:`_nnls`,
+    within ``_NNLS_SOLVES`` least-squares solves per vertex, the first d
+    equations divided by the reach max|v_i - x| so that they weigh as much as
+    the last.  The weights lam / sum(lam) settle x when their residual, plus
+    its round-off (N + 2) eps reach, is within tol.
     """
-    (S,), _, scale = _frame([K.vertices], point, np.zeros((K.dim, 0)))
+    S = K.vertices - point if point.any() else K.vertices
     reach = float(np.abs(S).max())
     if not 0.0 < reach < np.inf:
         return None
-    roundoff, tol = (len(S) + 2) * np.finfo(float).eps * reach, tol / scale
     A, b = np.vstack([S.T / reach, np.ones(len(S))]), np.append(np.zeros(K.dim), 1.0)
-    gap = _weight_gap(S, np.maximum(np.linalg.lstsq(A, b, rcond=None)[0], 0.0), roundoff, tol)
-    if gap is not None:
-        return scale * gap, 1
     lam = _nnls(A, b, _NNLS_SOLVES * len(S))
-    gap = None if lam is None else _weight_gap(S, lam, roundoff, tol)
-    return None if gap is None else (scale * gap, 2)
-
-
-def _settle(K: Polytope, point: np.ndarray, tol: float) -> tuple[float, int]:
-    """Steps 2 to 4 of the ladder for one point no vertex matched: (gap, step)."""
-    return _weighed(K, point, tol) or (hull_fit(K, point)[0], 3)
+    total = 0.0 if lam is None else lam.sum()
+    if not 0.0 < total < np.inf:
+        return None
+    gap = float(np.abs(S.T @ (lam / total)).max())
+    return gap if gap + (len(S) + 2) * np.finfo(float).eps * reach <= tol else None
 
 
 def hull_gaps(K: Polytope, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The membership ladder on a stack of points (N, d): (gaps, steps).
 
     steps[i] indexes LADDER, the step that settled points[i]: a vertex
-    within tol (gap: the nearest vertex's distance); else least-squares,
-    then NNLS convex weights whose residual, round-off included, is within
-    tol (gap: that residual); else :func:`hull_fit` (gap: the hull
-    distance).  Each bounds the hull distance from above, so gap <= tol iff
-    the hull distance is, and a gap above tol is the hull distance itself.
-    Each point goes through :func:`_settle` at most once.  The LP resolves
-    a gap only to about 1e-9 times :func:`_frame`'s 2^k (1 for data near the
-    point), as the simplex's tolerance is absolute, so a smaller tol is not
-    honoured: on [-2^-10, 2^-10], a point 3.95e-11 outside reads as inside at
-    tol 9.8e-13.
+    within tol (gap: the nearest vertex's distance); else convex weights
+    whose residual, round-off included, is within tol (gap: that residual);
+    else :func:`hull_fit` (gap: the hull distance).  Each bounds the hull
+    distance from above, so gap <= tol iff the hull distance is, and a gap
+    above tol is the hull distance itself.  Each point gets its weights
+    sought at most once.  The LP resolves a gap only to about 1e-9 times
+    the 2^k of :func:`deviation_fit`'s frame (1 for data near the point), as
+    the simplex's tolerance is absolute, so a smaller tol is not honoured:
+    on [-2^-10, 2^-10], a point 3.95e-11 outside reads as inside at tol
+    9.8e-13.
     """
     gaps = _vertex_gaps(points, K.vertices)
     steps = np.zeros(len(points), dtype=int)
     for i in np.flatnonzero(gaps > tol):
-        gaps[i], steps[i] = _settle(K, points[i], tol)
+        gap = _weighed(K, points[i], tol)
+        gaps[i], steps[i] = (gap, 1) if gap is not None else (hull_fit(K, points[i])[0], 2)
     return gaps, steps
 
 
@@ -562,7 +545,8 @@ def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
     """Max-abs gap from x to the hull, exact wherever it exceeds tol: :func:`hull_gaps` on x.
 
     Returns (gap, matched), matched True when a vertex within tol settled it.
-    A tol below the LP's resolution (see :func:`hull_gaps`) is not honoured.
+    A tol below the LP's resolution, about 1e-9 times the 2^k of
+    :func:`deviation_fit`'s frame (see :func:`hull_gaps`), is not honoured.
     """
     gaps, steps = hull_gaps(K, as_vector(x, K.dim)[None], tol)
     return float(gaps[0]), bool(steps[0] == 0)
@@ -571,7 +555,8 @@ def hull_gap(K: Polytope, x, tol: float) -> tuple[float, bool]:
 def contains(K: Polytope, x, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
     """True iff convex weights over the vertices reproduce x within tol.
 
-    A tol below the LP's resolution (see :func:`hull_gaps`) is not honoured.
+    A tol below the LP's resolution, about 1e-9 times the 2^k of
+    :func:`deviation_fit`'s frame (see :func:`hull_gaps`), is not honoured.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -599,5 +584,6 @@ def feasible_point(constraint_sets, tol: float = DEFAULT_MEMBERSHIP_TOL):
     d = sets[0].dim
     if any(K.dim != d for K in sets):
         raise DimensionMismatchError("polytopes have mixed dims")
-    deviation, point, _ = deviation_fit([K.vertices for K in sets], np.zeros(d), np.eye(d))
-    return None if deviation > tol else point
+    origin, basis = np.zeros(d), np.eye(d)
+    deviation, s, _ = deviation_fit([K.vertices for K in sets], origin, basis)
+    return None if deviation > tol else origin + basis @ s

@@ -57,6 +57,11 @@ class Options:
     c projected against the exact point e); its status is
     ``disagreement`` when the gap exceeds ``tol``.  ``word_budget`` is the
     longest word that fip sampling mixes; it drives nothing else.
+
+    Each subcommand reads some: ``solve`` ``tol``, ``n_max`` and ``mode``;
+    ``check --fip`` and ``fip`` ``tol``, ``seed`` and ``word_budget``;
+    ``extend`` ``tol`` only, its cross-check depth fixed at 2^40
+    (``extension._CROSSCHECK_N_MAX``).  The others are accepted and ignored.
     """
 
     tol: float = DEFAULT_TOL

@@ -15,10 +15,10 @@ SVD of the stacked fixed-point equations (:func:`common_fixed_subspace`),
 and invariance by hull membership of mapped vertices.  Each generator maps
 all vertices at once, and the images go through the membership ladder of
 :func:`~fixmk.geometry.hull_gaps`: a vertex match in bounded chunks
-settles permutations and isometries of K, convex weights from least
-squares, then nonnegative least squares settle images inside K, and only
-the images left over, outside K or within round-off of its boundary, get
-a hull LP, which gives a failure its residual.  A stacked product that
+settles permutations and isometries of K, nonnegative least-squares
+convex weights settle images inside K, and only the images left over,
+outside K or within round-off of its boundary, get a hull LP, which
+gives a failure its residual.  A stacked product that
 overflows raises :class:`NumericalError` naming the step and generator.
 :func:`validate_relations` runs the first two alone, for callers that
 know invariance by other means.  Reports carry the offending generator
@@ -163,8 +163,8 @@ def _invariance_failures(labeled, K: Polytope, tol: float) -> list[Failure]:
         if worst > tol:
             failures.append(Failure("not-invariant", (label,), worst))
     logger.debug(
-        "invariance pass: %d vertex-generator pairs: %d by vertex match, %d by weights, "
-        "%d by NNLS, %d by LP", len(steps), *(steps.count(i) for i in range(len(geometry.LADDER))),
+        "invariance pass: %d vertex-generator pairs: %d by vertex match, %d by weights, %d by LP",
+        len(steps), *(steps.count(i) for i in range(len(geometry.LADDER))),
     )
     return failures
 

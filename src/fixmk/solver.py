@@ -22,12 +22,11 @@ Two independent routes, both from a start point x0 in K:
   is P x0: once it is fixed and lies in K it is a proof.  "Lies in K" is
   proved as the start's is, by the membership ladder of
   :func:`~fixmk.geometry.hull_gap`: a vertex within tolerance, else
-  least-squares, then nonnegative least-squares convex weights whose
-  residual is, else the hull-distance LP, which a point inside K away
-  from round-off of its boundary never reaches.  Only when a check fails
-  do the stacked fixed-point equations, then one deviation LP of
-  :mod:`fixmk.geometry`, run, to name a fixed set that is empty or
-  misses K.
+  nonnegative least-squares convex weights whose residual is, else the
+  hull-distance LP, which a point inside K away from round-off of its
+  boundary never reaches.  Only when a check fails do the stacked
+  fixed-point equations, then one deviation LP of :mod:`fixmk.geometry`,
+  run, to name a fixed set that is empty or misses K.
 
 On every validated input both routes land on the same point, with
 residual below tolerance.  :func:`cross_check` runs both from one start
@@ -362,7 +361,8 @@ def _sample_family(node, family, count, rng, word_budget):
     elif family == "coh-coq":
         if isinstance(node, Leaf):
             raise ValueError("family 'coh-coq' needs a Product node")
-        hw, qw = _words(node.normal, word_budget), _words(node.quotient, word_budget)
+        hw = _words(node.normal, word_budget)
+        qw = _words(node.quotient, word_budget, len(flatten(node.normal)))  # labels as flatten's
         wh, wq = zip(*([rng.dirichlet(np.ones(len(w[0]))) for w in (hw, qw)] for _ in range(count)))
         maps = _compose(*_mix(*hw, np.array(wh)), *_mix(*qw, np.array(wq)))
     else:

@@ -42,17 +42,18 @@ def count_calls(monkeypatch, module, name):
 
 
 def ladder_entries(monkeypatch):
-    """Wrap geometry._settle, the ladder past the vertex match, so each point that enters it
-    appends (point as a tuple, name of the step that settled it) to the returned list."""
+    """Wrap geometry._weighed, the ladder's step past the vertex match, so each point that enters
+    it appends (point as a tuple, name of the step that settled it: weights, else LP) to the
+    returned list."""
     entries = []
-    original = geometry._settle
+    original = geometry._weighed
 
-    def settle(K, point, tol):
-        gap, step = original(K, point, tol)
-        entries.append((tuple(point.tolist()), geometry.LADDER[step]))
-        return gap, step
+    def weighed(K, point, tol):
+        gap = original(K, point, tol)
+        entries.append((tuple(point.tolist()), "LP" if gap is None else "weights"))
+        return gap
 
-    monkeypatch.setattr(geometry, "_settle", settle)
+    monkeypatch.setattr(geometry, "_weighed", weighed)
     return entries
 
 

@@ -1,4 +1,10 @@
-"""The public API of the fixmk package, pinned so that every addition or removal is deliberate."""
+"""The public API of the fixmk package, and the one wrapper of its LP core, pinned so that every
+addition or removal is deliberate."""
+import ast
+import pathlib
+
+import pytest
+
 import fixmk
 
 PUBLIC = [
@@ -20,3 +26,29 @@ PUBLIC = [
 
 def test_public_api_is_the_pinned_list():
     assert sorted(fixmk.__all__) == PUBLIC
+
+
+def _call_sites(name):
+    """(module, enclosing function's qualified name) of every call of ``name``, bare or as an
+    attribute, in the fixmk sources."""
+    sites = []
+    for path in sorted(pathlib.Path(fixmk.__file__).parent.glob("*.py")):
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = where
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{where}.{child.name}" if where else child.name
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                        sites.append((path.stem, where))
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+@pytest.mark.parametrize("name", ["solve_lp", "_frame"])
+def test_only_deviation_fit_frames_and_solves_an_lp(name):
+    # one wrapper poses, solves, status-checks and maps back every deviation LP
+    assert _call_sites(name) == [("geometry", "deviation_fit")]

@@ -2,7 +2,7 @@
 
 Every run exits 0, 1 or 2, writes no traceback and raises no warning;
 its stdout is empty or strict JSON, and no error line says that a
-deviation or probe LP, feasible and bounded by construction, was not.
+deviation LP, capped or not, feasible and bounded by construction, was not.
 """
 import contextlib
 import io

@@ -256,9 +256,10 @@ def _framed_programs():
 
     The hull fits of [-1,1]^2 translated by 1e9, 1e12 and 1e300; fip_check of
     C_3 on the standard simplex translated by (1e6, 1e6, 1e6); the capped
-    probe of subspace_norm for g in {1e-9, 1e-12, 1e-200} on span(1, 1) and
-    for the basis (1e-9, 1e-9), in both norms; and the invariance hull fits
-    of centered_box_contraction with its coordinates scaled by 1e6.
+    deviation LP of subspace_norm for g in {1e-9, 1e-12, 1e-200} on
+    span(1, 1) and for the basis (1e-9, 1e-9), in both norms; and the
+    invariance hull fits of centered_box_contraction with its coordinates
+    scaled by 1e6.
     """
     programs = []
     solve = geometry.solve_lp

@@ -258,6 +258,7 @@ def test_validate_fits_each_vertex_generator_pair_once(monkeypatch):
     images = [tuple(g(v).tolist()) for _, g in flatten(node) for v in K.vertices]
     assert sorted(point for point, _ in entries) == sorted(images)
     assert len(entries) == K.n_vertices * 3 and fits == []
+    assert {step for _, step in entries} == {"weights"}
 
 
 def test_validate_vertex_permuting_tree_solves_no_lp(monkeypatch):
@@ -297,7 +298,7 @@ def test_invariance_pass_logs_match_and_lp_counts(caplog):
         assert validate_structure(node, square()).ok
     records = [r for r in caplog.records if r.name.startswith("fixmk")]
     assert [r.getMessage() for r in records] == [
-        "invariance pass: 8 vertex-generator pairs: 4 by vertex match, 4 by weights, 0 by NNLS, 0 by LP"
+        "invariance pass: 8 vertex-generator pairs: 4 by vertex match, 4 by weights, 0 by LP"
     ]
     # images near the corner (0.9, 0.9) have negative minimum-norm weights; 1.5 I leaves K
     caplog.clear()
@@ -305,7 +306,7 @@ def test_invariance_pass_logs_match_and_lp_counts(caplog):
     with caplog.at_level(logging.DEBUG, logger="fixmk"):
         report = validate_structure(Leaf((near_corner, AffineMap.linear(1.5 * np.eye(2)))), square(), 1e-9)
     assert [r.getMessage() for r in caplog.records if r.name.startswith("fixmk")] == [
-        "invariance pass: 8 vertex-generator pairs: 0 by vertex match, 0 by weights, 4 by NNLS, 4 by LP"
+        "invariance pass: 8 vertex-generator pairs: 0 by vertex match, 4 by weights, 4 by LP"
     ]
     # the two maps do not commute; the invariance pass reports only 1.5 I, by its LP gap
     assert [(f.kind, f.witness) for f in report.failures] == [

@@ -472,8 +472,8 @@ def test_solving_without_a_start_settles_the_centroid_without_lp(node, K, monkey
 
 def test_the_invariance_pass_still_fits_every_unmatched_image(monkeypatch):
     # x -> x/2 + 1/4 maps no vertex of [0,1]^6 to a vertex: each of the 64
-    # images enters the ladder past the vertex match once, and NNLS weights
-    # settle it with no LP
+    # images enters the ladder past the vertex match once, and weights, whose
+    # minimum-norm solve goes negative, settle it with no LP
     pf = load_problem(FIXTURES / "solve" / "centered_box_contraction.json")
     K, ((_, g),) = pf.payload.polytope, flatten(pf.payload.node)
     images = sorted(tuple(g(v).tolist()) for v in K.vertices)
@@ -481,7 +481,7 @@ def test_the_invariance_pass_still_fits_every_unmatched_image(monkeypatch):
     calls = count_calls(monkeypatch, geometry, "solve_lp")
     assert validate_structure(pf.payload.node, K).ok
     assert sorted(point for point, _ in entries) == images
-    assert {step for _, step in entries} == {"NNLS"}
+    assert {step for _, step in entries} == {"weights"}
     entries.clear()
     assert cli.run_solve(pf, pf.options)[0] == "ok"
     assert sorted(point for point, _ in entries[:64]) == images
@@ -515,7 +515,7 @@ def test_solving_from_an_off_centre_start_on_a_cube_runs_no_lp(monkeypatch):
     calls = count_calls(monkeypatch, geometry, "solve_lp")
     start = [0.9, 0.9, -0.8]
     gaps, steps = geometry.hull_gaps(cube(3), np.array([start]), 1e-9)
-    assert geometry.LADDER[steps[0]] == "NNLS"
+    assert geometry.LADDER[steps[0]] == "weights"
     status, result = _solved(signed_permutations([1, 2, 0]), cube(3), start, "cross-check")
     assert status == "ok" and calls == []
     np.testing.assert_allclose(result["point"], np.zeros(3), atol=1e-12)
@@ -655,6 +655,14 @@ def test_fip_sampling_overflow_names_the_family():
     huge = Leaf((AffineMap.linear([[1e160]]),))
     with pytest.raises(NumericalError, match="^sampling the coh-coq family overflows$"):
         fip_check(Product(huge, huge), Polytope(np.array([[0.0], [1.0]])), 3, "coh-coq", word_budget=1)
+
+
+def test_fip_coh_coq_word_overflow_names_the_quotient_generator_as_flatten_labels_it():
+    # flatten labels the normal factor's -1 g0 and the quotient's 1e200 g1, whose square overflows
+    node = Product(Leaf((AffineMap.linear([[-1.0]]),)), Leaf((AffineMap.linear([[1e200]]),)))
+    assert [label for label, _ in flatten(node)] == ["g0", "g1"]
+    with pytest.raises(NumericalError, match="^word enumeration: composing a word with g1 overflows$"):
+        fip_check(node, Polytope(np.array([[-1.0], [1.0]])), 3, "coh-coq", word_budget=2)
 
 
 def test_fip_image_overflow_is_a_numerical_error():
