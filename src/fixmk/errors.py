@@ -134,11 +134,13 @@ class SchemaError(FixmkError, ValueError):
 class NumericalError(FixmkError, RuntimeError):
     """The LP core or the exact solver failed in floating point, so no answer can be trusted.
 
-    Raised at the simplex iteration limit, on an unbounded phase 1, on LP
-    data or an LP solution that is not finite, when a deviation LP,
-    feasible by construction, is reported infeasible or unbounded,
-    when a generator's averages have no limit the exact solver can form
-    (the kernel and range of G - I are not complementary), and when
-    composing, powering, averaging, mixing or layering maps overflows
-    (the message names the step).
+    Raised by the LP core, whose programs are feasible, bounded and of full
+    row rank by construction, at the simplex iteration limit, on a phase-1
+    optimum above tolerance ("LP unexpectedly infeasible"), on an unbounded
+    ray in either phase, on a row whose artificial cannot leave the basis
+    ("LP unexpectedly has a redundant row") and on LP data or an LP
+    solution that is not finite; when a generator's averages have no
+    limit the exact solver can form (the kernel and range of G - I are
+    not complementary); and when composing, powering, averaging, mixing
+    or layering maps overflows (the message names the step).
     """

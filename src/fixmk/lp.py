@@ -22,10 +22,19 @@ entries, degenerate steps and the phase-1 optimum of a feasible program.
 No step draws on randomness or on the order of a hash, so every solve is
 deterministic.  Intended for desk-scale problems (hundreds of columns),
 where a self-contained deterministic core beats calling out to a big
-solver.  Numerical trouble raises :class:`fixmk.errors.NumericalError`:
-the iteration limit, an unbounded phase 1, a NaN or infinity in c, A or
-b (``argmin`` would take a NaN reduced cost for optimal), and an optimal
-``x`` or value that is not finite.
+solver.
+
+Contract: :func:`solve_lp` returns an optimum or raises
+:class:`fixmk.errors.NumericalError`.  That suffices because fixmk poses
+only deviation LPs (:func:`fixmk.geometry._deviation_lp`): each has
+b >= 0, a feasible point at any large enough t (and a cap only where it
+is met), an objective bounded below, and full row rank, as its slack
+columns and one weight column per set form a nonsingular square block;
+on a validated tree the theorem even puts a fixed-set or FIP fit's
+optimum at t = 0.  So an infeasible, unbounded or redundant verdict is
+round-off and raises, as do a ray in phase 1, the iteration limit, a NaN
+or infinity in c, A or b (``argmin`` would take a NaN reduced cost for
+optimal), and an optimal ``x`` or value that is not finite.
 """
 from __future__ import annotations
 
@@ -35,9 +44,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+OPTIMAL = "optimal"  # the one status: the benchmark's tracer reads it
 
 _MAX_ITER = 50_000
 _BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
@@ -47,8 +54,8 @@ _TOL = 1e-9  # pivot, ratio-step and phase-1 feasibility tolerance
 @dataclass
 class LPResult:
     status: str
-    x: np.ndarray | None = None
-    value: float | None = None
+    x: np.ndarray
+    value: float
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -61,22 +68,22 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> str:
-    """Run simplex pivots until optimal or unbounded; returns the status."""
+def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int, ray: str) -> None:
+    """Run simplex pivots until optimal; an unbounded ray raises NumericalError(ray)."""
     m = T.shape[0] - 1
     costs, rhs = T[m, :n_enterable], T[:m, -1]  # views: pivots update them in place
     stalled = 0  # degenerate pivots in a row
     for _ in range(_MAX_ITER):
         col = int(costs.argmin())  # Dantzig: most negative, lowest index on ties
         if not costs[col] < -_TOL:
-            return OPTIMAL
+            return
         if stalled >= _BLAND_AFTER:  # Bland: smallest eligible index enters
             col = int((costs < -_TOL).argmax())
         column = T[:m, col]
         positive = (column > _TOL).nonzero()[0]
         if positive.size == 0:
             if costs[col] < -1e3 * _TOL:
-                return UNBOUNDED
+                raise NumericalError(ray)
             # cost this close to zero on a pivotless column is round-off
             # noise at the optimality boundary, not an unbounded ray
             costs[col] = 0.0
@@ -94,10 +101,10 @@ def _iterate(T: np.ndarray, basis: np.ndarray, n_enterable: int) -> str:
 def _phase1(A: np.ndarray, b: np.ndarray):
     """Crash basis, phase 1 and artificial drive-out for ``A @ x = b, x >= 0``.
 
-    Works on A and b in place.  Returns (T, basis): T is the tableau of a
-    feasible basis with redundant rows and the artificial columns dropped,
-    its last row free for an objective, or None when the program is
-    infeasible.
+    Works on A and b in place.  Returns (T, basis), T the tableau of a
+    feasible basis without the artificial columns, its last row free for
+    an objective; raises NumericalError on a phase-1 optimum above
+    ``_TOL`` or an artificial that cannot leave its row.
     """
     m, n = A.shape
     flip = b < 0
@@ -130,23 +137,18 @@ def _phase1(A: np.ndarray, b: np.ndarray):
     T[m, -1] = -b[bare].sum()
     basis[bare] = artificial
 
-    if _iterate(T, basis, n) == UNBOUNDED:  # sum of artificials is bounded below by 0
-        raise NumericalError("phase-1 objective reported unbounded")
+    _iterate(T, basis, n, "phase-1 objective reported unbounded")  # a sum of artificials is >= 0
     if -T[m, -1] > _TOL:
-        return None, basis
+        raise NumericalError(f"LP unexpectedly infeasible (phase-1 optimum {-T[m, -1]:.3e})")
 
-    # drive remaining artificials out of the basis; drop redundant rows
-    keep = np.ones(m + 1, dtype=bool)
+    # drive remaining artificials out of the basis
     for i in np.flatnonzero(basis >= n):
         if abs(T[i, -1]) <= _TOL:
             T[i, -1] = 0.0
         candidates = np.flatnonzero(np.abs(T[i, :n]) > _TOL)
-        if candidates.size:
-            _pivot(T, basis, i, int(candidates[0]))
-        else:  # the row is 0 = 0, redundant
-            keep[i] = False
-    if not keep.all():
-        T, basis = T[keep], basis[keep[:m]]
+        if not candidates.size:  # the row is 0 = 0
+            raise NumericalError("LP unexpectedly has a redundant row")
+        _pivot(T, basis, i, int(candidates[0]))
     return np.hstack([T[:, :n], T[:, -1:]]), basis
 
 
@@ -161,8 +163,7 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> LPResult:
     for i in np.flatnonzero(coeffs):
         T[m] -= coeffs[i] * T[i]
 
-    if _iterate(T, basis, n) == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+    _iterate(T, basis, n, "LP unexpectedly unbounded")
     x = np.zeros(n)
     x[basis] = np.maximum(T[:m, -1], 0.0)
     value = float(c @ x)
@@ -174,9 +175,11 @@ def _phase2(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> LPResult:
 def solve_lp(c, A, b) -> LPResult:
     """Minimize ``c @ x`` over ``A @ x = b, x >= 0``.
 
-    Returns an :class:`LPResult`; ``x`` is a basic solution when the status
-    is ``optimal``.  Infeasibility is decided by the phase-1 objective
-    exceeding ``_TOL``.
+    Returns the optimum as ``LPResult(OPTIMAL, x, value)``, ``x`` a basic
+    solution, or raises NumericalError: every program fixmk poses is
+    feasible, bounded and of full row rank (see the module docstring), so
+    a phase-1 optimum above ``_TOL``, an unbounded ray or a redundant row
+    can only be round-off.
     """
     A = np.array(A, dtype=float, copy=True)
     if A.ndim != 2:
@@ -190,8 +193,5 @@ def solve_lp(c, A, b) -> LPResult:
         if not np.isfinite(data).all():
             raise NumericalError(f"LP data {name} has non-finite entries")
 
-    T, basis = _phase1(A, b)
-    if T is None:
-        return LPResult(INFEASIBLE)
-    return _phase2(T, basis, c)
+    return _phase2(*_phase1(A, b), c)
 

@@ -36,8 +36,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationCapError, NumericalError
 from . import geometry
-# hull_fit is unused here, but perfbench/selftest.py expects this copy of it and wraps it
-from .geometry import AffineMap, Polytope, _apply, _finite, hull_fit
+from .geometry import AffineMap, Polytope, _apply, _finite
 
 DEFAULT_ABELIAN_TOL = 1e-12
 DEFAULT_RELATION_TOL = 1e-9

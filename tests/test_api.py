@@ -50,5 +50,5 @@ def _call_sites(name):
 
 @pytest.mark.parametrize("name", ["solve_lp", "_frame"])
 def test_only_deviation_fit_frames_and_solves_an_lp(name):
-    # one wrapper poses, solves, status-checks and maps back every deviation LP
+    # one wrapper poses, solves and maps back every deviation LP
     assert _call_sites(name) == [("geometry", "deviation_fit")]

@@ -4,7 +4,9 @@ Every run exits 0, 1 or 2, writes no traceback and raises no warning;
 its stdout is empty or strict JSON, and no error line says that a
 deviation LP, capped or not, feasible and bounded by construction, was not.
 """
+import ast
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -14,10 +16,11 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from fixmk import cli
+from fixmk import NumericalError, cli, lp
 
 MAGNITUDES = [10.0**k for k in (-12, -3, 0, 3, 12, 150, 300)]
 OPTIONS = {"mode": "cross-check", "n_max": 2**20, "seed": 0, "tol": 1e-8, "word_budget": 3}
+# every message lp raises for an LP verdict names one of these (checked below)
 OUR_BUGS = ("unexpectedly", "phase-1 objective reported unbounded")
 
 
@@ -199,3 +202,22 @@ def test_an_overflowing_subspace_norm_exits_one_with_an_error_line(tmp_path):
     problem = _problem("extension", dim=2, norm="max-abs", subspace_basis=[[1e-12, 0.0]],
                        functional_on_subspace=[1e300], operators={"leaf": [_map(np.diag([1.0, -1.0]), [0.0, 0.0])]})
     assert run_main(tmp_path, "extend", problem) == (1, "", "error: the norm of g on the subspace overflows\n")
+
+
+VERDICTS = {  # (c, A, b) of a smallest program per verdict
+    "infeasible": ([0.0], [[1.0], [1.0]], [1.0, 2.0]),
+    "unbounded": ([-1.0, 0.0], [[1.0, -1.0]], [0.0]),
+    "redundant row": ([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0]),
+}
+
+
+def test_our_bugs_flags_every_lp_verdict():
+    # a ray's message is handed to _iterate; no program reaches phase 1's, its objective being >= 0
+    messages = [node.args[-1].value for node in ast.walk(ast.parse(inspect.getsource(lp)))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_iterate"]
+    for verdict, program in VERDICTS.items():
+        with pytest.raises(NumericalError, match=verdict) as info:
+            lp.solve_lp(*program)
+        messages.append(str(info.value))
+    assert len(messages) == 5
+    assert all(any(bug in message for bug in OUR_BUGS) for message in messages), messages

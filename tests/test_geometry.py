@@ -24,7 +24,6 @@ from fixmk import (
     feasible_point,
     hull_gap,
 )
-from fixmk.lp import INFEASIBLE, LPResult
 from helpers import count_calls, cube, polytope_image, rot90, rot180, square, unit_square
 from oracles import hull_distance, map_deviation
 
@@ -444,13 +443,20 @@ def test_feasible_point_dim_mismatch():
 
 def test_impossible_lp_status_is_a_numerical_error(monkeypatch):
     # the deviation LP is feasible for a large enough t, and a capped one runs
-    # only at a cap that is met, so "infeasible" is the LP core failing
-    monkeypatch.setattr(geometry, "solve_lp", lambda *a: LPResult(INFEASIBLE))
+    # only at a cap that is met, so lp's verdict is its own error, passed on unchanged
+    error = NumericalError("LP unexpectedly infeasible (phase-1 optimum 1.000e+00)")
+
+    def verdict(c, A, b):
+        raise error
+
+    monkeypatch.setattr(geometry, "solve_lp", verdict)
     vertex_sets, origin, basis = [square().vertices], np.zeros(2), np.eye(2)
-    with pytest.raises(NumericalError, match="deviation LP unexpectedly infeasible"):
+    with pytest.raises(NumericalError) as info:
         geometry.deviation_fit(vertex_sets, origin, basis)
-    with pytest.raises(NumericalError, match="deviation LP unexpectedly infeasible"):
+    assert info.value is error
+    with pytest.raises(NumericalError) as info:
         geometry.deviation_fit(vertex_sets, origin, basis, cap=1.0, direction=np.ones(2))
+    assert info.value is error
 
 
 # --- diameter / norms -----------------------------------------------------

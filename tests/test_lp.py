@@ -8,7 +8,7 @@ from conftest import FIXTURES, fixture_paths
 from fixmk import AffineMap, Leaf, NormKind, NormSpec, NumericalError, Polytope, geometry, lp
 from fixmk.extension import ExtensionProblem, subspace_norm
 from fixmk.geometry import _deviation_lp, polytope_images
-from fixmk.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from fixmk.lp import OPTIMAL, solve_lp
 from fixmk.schema import load_problem
 from fixmk.semigroup import flatten, validate_structure
 from fixmk.solver import _sample_family, common_fixed_subspace, fip_check
@@ -30,16 +30,16 @@ def test_infeasible():
     # x1 = 1 and x1 = 2 cannot both hold
     A = np.array([[1.0], [1.0]])
     b = np.array([1.0, 2.0])
-    res = solve_lp(np.zeros(1), A, b)
-    assert res.status == INFEASIBLE
+    with pytest.raises(NumericalError, match=r"LP unexpectedly infeasible \(phase-1 optimum 1\.000e\+00\)"):
+        solve_lp(np.zeros(1), A, b)
 
 
 def test_unbounded():
     # min -x1 with only x1 - x2 = 0: x1 can grow forever
     A = np.array([[1.0, -1.0]])
     b = np.array([0.0])
-    res = solve_lp(np.array([-1.0, 0.0]), A, b)
-    assert res.status == UNBOUNDED
+    with pytest.raises(NumericalError, match="LP unexpectedly unbounded"):
+        solve_lp(np.array([-1.0, 0.0]), A, b)
 
 
 def test_negative_rhs_handled():
@@ -51,12 +51,12 @@ def test_negative_rhs_handled():
     assert res.x[0] == pytest.approx(3.0)
 
 
-def test_redundant_rows_dropped():
+def test_redundant_row_raises():
+    # the second row is twice the first: its artificial cannot leave the basis
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
-    res = solve_lp(np.array([1.0, 0.0]), A, b)
-    assert res.status == OPTIMAL
-    assert res.value == pytest.approx(0.0)
+    with pytest.raises(NumericalError, match="LP unexpectedly has a redundant row"):
+        solve_lp(np.array([1.0, 0.0]), A, b)
 
 
 BEALE = (
@@ -114,10 +114,10 @@ def check_pivot_rules(monkeypatch):
     state = {"n": None, "tol": None, "stalled": 0, "checked": 0, "bland": 0}
     iterate, pivot = lp._iterate, lp._pivot
 
-    def checked_iterate(T, basis, n_enterable):
+    def checked_iterate(T, basis, n_enterable, ray):
         state.update(n=n_enterable, tol=lp._TOL, stalled=0)
         try:
-            return iterate(T, basis, n_enterable)
+            return iterate(T, basis, n_enterable, ray)
         finally:
             state["n"] = None
 
@@ -162,16 +162,17 @@ def test_matches_scipy_on_random_programs(seed):
     x_feas = rng.uniform(0.1, 1.0, size=n)
     b = A @ x_feas  # guarantees feasibility
     c = rng.normal(size=n)
-    ours = solve_lp(c, A, b)
     ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * n, method="highs")
-    if ours.status == OPTIMAL:
+    verdict = {2: "infeasible", 3: "unbounded"}.get(ref.status)  # scipy's codes
+    if verdict is not None:
+        with pytest.raises(NumericalError, match=f"LP unexpectedly {verdict}"):
+            solve_lp(c, A, b)
+    else:
         assert ref.success
+        ours = solve_lp(c, A, b)
         assert ours.value == pytest.approx(ref.fun, abs=1e-8)
         np.testing.assert_allclose(A @ ours.x, b, atol=1e-9)
         assert np.all(ours.x >= -1e-12)
-    else:
-        assert ours.status == UNBOUNDED
-        assert ref.status == 3  # scipy's unbounded code
 
 
 def _solve_fixtures():
@@ -279,6 +280,29 @@ def _framed_programs():
             assert subspace_norm(ExtensionProblem(2, NormSpec(kind, 2), basis, g, swap)) > 0.0
         validate_structure(Leaf(tuple(box_maps)), Polytope(1e6 * box.polytope.vertices))
     return programs
+
+
+def _vertex_set(rng, kind, d):
+    """A random, repeated (one vertex several times among others) or flat (one coordinate fixed) set."""
+    V = rng.normal(size=(int(rng.integers(1, d + 3)), d))
+    if kind == "repeated":
+        V = np.vstack([V, np.repeat(V[:1], 3, axis=0)])
+    elif kind == "flat":
+        V[:, rng.integers(d)] = rng.normal()
+    return V
+
+
+@pytest.mark.parametrize("J", range(1, 7))
+def test_every_deviation_lp_has_full_row_rank_and_nonnegative_b(J):
+    # what lets solve_lp raise on an infeasible, unbounded or redundant verdict: the u and w
+    # slacks and one weight column per set (and the cap's slack) form a nonsingular square block
+    rng = np.random.default_rng(J)
+    for d, kind, capped in itertools.product(range(1, 9), ("random", "repeated", "flat"), (False, True)):
+        for r in range(d + 1):
+            sets = [_vertex_set(rng, kind, d) for _ in range(J)]
+            A, b, _ = _deviation_lp(sets, rng.normal(size=(d, r)), rng.uniform(0.0, 2.0) if capped else None)
+            assert np.linalg.matrix_rank(A) == A.shape[0], (d, r, kind, capped)
+            assert b.min() >= 0.0
 
 
 @pytest.mark.parametrize(
